@@ -73,9 +73,6 @@ from divcorr.sieve import (
     build_divisor_table,
     build_shifted_product_table,
     build_spf,
-    dump_table,
-    load_table,
-    shifted_product_divisor_count,
     shifted_product_values,
 )
 

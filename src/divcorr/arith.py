@@ -169,15 +169,12 @@ class MultiplicativeSpec:
 
     prime_power_value(p, e) returns f(p^e) for e >= 1; f(p^0) = 1 is implicit.
     companion_g, when present, is the completely multiplicative companion of
-    the recurrence f(p^(n+1)) = f(p) f(p^n) - g(p) f(p^(n-1)).  Specs whose
-    values are exact integers set exact=True; the identity checks require it
-    so equality is literal rather than toleranced.
+    the recurrence f(p^(n+1)) = f(p) f(p^n) - g(p) f(p^(n-1)).
     """
 
     name: str
     prime_power_value: Callable[[int, int], int | float]
     companion_g: Callable[[int], int] | None = None
-    exact: bool = True
 
 
 def divisor_count_spec() -> MultiplicativeSpec:
@@ -216,7 +213,7 @@ def tau_spec(table: Sequence[int]) -> MultiplicativeSpec:
 
 def eval_mult(spec: MultiplicativeSpec, f: Factorization) -> int | float:
     """f(n) as the product of prime-power values; 1 on the empty product."""
-    out: int | float = 1 if spec.exact else 1.0
+    out: int | float = 1
     for p, e in f.entries:
         out *= spec.prime_power_value(p, e)
     return out
@@ -255,7 +252,7 @@ def convolution_identity_check(
 ) -> IdentityCheck:
     """Compare f(a) f(b) against sum over e | gcd(a, b) of g(e) f(ab / e^2).
 
-    Exact arithmetic whenever the spec is exact; requires a companion g
+    Exact arithmetic whenever the spec values are; requires a companion g
     (g == 1 recovers the unweighted identity satisfied by d).
     """
     if spec.companion_g is None:

@@ -11,7 +11,7 @@ import json
 import sys
 
 from divcorr.constants import asymptotic_coefficients, compute_zeta_constants
-from divcorr.correlate import _dpoly_prefix_sum, sum_dd
+from divcorr.correlate import sum_dd, sum_dpoly
 from divcorr.errors import ContractError, RangeError, ResourceError
 from divcorr.harness import KINDS, SUITES, RunConfig, emit, run_compare, run_verify
 from divcorr.sieve import build_divisor_table
@@ -83,12 +83,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    dtab = build_divisor_table(args.x + args.v)
-    if args.kind == "dd":
-        value = sum_dd(args.x, args.v, dtab).value
-    else:
-        value = _dpoly_prefix_sum(dtab, args.x, args.v)
-    print(value)
+    sum_fn = sum_dd if args.kind == "dd" else sum_dpoly
+    print(sum_fn(args.x, args.v, build_divisor_table(args.x + args.v)).value)
     return EXIT_OK
 
 
@@ -123,7 +119,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         kind=args.kind,
         alpha=args.alpha,
         truncation=args.truncation,
-        output=args.out,
     )
     rows = run_compare(config)
     sys.stdout.buffer.write(emit(rows, args.out))

@@ -13,6 +13,7 @@ the spec's exact value domain (Python integers for d, sigma_k, tau).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,14 +29,12 @@ from divcorr.arith import (
 )
 from divcorr.errors import ContractError, RangeError
 from divcorr.sieve import (
+    SEGMENT_SIZE,
     DivisorTable,
     ShiftedProductTable,
     SpfTable,
-    shifted_product_divisor_count,
     shifted_product_values,
 )
-
-_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,34 @@ def _exact_sum(a: np.ndarray) -> int:
     # chunked int64 reduction folded into an unbounded Python int; each chunk
     # of <= 2^22 terms below 2^40 stays far from int64 overflow
     total = 0
-    for lo in range(0, len(a), _CHUNK):
-        total += int(np.sum(a[lo : lo + _CHUNK], dtype=np.int64))
+    for lo in range(0, len(a), SEGMENT_SIZE):
+        total += int(np.sum(a[lo : lo + SEGMENT_SIZE], dtype=np.int64))
     return total
 
 
 def _check_shift(v: int) -> None:
     if v < 1:
         raise RangeError("shift v must be >= 1")
+
+
+def _lattice_sum(
+    v: int, g: Callable[[int], int], inverse: bool, term: Callable[[int], int | float]
+) -> int | float:
+    """sum_{e|v} w(e) term(e), w = g(e), or mu(e) g(e) when inverse.
+
+    This is the Lemma 1 transform for every spec; d is the g == 1 case.
+    """
+    _check_shift(v)
+    total: int | float = 0
+    for e in divisors(trial_factorize(v)):
+        mu = mobius(trial_factorize(e)) if inverse else 1
+        if mu:
+            total += mu * completely_mult_value(g, e) * term(e)
+    return total
+
+
+def _unit(p: int) -> int:
+    return 1
 
 
 def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
@@ -72,17 +91,21 @@ def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
         raise RangeError(f"divisor table limit {tables.limit} < {x + v}")
     d = tables.values
     total = 0
-    for lo in range(1, x + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, x)
+    for lo in range(1, x + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE - 1, x)
         prod = d[lo : hi + 1].astype(np.int64) * d[lo + v : hi + v + 1].astype(np.int64)
         total += int(prod.sum())
     return CorrelationSum("dd", x, v, total)
 
 
 def sum_dpoly(
-    x: int, v: int, tables: ShiftedProductTable | SpfTable
+    x: int, v: int, tables: ShiftedProductTable | DivisorTable
 ) -> CorrelationSum:
-    """Exact sum of d(n(n+v)) over n <= x; x = 0 gives the empty sum."""
+    """Exact sum of d(n(n+v)) over n <= x; x = 0 gives the empty sum.
+
+    A ShiftedProductTable for shift v is read directly; a DivisorTable
+    covering x + v is turned into the d(n(n+v)) values on the fly.
+    """
     _check_shift(v)
     if x < 0:
         raise RangeError("x must be >= 0")
@@ -92,31 +115,18 @@ def sum_dpoly(
         if tables.limit < x:
             raise RangeError(f"table limit {tables.limit} < {x}")
         value = _exact_sum(tables.values[1 : x + 1])
-    elif isinstance(tables, SpfTable):
-        if x > 0 and tables.limit < x + v:
-            raise RangeError(f"spf table limit {tables.limit} < {x + v}")
-        value = sum(
-            shifted_product_divisor_count(n, v, tables) for n in range(1, x + 1)
-        )
+    elif isinstance(tables, DivisorTable):
+        value = _exact_sum(shifted_product_values(tables, x, v)[1:]) if x else 0
     else:
         raise TypeError(f"unsupported table type {type(tables).__name__}")
     return CorrelationSum("dpoly", x, v, value)
 
 
-def _dpoly_prefix_sum(dtab: DivisorTable, x: int, v: int) -> int:
-    """sum_{n<=x} d(n(n+v)) straight from a divisor table."""
-    if x <= 0:
-        return 0
-    return _exact_sum(shifted_product_values(dtab, x, v)[1:])
-
-
 def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Assemble sum_{n<=x} d(n) d(n+v) from product-form sums over the
     divisors of v:  sum_{e|v} sum_{n<=x/e} d(n(n+v/e)).  Equals sum_dd."""
-    _check_shift(v)
-    value = sum(
-        _dpoly_prefix_sum(tables, x // e, v // e)
-        for e in divisors(trial_factorize(v))
+    value = _lattice_sum(
+        v, _unit, False, lambda e: sum_dpoly(x // e, v // e, tables).value
     )
     return CorrelationSum("dd", x, v, value)
 
@@ -124,12 +134,9 @@ def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
 def sum_dpoly_from_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Moebius-inverted companion:  sum_{e|v} mu(e) sum_{n<=x/e} d(n) d(n+v/e).
     Equals sum_dpoly."""
-    _check_shift(v)
-    value = 0
-    for e in divisors(trial_factorize(v)):
-        mu = mobius(trial_factorize(e))
-        if mu:
-            value += mu * sum_dd(x // e, v // e, tables).value
+    value = _lattice_sum(
+        v, _unit, True, lambda e: sum_dd(x // e, v // e, tables).value
+    )
     return CorrelationSum("dpoly", x, v, value)
 
 
@@ -188,18 +195,9 @@ def transform_correlation(
         raise ContractError(f"spec {spec.name!r} has no companion g")
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}")
-    _check_shift(v)
-    total: int | float = 0
-    for e in divisors(trial_factorize(v)):
-        if direction == "corr_from_poly":
-            w = completely_mult_value(spec.companion_g, e)
-            term = sum_shifted_product(spec, x // e, v // e, spf).value
-        else:
-            mu = mobius(trial_factorize(e))
-            if mu == 0:
-                continue
-            w = mu * completely_mult_value(spec.companion_g, e)
-            term = sum_correlation(spec, x // e, v // e, spf).value
-        total += w * term
-    kind = "ff" if direction == "corr_from_poly" else "fpoly"
+    inverse = direction == "poly_from_corr"
+    kind, inner = ("fpoly", sum_correlation) if inverse else ("ff", sum_shifted_product)
+    total = _lattice_sum(
+        v, spec.companion_g, inverse, lambda e: inner(spec, x // e, v // e, spf).value
+    )
     return CorrelationSum(kind, x, v, total, spec_name=spec.name)

@@ -19,6 +19,7 @@ import numpy as np
 
 from divcorr.arith import (
     chebyshev_extend,
+    completely_mult_value,
     divisor_count_spec,
     divisors,
     eval_mult,
@@ -38,16 +39,11 @@ from divcorr.constants import (
     sigma_correlation_main_term,
     sigma_lambda_identity,
 )
-from divcorr.correlate import (
-    _dpoly_prefix_sum,
-    _exact_sum,
-    sum_dd,
-    sum_shifted_product,
-)
+from divcorr.correlate import sum_dd, sum_dpoly, sum_shifted_product
 from divcorr.errors import ContractError
 from divcorr.sieve import (
-    DEFAULT_SEGMENT_SIZE,
     build_divisor_table,
+    build_shifted_product_table,
     build_spf,
     shifted_product_values,
 )
@@ -74,9 +70,6 @@ class RunConfig:
     alpha: int | None = None
     truncation: int = 3
     residual_exponent: float = 2.0 / 3.0 + 0.05
-    output: str = "csv"
-    memory_cap: int | None = None
-    segment_size: int = DEFAULT_SEGMENT_SIZE
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -89,8 +82,6 @@ class RunConfig:
             raise ContractError("residual_exponent must lie in (0.5, 1)")
         if self.truncation not in (1, 2, 3):
             raise ContractError("truncation must be 1, 2 or 3")
-        if self.output not in ("csv", "json"):
-            raise ContractError("output must be csv or json")
         if self.kind == "sigma_corr":
             if not isinstance(self.alpha, int) or self.alpha < 1:
                 raise ContractError(
@@ -121,33 +112,20 @@ def run_compare(config: RunConfig) -> list[ComparisonRow]:
     vmax = max(config.v_list)
     if config.kind in ("dd", "dpoly"):
         zc = compute_zeta_constants()
-        dtab = build_divisor_table(
-            xmax + vmax,
-            memory_cap=config.memory_cap,
-            segment_size=config.segment_size,
-        )
+        dtab = build_divisor_table(xmax + vmax)
         for v in config.v_list:
             if config.kind == "dd":
-                for x in config.x_list:
-                    emp = sum_dd(x, v, dtab).value
-                    mains = [estermann_main_term(x, v, zc, t) for t in (1, 2, 3)]
-                    rows.append(_row(config, x, v, emp, mains))
+                table, sum_fn, main = dtab, sum_dd, estermann_main_term
             else:
-                vals = shifted_product_values(
-                    dtab, xmax, v, segment_size=config.segment_size
-                )
-                for x in config.x_list:
-                    emp = _exact_sum(vals[1 : x + 1])
-                    mains = [
-                        shifted_product_main_term(x, v, zc, t) for t in (1, 2, 3)
-                    ]
-                    rows.append(_row(config, x, v, emp, mains))
+                # one d(n(n+v)) table per shift serves every x
+                table = build_shifted_product_table(xmax, v, divisor_table=dtab)
+                sum_fn, main = sum_dpoly, shifted_product_main_term
+            for x in config.x_list:
+                emp = sum_fn(x, v, table).value
+                mains = [main(x, v, zc, t) for t in (1, 2, 3)]
+                rows.append(_row(config, x, v, emp, mains))
     else:
-        spf = build_spf(
-            xmax + vmax,
-            memory_cap=config.memory_cap,
-            segment_size=config.segment_size,
-        )
+        spf = build_spf(xmax + vmax)
         spec = sigma_spec(config.alpha)
         for v in config.v_list:
             for x in config.x_list:
@@ -208,19 +186,26 @@ def run_verify(
     When xmax/vmax are None each suite uses its own full verification bounds
     (lemma1: x <= 1e4, v <= 50; lemma2: n <= 1e4, v <= 100; genrec:
     a, b <= 200; sigma_lambda and binomial: v <= 200; coeff_consistency:
-    v <= 100).
+    v <= 100); a given bound below 1 raises ContractError.
     """
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ContractError(f"unknown suite names: {unknown}")
+    for label, given in (("xmax", xmax), ("vmax", vmax)):
+        if given is not None and given < 1:
+            raise ContractError(f"{label} must be >= 1, got {given}")
+
+    def bound(given: int | None, default: int) -> int:
+        return default if given is None else given
+
     runners = {
-        "lemma1": lambda: _suite_lemma1(xmax or 10_000, vmax or 50),
-        "lemma2": lambda: _suite_lemma2(xmax or 10_000, vmax or 100),
+        "lemma1": lambda: _suite_lemma1(bound(xmax, 10_000), bound(vmax, 50)),
+        "lemma2": lambda: _suite_lemma2(bound(xmax, 10_000), bound(vmax, 100)),
         "induction": lambda: _suite_induction(50, 8),
-        "genrec": lambda: _suite_genrec(vmax or 200),
-        "sigma_lambda": lambda: _suite_sigma_lambda(vmax or 200, 3),
-        "binomial": lambda: _suite_binomial(vmax or 200, 3),
-        "coeff_consistency": lambda: _suite_coeff_consistency(vmax or 100),
+        "genrec": lambda: _suite_genrec(bound(vmax, 200)),
+        "sigma_lambda": lambda: _suite_sigma_lambda(bound(vmax, 200), 3),
+        "binomial": lambda: _suite_binomial(bound(vmax, 200), 3),
+        "coeff_consistency": lambda: _suite_coeff_consistency(bound(vmax, 100)),
     }
     results = tuple(runners[name]() for name in suites)
     return VerifyReport(results)
@@ -348,7 +333,8 @@ def _suite_genrec(amax: int) -> SuiteResult:
         for n in range(2, prod_limit + 1):
             fval[n] = eval_mult(spec, factorize(n, spf))
         gval = {
-            e: _completely_mult(spec, e) for e in range(1, amax + 1)
+            e: completely_mult_value(spec.companion_g, e)
+            for e in range(1, amax + 1)
         }
         for a in range(1, amax + 1):
             b_top = min(amax, prod_limit // a)
@@ -364,13 +350,6 @@ def _suite_genrec(amax: int) -> SuiteResult:
                     if first is None:
                         first = f"{spec.name} a={a} b={b}: {lhs} != {rhs}"
     return SuiteResult("genrec", checks, failures, first)
-
-
-def _completely_mult(spec, e: int) -> int:
-    out = 1
-    for p, k in trial_factorize(e).entries:
-        out *= spec.companion_g(p) ** k
-    return out
 
 
 def _report_suite(name: str, reports) -> SuiteResult:

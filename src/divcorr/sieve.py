@@ -1,37 +1,41 @@
 """Sieved tables over [1, N]: smallest prime factor, d(n), and d(n(n+v)).
 
-Builders are numpy-vectorised and chunked, so a segment-by-segment build
-yields byte-identical arrays to a monolithic one; tables are immutable after
-construction and safe to share.  An optional binary dump/load round-trips
-any table through a little-endian on-disk format with a CRC-32 trailer.
+Builders are numpy-vectorised and chunked in SEGMENT_SIZE entries, so a
+segment-by-segment build yields byte-identical arrays to a monolithic one;
+tables are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
-from divcorr.arith import factorize, trial_factorize
-from divcorr.errors import RangeError, ResourceError
+from divcorr.arith import trial_factorize
+from divcorr.errors import ContractError, RangeError, ResourceError
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+SEGMENT_SIZE = 1 << 22  # table entries per chunk
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
 
 
 def resolve_memory_cap(explicit: int | None = None) -> int:
-    """Memory budget in bytes: explicit argument, else DIVCORR_MEMCAP, else 2 GiB."""
+    """Memory budget in bytes: explicit argument, else DIVCORR_MEMCAP, else 2 GiB.
+
+    Raises ContractError unless the budget is an integer >= 1.
+    """
     if explicit is not None:
+        if explicit < 1:
+            raise ContractError(f"memory cap must be >= 1 byte, got {explicit}")
         return explicit
     env = os.environ.get(MEMCAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MEMORY_CAP
+    if not env:
+        return DEFAULT_MEMORY_CAP
+    if not env.isdecimal() or int(env) < 1:
+        raise ContractError(f"{MEMCAP_ENV}={env!r} is not an integer byte count >= 1")
+    return int(env)
 
 
 def _charge(nbytes: int, cap: int | None) -> None:
@@ -80,18 +84,12 @@ def _base_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def build_spf(
-    limit: int,
-    *,
-    memory_cap: int | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> SpfTable:
+def build_spf(limit: int, *, memory_cap: int | None = None) -> SpfTable:
     """Smallest-prime-factor table over [1, limit].
 
     Args:
         limit: inclusive upper bound, must satisfy 1 <= limit < 2^31.
         memory_cap: byte budget; DIVCORR_MEMCAP or 2 GiB when None.
-        segment_size: entries marked per chunk.
 
     Returns:
         SpfTable with spf[1] = 1 and spf[p] = p on primes.
@@ -103,8 +101,8 @@ def build_spf(
     _charge((limit + 1) * 4 + isqrt(limit) * 2, memory_cap)
     spf = np.zeros(limit + 1, dtype=np.int32)
     primes = [int(p) for p in _base_primes(isqrt(limit))]
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
+    for lo in range(0, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE - 1, limit)
         seg = spf[lo : hi + 1]
         for p in primes:
             if p * p > hi:
@@ -120,12 +118,7 @@ def build_spf(
     return SpfTable(limit, spf)
 
 
-def build_divisor_table(
-    limit: int,
-    *,
-    memory_cap: int | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> DivisorTable:
+def build_divisor_table(limit: int, *, memory_cap: int | None = None) -> DivisorTable:
     """Divisor-count table d(1..limit).
 
     Every divisor pair (i, n/i) with i <= sqrt(n) contributes two counts
@@ -135,7 +128,6 @@ def build_divisor_table(
     Args:
         limit: inclusive upper bound.
         memory_cap: byte budget; DIVCORR_MEMCAP or 2 GiB when None.
-        segment_size: table entries per chunk.
 
     Returns:
         DivisorTable of uint32 counts.
@@ -144,8 +136,8 @@ def build_divisor_table(
         raise RangeError("limit must be >= 1")
     _charge((limit + 1) * 4, memory_cap)
     d = np.zeros(limit + 1, dtype=np.uint32)
-    for lo in range(0, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
+    for lo in range(0, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE - 1, limit)
         seg = d[lo : hi + 1]
         for i in range(1, isqrt(hi) + 1):
             sq = i * i
@@ -168,13 +160,7 @@ def _valuations(p: int, n: int) -> np.ndarray:
     return val
 
 
-def shifted_product_values(
-    dtab: DivisorTable,
-    limit: int,
-    shift: int,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> np.ndarray:
+def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.ndarray:
     """d(n(n+shift)) for n in [1, limit] from a d-table covering limit+shift.
 
     A prime shared by n and n+shift necessarily divides the shift, so with
@@ -183,7 +169,7 @@ def shifted_product_values(
         d(n(n+shift)) = d(n) d(n+shift) * prod_p (a+b+1) / ((a+1)(b+1))
 
     and the divisions are exact.  This is the bulk equivalent of merging the
-    two factorisations; shifted_product_divisor_count is the per-n reference.
+    two factorisations of n and n+shift.
     """
     need = limit + shift
     if dtab.limit < need:
@@ -192,8 +178,8 @@ def shifted_product_values(
     pdivs = [p for p, _ in trial_factorize(shift).entries]
     vals = {p: _valuations(p, need) for p in pdivs}
     out = np.zeros(limit + 1, dtype=np.uint32)
-    for lo in range(1, limit + 1, segment_size):
-        hi = min(lo + segment_size - 1, limit)
+    for lo in range(1, limit + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE - 1, limit)
         left = d[lo : hi + 1].astype(np.int64)
         right = d[lo + shift : hi + shift + 1].astype(np.int64)
         corr = np.ones(hi - lo + 1, dtype=np.int64)
@@ -216,7 +202,6 @@ def build_shifted_product_table(
     *,
     divisor_table: DivisorTable | None = None,
     memory_cap: int | None = None,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> ShiftedProductTable:
     """Table of d(n(n+shift)) for n in [1, limit].
 
@@ -226,7 +211,6 @@ def build_shifted_product_table(
         divisor_table: optional prebuilt d-table; must cover limit+shift,
             otherwise one is built internally.
         memory_cap: byte budget; DIVCORR_MEMCAP or 2 GiB when None.
-        segment_size: table entries per chunk.
 
     Returns:
         ShiftedProductTable of uint32 counts.
@@ -234,95 +218,10 @@ def build_shifted_product_table(
     if limit < 1 or shift < 1:
         raise RangeError("limit and shift must be >= 1")
     need = limit + shift
-    _charge((need + 1) * 4 + (limit + 1) * 4 + 4 * 8 * min(segment_size, limit), memory_cap)
+    _charge((need + 1) * 4 + (limit + 1) * 4 + 4 * 8 * min(SEGMENT_SIZE, limit), memory_cap)
     if divisor_table is None:
-        divisor_table = build_divisor_table(
-            need, memory_cap=memory_cap, segment_size=segment_size
-        )
+        divisor_table = build_divisor_table(need, memory_cap=memory_cap)
     elif divisor_table.limit < need:
         raise RangeError(f"divisor table limit {divisor_table.limit} < {need}")
-    vals = shifted_product_values(
-        divisor_table, limit, shift, segment_size=segment_size
-    )
+    vals = shifted_product_values(divisor_table, limit, shift)
     return ShiftedProductTable(limit, shift, vals)
-
-
-def shifted_product_divisor_count(n: int, shift: int, spf: SpfTable) -> int:
-    """d(n(n+shift)) via the merged factorisations of n and n+shift."""
-    merged = dict(factorize(n, spf).entries)
-    for p, e in factorize(n + shift, spf).entries:
-        merged[p] = merged.get(p, 0) + e
-    out = 1
-    for e in merged.values():
-        out *= e + 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# binary dump / load
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"DCOR"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIBBBBQQ")  # magic, version, kind, width, has_shift, pad, limit, shift
-_KIND_SPF, _KIND_DIVISOR, _KIND_SHIFTED = 1, 2, 3
-_DTYPES = {_KIND_SPF: "<i4", _KIND_DIVISOR: "<u4", _KIND_SHIFTED: "<u4"}
-
-Table = SpfTable | DivisorTable | ShiftedProductTable
-
-
-def dump_table(table: Table, path: str | os.PathLike) -> None:
-    """Write a table: header, little-endian payload, CRC-32 trailer."""
-    if isinstance(table, SpfTable):
-        kind, shift, arr = _KIND_SPF, 0, table.spf
-    elif isinstance(table, DivisorTable):
-        kind, shift, arr = _KIND_DIVISOR, 0, table.values
-    elif isinstance(table, ShiftedProductTable):
-        kind, shift, arr = _KIND_SHIFTED, table.shift, table.values
-    else:
-        raise TypeError(f"not a table: {type(table).__name__}")
-    payload = np.ascontiguousarray(arr).astype(_DTYPES[kind], copy=False).tobytes()
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, kind, 4, 1 if kind == _KIND_SHIFTED else 0, 0,
-        table.limit, shift,
-    )
-    crc = zlib.crc32(payload, zlib.crc32(header))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
-
-
-def load_table(path: str | os.PathLike) -> Table:
-    """Read a table written by dump_table, verifying magic, version and CRC."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size + 4:
-        raise ValueError("table file truncated")
-    header, payload, trailer = (
-        blob[: _HEADER.size],
-        blob[_HEADER.size : -4],
-        blob[-4:],
-    )
-    magic, version, kind, width, has_shift, _, limit, shift = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise ValueError("bad magic; not a table file")
-    if version != _VERSION:
-        raise ValueError(f"unsupported table version {version}")
-    if kind not in _DTYPES or width != 4:
-        raise ValueError("unknown table kind or element width")
-    (crc,) = struct.unpack("<I", trailer)
-    if zlib.crc32(payload, zlib.crc32(header)) != crc:
-        raise ValueError("CRC mismatch; table file corrupt")
-    if len(payload) != (limit + 1) * width:
-        raise ValueError("payload length disagrees with header")
-    arr = np.frombuffer(payload, dtype=_DTYPES[kind]).astype(
-        np.int32 if kind == _KIND_SPF else np.uint32, copy=True
-    )
-    if kind == _KIND_SPF:
-        return SpfTable(limit, arr)
-    if kind == _KIND_DIVISOR:
-        return DivisorTable(limit, arr)
-    if not has_shift:
-        raise ValueError("shifted table missing its shift")
-    return ShiftedProductTable(limit, shift, arr)

@@ -78,6 +78,18 @@ def smallest_prime_factor_naive(n: int) -> int:
     return n
 
 
+def shifted_product_divisor_count(n: int, shift: int, spf) -> int:
+    """d(n(n+shift)) from the merged prime factors of n and n+shift, each
+    found by walking the smallest-prime-factor array of the SpfTable spf."""
+    exponents: dict[int, int] = {}
+    for m in (n, n + shift):
+        while m > 1:
+            p = int(spf.spf[m])
+            exponents[p] = exponents.get(p, 0) + 1
+            m //= p
+    return math.prod(e + 1 for e in exponents.values())
+
+
 def sum_dd_naive(x: int, v: int) -> int:
     return sum(d_naive(n) * d_naive(n + v) for n in range(1, x + 1))
 

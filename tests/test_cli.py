@@ -13,12 +13,20 @@ def test_sum_dd(capsys):
 def test_sum_dpoly(capsys):
     assert main(["sum", "--kind", "dpoly", "--x", "6", "--v", "2"]) == 0
     assert capsys.readouterr().out.strip() == "32"
+    assert main(["sum", "--kind", "dpoly", "--x", "6", "--v", "0"]) == 2
+    assert capsys.readouterr().err.strip() == "error: shift v must be >= 1"
 
 
 def test_verify_pass_exit_zero(capsys):
     assert main(["verify", "--suite", "induction", "sigma_lambda", "--vmax", "30"]) == 0
     out = capsys.readouterr().out
     assert "suite induction" in out and "[PASS]" in out
+
+
+@pytest.mark.parametrize("bound", [["--xmax", "0"], ["--vmax", "-1"]])
+def test_verify_bad_bound_usage_error(capsys, bound):
+    assert main(["verify", "--suite", "genrec", "lemma1", *bound]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_usage_error():
@@ -74,3 +82,11 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("DIVCORR_MEMCAP", "1000")
     code = main(["sum", "--kind", "dd", "--x", "1000000", "--v", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5"])
+def test_bad_memcap_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("DIVCORR_MEMCAP", cap)
+    assert main(["sum", "--kind", "dd", "--x", "10", "--v", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

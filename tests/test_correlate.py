@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 import divcorr as dc
 from oracles import (
     d_naive,
+    shifted_product_divisor_count,
     sigma_naive,
     sum_dd_naive,
     sum_dpoly_naive,
@@ -30,11 +31,15 @@ class TestDirectSums:
         assert dc.sum_dpoly(3, 1, spt1).value == 12  # d(2)+d(6)+d(12)
 
     def test_sum_dpoly_from_spf_table(self):
+        # the per-n merged-factorisation count over the SPF table is the
+        # reference for both table types sum_dpoly accepts
         spt = dc.build_shifted_product_table(50, 3)
         for x in (1, 7, 50):
-            assert (
-                dc.sum_dpoly(x, 3, SPF).value == dc.sum_dpoly(x, 3, spt).value
+            want = sum(
+                shifted_product_divisor_count(n, 3, SPF) for n in range(1, x + 1)
             )
+            assert dc.sum_dpoly(x, 3, spt).value == want
+            assert dc.sum_dpoly(x, 3, DTAB).value == want
 
     @given(
         st.integers(min_value=0, max_value=400),
@@ -45,6 +50,7 @@ class TestDirectSums:
         assert dc.sum_dd(x, v, DTAB).value == sum_dd_naive(x, v)
         spt = dc.build_shifted_product_table(max(x, 1), v, divisor_table=DTAB)
         assert dc.sum_dpoly(x, v, spt).value == sum_dpoly_naive(x, v)
+        assert dc.sum_dpoly(x, v, DTAB).value == sum_dpoly_naive(x, v)
 
     def test_range_errors(self):
         with pytest.raises(dc.RangeError):
@@ -56,6 +62,8 @@ class TestDirectSums:
             dc.sum_dpoly(5, 3, spt)  # wrong shift
         with pytest.raises(dc.RangeError):
             dc.sum_dd(10, 0, DTAB)  # v = 0 excluded
+        with pytest.raises(dc.RangeError):
+            dc.sum_dd_from_dpoly(-5, 2, DTAB)  # same x contract as sum_dd
 
     def test_exactness_types(self):
         assert isinstance(dc.sum_dd(100, 3, DTAB).value, int)
@@ -138,13 +146,21 @@ class TestSpecTransforms:
         got = dc.transform_correlation(spec, 4, 2, "poly_from_corr", SPF)
         assert got.value == 103
 
-    def test_g_equal_one_reduces_to_divisor_transform(self):
+    @given(
+        st.integers(min_value=1, max_value=2000),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(deadline=None, max_examples=25)
+    def test_g_equal_one_reduces_to_divisor_transform(self, x, v):
         spec = dc.divisor_count_spec()
-        for x, v in ((50, 6), (200, 12)):
-            assert (
-                dc.transform_correlation(spec, x, v, "corr_from_poly", SPF).value
-                == dc.sum_dd(x, v, DTAB).value
-            )
+        assert (
+            dc.transform_correlation(spec, x, v, "corr_from_poly", SPF).value
+            == dc.sum_dd_from_dpoly(x, v, DTAB).value
+        )
+        assert (
+            dc.transform_correlation(spec, x, v, "poly_from_corr", SPF).value
+            == dc.sum_dpoly_from_dd(x, v, DTAB).value
+        )
 
     def test_tau_transform(self):
         spec = dc.tau_spec(dc.ramanujan_tau_table(1000))

@@ -23,7 +23,6 @@ class TestRunConfig:
             dict(x_list=[100], v_list=[1], residual_exponent=0.4),
             dict(x_list=[100], v_list=[1], residual_exponent=1.0),
             dict(x_list=[100], v_list=[1], truncation=4),
-            dict(x_list=[100], v_list=[1], output="xml"),
             dict(x_list=[100], v_list=[1], kind="sigma_corr"),
             dict(x_list=[100], v_list=[1], kind="sigma_corr", alpha=0.5),
         ],

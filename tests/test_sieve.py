@@ -1,10 +1,13 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divcorr as dc
-from oracles import d_naive, smallest_prime_factor_naive
+from oracles import (
+    d_naive,
+    shifted_product_divisor_count,
+    smallest_prime_factor_naive,
+)
 
 
 class TestSpfTable:
@@ -71,7 +74,7 @@ class TestShiftedProductTable:
         for v in (1, 7, 12, 50):
             spt = dc.build_shifted_product_table(10_000, v)
             for n in range(1, 10_001, 7):
-                assert spt.values[n] == dc.shifted_product_divisor_count(
+                assert spt.values[n] == shifted_product_divisor_count(
                     n, v, spf250k
                 ), (n, v)
 
@@ -93,19 +96,20 @@ class TestShiftedProductTable:
 
 
 class TestSegmentedConstruction:
-    def test_bit_identical_to_monolithic(self):
+    def test_bit_identical_to_monolithic(self, monkeypatch):
         n = 60_000
-        mono = dc.build_spf(n, segment_size=n + 1)
-        seg = dc.build_spf(n, segment_size=1009)
-        assert mono.spf.tobytes() == seg.spf.tobytes()
 
-        mono_d = dc.build_divisor_table(n, segment_size=n + 1)
-        seg_d = dc.build_divisor_table(n, segment_size=777)
-        assert mono_d.values.tobytes() == seg_d.values.tobytes()
+        def build(segment_size):
+            monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
+            return (
+                dc.build_spf(n).spf.tobytes(),
+                dc.build_divisor_table(n).values.tobytes(),
+                dc.build_shifted_product_table(n - 64, 12).values.tobytes(),
+            )
 
-        mono_s = dc.build_shifted_product_table(n - 64, 12, segment_size=n + 1)
-        seg_s = dc.build_shifted_product_table(n - 64, 12, segment_size=4096)
-        assert mono_s.values.tobytes() == seg_s.values.tobytes()
+        mono = build(n + 1)
+        for segment_size in (777, 1009, 4096):
+            assert build(segment_size) == mono, segment_size
 
 
 class TestMemoryCap:
@@ -121,45 +125,3 @@ class TestMemoryCap:
             dc.build_divisor_table(10**6)
         monkeypatch.setenv("DIVCORR_MEMCAP", str(2**31))
         dc.build_divisor_table(1000)  # fits again
-
-
-class TestDumpLoad:
-    def test_round_trip_all_kinds(self, tmp_path):
-        tables = (
-            dc.build_spf(1234),
-            dc.build_divisor_table(1234),
-            dc.build_shifted_product_table(900, 7),
-        )
-        for i, table in enumerate(tables):
-            path = tmp_path / f"t{i}.bin"
-            dc.dump_table(table, path)
-            back = dc.load_table(path)
-            assert type(back) is type(table)
-            assert back.limit == table.limit
-            a = table.spf if isinstance(table, dc.SpfTable) else table.values
-            b = back.spf if isinstance(back, dc.SpfTable) else back.values
-            assert np.array_equal(a, b)
-        shifted = dc.load_table(tmp_path / "t2.bin")
-        assert shifted.shift == 7
-
-    def test_corruption_detected(self, tmp_path):
-        path = tmp_path / "t.bin"
-        dc.dump_table(dc.build_divisor_table(500), path)
-        blob = bytearray(path.read_bytes())
-        blob[80] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="CRC"):
-            dc.load_table(path)
-
-    def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "t.bin"
-        dc.dump_table(dc.build_divisor_table(500), path)
-        path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(ValueError):
-            dc.load_table(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "t.bin"
-        path.write_bytes(b"NOPE" + bytes(60))
-        with pytest.raises(ValueError, match="magic"):
-            dc.load_table(path)
