@@ -19,6 +19,7 @@ from divcorr.arith import (
     eval_mult,
     factorize,
     mobius,
+    mobius_divisors,
     ramanujan_tau_table,
     sigma_log_k,
     sigma_pow,
@@ -68,10 +69,8 @@ from divcorr.harness import (
 )
 from divcorr.sieve import (
     DivisorTable,
-    ShiftedProductTable,
     SpfTable,
     build_divisor_table,
-    build_shifted_product_table,
     build_spf,
     shifted_product_values,
 )

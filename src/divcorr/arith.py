@@ -102,6 +102,15 @@ def mobius(f: Factorization) -> int:
     return -1 if len(f.entries) % 2 else 1
 
 
+def mobius_divisors(n: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for the divisors e of n with mu(e) != 0, i.e. the
+    squarefree ones, in the order divisors() lists them."""
+    out = [(1, 1)]
+    for p, _ in trial_factorize(n).entries:
+        out += [(e * p, -mu) for e, mu in out]
+    return out
+
+
 def divisor_count(f: Factorization) -> int:
     """d(n) = product of (exponent + 1)."""
     out = 1

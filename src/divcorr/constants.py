@@ -24,7 +24,7 @@ import numpy as np
 
 from divcorr.arith import (
     divisors,
-    mobius,
+    mobius_divisors,
     sigma_log_k,
     sigma_pow,
     trial_factorize,
@@ -261,10 +261,7 @@ def sigma_correlation_main_term(x: float, v: int, alpha: float) -> float:
     z2 = zeta_em(2.0 * alpha + 2.0)
     dfac = 0.0
     for d in divisors(trial_factorize(v)):
-        inner = math.fsum(
-            mobius(trial_factorize(e)) * float(e) ** alpha
-            for e in divisors(trial_factorize(d))
-        )
+        inner = math.fsum(mu * float(e) ** alpha for e, mu in mobius_divisors(d))
         dfac += float(d) ** (-2.0 * alpha - 1.0) * inner
     return z1 * z1 / z2 / (2.0 * alpha + 1.0) * float(x) ** (2.0 * alpha + 1.0) * dfac
 
@@ -306,14 +303,8 @@ class IdentityReport:
 
 def sigma_lambda_identity(v: int, k: int) -> IdentityReport:
     """sum_{e|v} (mu(e)/e) sigma_{-1}^{(k)}(v/e)  ==  sum_{d|v} Lambda_k(d)/d."""
-    divs = divisors(trial_factorize(v))
-    lhs_terms = []
-    for e in divs:
-        mu = mobius(trial_factorize(e))
-        if mu:
-            lhs_terms.append(mu / e * sigma_log_k(v // e, k))
-    lhs = math.fsum(lhs_terms)
-    rhs = math.fsum(von_mangoldt_k(d, k) / d for d in divs)
+    lhs = math.fsum(mu / e * sigma_log_k(v // e, k) for e, mu in mobius_divisors(v))
+    rhs = math.fsum(von_mangoldt_k(d, k) / d for d in divisors(trial_factorize(v)))
     tol = 1e-10 * (1.0 + max(abs(lhs), abs(rhs)))
     return IdentityReport("sigma_lambda", v, k, lhs, rhs, tol)
 
@@ -322,10 +313,7 @@ def binomial_log_identity(v: int, n: int) -> IdentityReport:
     """sum_{k<=n} C(n,k) sum_{e|v} (mu(e)/e) sigma_{-1}^{(k)}(v/e) (log e)^(n-k)
     collapses to 1 for n = 0 and to 0 for every n >= 1."""
     terms = []
-    for e in divisors(trial_factorize(v)):
-        mu = mobius(trial_factorize(e))
-        if not mu:
-            continue
+    for e, mu in mobius_divisors(v):
         le = math.log(e)
         for k in range(n + 1):
             terms.append(
@@ -377,10 +365,7 @@ def coefficient_consistency(
     a1_terms: list[float] = []
     a2_terms: list[float] = []
     helper_terms: list[float] = []
-    for e in divisors(trial_factorize(v)):
-        mu = mobius(trial_factorize(e))
-        if not mu:
-            continue
+    for e, mu in mobius_divisors(v):
         w = mu / e
         s0 = sigma_log_k(v // e, 0)
         c1e, c2e = estermann_coefficients(v // e, zc)

@@ -24,14 +24,13 @@ from divcorr.arith import (
     divisors,
     eval_mult,
     factorize,
-    mobius,
+    mobius_divisors,
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
 from divcorr.sieve import (
     SEGMENT_SIZE,
     DivisorTable,
-    ShiftedProductTable,
     SpfTable,
     shifted_product_values,
 )
@@ -48,12 +47,17 @@ class CorrelationSum:
     spec_name: str | None = None
 
 
-def _exact_sum(a: np.ndarray) -> int:
-    # chunked int64 reduction folded into an unbounded Python int; each chunk
-    # of <= 2^22 terms below 2^40 stays far from int64 overflow
+def _exact_sum(x: int, terms: Callable[[int, int], np.ndarray]) -> int:
+    """sum_{n<=x} a(n), where terms(lo, hi) gives a(lo..hi) for one chunk.
+
+    Chunks of SEGMENT_SIZE terms are reduced in int64 and folded into an
+    unbounded Python int; each chunk of <= 2^22 terms below 2^40 stays far
+    from int64 overflow.
+    """
     total = 0
-    for lo in range(0, len(a), SEGMENT_SIZE):
-        total += int(np.sum(a[lo : lo + SEGMENT_SIZE], dtype=np.int64))
+    for lo in range(1, x + 1, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE - 1, x)
+        total += int(np.sum(terms(lo, hi), dtype=np.int64))
     return total
 
 
@@ -70,11 +74,13 @@ def _lattice_sum(
     This is the Lemma 1 transform for every spec; d is the g == 1 case.
     """
     _check_shift(v)
+    if inverse:
+        weights = mobius_divisors(v)
+    else:
+        weights = [(e, 1) for e in divisors(trial_factorize(v))]
     total: int | float = 0
-    for e in divisors(trial_factorize(v)):
-        mu = mobius(trial_factorize(e)) if inverse else 1
-        if mu:
-            total += mu * completely_mult_value(g, e) * term(e)
+    for e, mu in weights:
+        total += mu * completely_mult_value(g, e) * term(e)
     return total
 
 
@@ -90,35 +96,26 @@ def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     if x > 0 and tables.limit < x + v:
         raise RangeError(f"divisor table limit {tables.limit} < {x + v}")
     d = tables.values
-    total = 0
-    for lo in range(1, x + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE - 1, x)
-        prod = d[lo : hi + 1].astype(np.int64) * d[lo + v : hi + v + 1].astype(np.int64)
-        total += int(prod.sum())
+    total = _exact_sum(
+        x, lambda lo, hi: d[lo : hi + 1].astype(np.int64) * d[lo + v : hi + v + 1]
+    )
     return CorrelationSum("dd", x, v, total)
 
 
-def sum_dpoly(
-    x: int, v: int, tables: ShiftedProductTable | DivisorTable
-) -> CorrelationSum:
+def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Exact sum of d(n(n+v)) over n <= x; x = 0 gives the empty sum.
 
-    A ShiftedProductTable for shift v is read directly; a DivisorTable
-    covering x + v is turned into the d(n(n+v)) values on the fly.
+    The d(n(n+v)) values are formed from a DivisorTable covering x + v.
+    This is the direct sum; sum_dpoly_from_dd reaches the same value
+    through pair-form sums.
     """
     _check_shift(v)
     if x < 0:
         raise RangeError("x must be >= 0")
-    if isinstance(tables, ShiftedProductTable):
-        if tables.shift != v:
-            raise RangeError(f"table has shift {tables.shift}, not {v}")
-        if tables.limit < x:
-            raise RangeError(f"table limit {tables.limit} < {x}")
-        value = _exact_sum(tables.values[1 : x + 1])
-    elif isinstance(tables, DivisorTable):
-        value = _exact_sum(shifted_product_values(tables, x, v)[1:]) if x else 0
-    else:
-        raise TypeError(f"unsupported table type {type(tables).__name__}")
+    value = 0
+    if x:
+        vals = shifted_product_values(tables, x, v)
+        value = _exact_sum(x, lambda lo, hi: vals[lo : hi + 1])
     return CorrelationSum("dpoly", x, v, value)
 
 

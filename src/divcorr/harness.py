@@ -24,7 +24,7 @@ from divcorr.arith import (
     divisors,
     eval_mult,
     factorize,
-    mobius,
+    mobius_divisors,
     ramanujan_tau_table,
     sigma_spec,
     tau_spec,
@@ -39,12 +39,12 @@ from divcorr.constants import (
     sigma_correlation_main_term,
     sigma_lambda_identity,
 )
-from divcorr.correlate import sum_dd, sum_dpoly, sum_shifted_product
+from divcorr.correlate import sum_dd, sum_dpoly_from_dd, sum_shifted_product
 from divcorr.errors import ContractError
 from divcorr.sieve import (
     build_divisor_table,
-    build_shifted_product_table,
     build_spf,
+    charge,
     shifted_product_values,
 )
 
@@ -111,17 +111,17 @@ def run_compare(config: RunConfig) -> list[ComparisonRow]:
     xmax = max(config.x_list)
     vmax = max(config.v_list)
     if config.kind in ("dd", "dpoly"):
+        # both kinds read the one d-table; product-form cells go through
+        # Lemma 1 on pair-form sums
+        if config.kind == "dd":
+            sum_fn, main = sum_dd, estermann_main_term
+        else:
+            sum_fn, main = sum_dpoly_from_dd, shifted_product_main_term
         zc = compute_zeta_constants()
         dtab = build_divisor_table(xmax + vmax)
         for v in config.v_list:
-            if config.kind == "dd":
-                table, sum_fn, main = dtab, sum_dd, estermann_main_term
-            else:
-                # one d(n(n+v)) table per shift serves every x
-                table = build_shifted_product_table(xmax, v, divisor_table=dtab)
-                sum_fn, main = sum_dpoly, shifted_product_main_term
             for x in config.x_list:
-                emp = sum_fn(x, v, table).value
+                emp = sum_fn(x, v, dtab).value
                 mains = [main(x, v, zc, t) for t in (1, 2, 3)]
                 rows.append(_row(config, x, v, emp, mains))
     else:
@@ -221,6 +221,7 @@ def _first_bad(lhs: np.ndarray, rhs: np.ndarray, label: str) -> tuple[int, str |
 
 def _suite_lemma1(xmax: int, vmax: int) -> SuiteResult:
     # both transform directions, checked for every x <= xmax and v <= vmax
+    charge(2 * vmax * (xmax + 1) * 8)
     dtab = build_divisor_table(xmax + vmax)
     d = dtab.values.astype(np.int64)
     idx = np.arange(0, xmax + 1)
@@ -235,14 +236,12 @@ def _suite_lemma1(xmax: int, vmax: int) -> SuiteResult:
     checks = failures = 0
     first = None
     for v in range(1, vmax + 1):
-        divs = divisors(trial_factorize(v))
         rhs_dd = np.zeros(xmax + 1, dtype=np.int64)
         rhs_poly = np.zeros(xmax + 1, dtype=np.int64)
-        for e in divs:
+        for e in divisors(trial_factorize(v)):
             rhs_dd += poly_cum[v // e][idx // e]
-            mu = mobius(trial_factorize(e))
-            if mu:
-                rhs_poly += mu * dd_cum[v // e][idx // e]
+        for e, mu in mobius_divisors(v):
+            rhs_poly += mu * dd_cum[v // e][idx // e]
         for lhs, rhs, tag in (
             (dd_cum[v][1:], rhs_dd[1:], f"pair form v={v}, x="),
             (poly_cum[v][1:], rhs_poly[1:], f"product form v={v}, x="),
@@ -258,6 +257,7 @@ def _suite_lemma1(xmax: int, vmax: int) -> SuiteResult:
 def _suite_lemma2(nmax: int, vmax: int) -> SuiteResult:
     # pointwise d(n) d(n+v) == sum_{e | gcd(n,v)} d(n(n+v)/e^2); the inner
     # term at n = e m equals the shifted-product value at (m, v/e)
+    charge(vmax * (nmax + 1) * 8)
     dtab = build_divisor_table(nmax + vmax)
     d = dtab.values.astype(np.int64)
     spt = {

@@ -1,8 +1,10 @@
-"""Sieved tables over [1, N]: smallest prime factor, d(n), and d(n(n+v)).
+"""Sieved tables over [1, N]: smallest prime factor and d(n), plus the
+d(n(n+v)) values formed from a d-table.
 
 Builders are numpy-vectorised and chunked in SEGMENT_SIZE entries, so a
 segment-by-segment build yields byte-identical arrays to a monolithic one;
-tables are immutable after construction and safe to share.
+tables are immutable after construction and safe to share.  charge() is the
+one memory-cap check: callers charge their allocations before making them.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ def resolve_memory_cap(explicit: int | None = None) -> int:
     return int(env)
 
 
-def _charge(nbytes: int, cap: int | None) -> None:
-    # Approximate high-water estimate for the allocations a builder makes.
+def charge(nbytes: int, cap: int | None = None) -> None:
+    """Raise ResourceError if an allocation of ~nbytes exceeds the memory cap
+    (resolve_memory_cap(cap)); call it before allocating."""
     budget = resolve_memory_cap(cap)
     if nbytes > budget:
         raise ResourceError(
@@ -60,15 +63,6 @@ class DivisorTable:
     """values[n] = d(n) for 1 <= n <= limit (uint32); slot 0 is 0."""
 
     limit: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ShiftedProductTable:
-    """values[n] = d(n(n+shift)) for 1 <= n <= limit (uint32); slot 0 is 0."""
-
-    limit: int
-    shift: int
     values: np.ndarray
 
 
@@ -98,7 +92,7 @@ def build_spf(limit: int, *, memory_cap: int | None = None) -> SpfTable:
         raise RangeError("limit must be >= 1")
     if limit >= 1 << 31:
         raise RangeError("limit must fit in int32")
-    _charge((limit + 1) * 4 + isqrt(limit) * 2, memory_cap)
+    charge((limit + 1) * 4 + isqrt(limit) * 2, memory_cap)
     spf = np.zeros(limit + 1, dtype=np.int32)
     primes = [int(p) for p in _base_primes(isqrt(limit))]
     for lo in range(0, limit + 1, SEGMENT_SIZE):
@@ -134,7 +128,7 @@ def build_divisor_table(limit: int, *, memory_cap: int | None = None) -> Divisor
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
-    _charge((limit + 1) * 4, memory_cap)
+    charge((limit + 1) * 4, memory_cap)
     d = np.zeros(limit + 1, dtype=np.uint32)
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE - 1, limit)
@@ -194,34 +188,3 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
             raise OverflowError("d(n(n+shift)) exceeds uint32")
         out[lo : hi + 1] = prod
     return out
-
-
-def build_shifted_product_table(
-    limit: int,
-    shift: int,
-    *,
-    divisor_table: DivisorTable | None = None,
-    memory_cap: int | None = None,
-) -> ShiftedProductTable:
-    """Table of d(n(n+shift)) for n in [1, limit].
-
-    Args:
-        limit: inclusive bound on n.
-        shift: the shift v >= 1.
-        divisor_table: optional prebuilt d-table; must cover limit+shift,
-            otherwise one is built internally.
-        memory_cap: byte budget; DIVCORR_MEMCAP or 2 GiB when None.
-
-    Returns:
-        ShiftedProductTable of uint32 counts.
-    """
-    if limit < 1 or shift < 1:
-        raise RangeError("limit and shift must be >= 1")
-    need = limit + shift
-    _charge((need + 1) * 4 + (limit + 1) * 4 + 4 * 8 * min(SEGMENT_SIZE, limit), memory_cap)
-    if divisor_table is None:
-        divisor_table = build_divisor_table(need, memory_cap=memory_cap)
-    elif divisor_table.limit < need:
-        raise RangeError(f"divisor table limit {divisor_table.limit} < {need}")
-    vals = shifted_product_values(divisor_table, limit, shift)
-    return ShiftedProductTable(limit, shift, vals)

@@ -53,6 +53,15 @@ class TestPointwiseFunctions:
     def test_mobius_oracle(self, n):
         assert dc.mobius(dc.trial_factorize(n)) == mobius_naive(n)
 
+    def test_mobius_divisors_examples(self):
+        assert dc.mobius_divisors(1) == [(1, 1)]
+        assert dc.mobius_divisors(12) == [(1, 1), (2, -1), (3, -1), (6, 1)]
+
+    @given(st.integers(min_value=1, max_value=5000))
+    def test_mobius_divisors_oracle(self, n):
+        want = [(e, mobius_naive(e)) for e in divisors_naive(n) if mobius_naive(e)]
+        assert sorted(dc.mobius_divisors(n)) == want
+
     def test_divisor_count_examples(self):
         assert dc.divisor_count(dc.trial_factorize(1)) == 1
         assert dc.divisor_count(dc.trial_factorize(12)) == 6

@@ -29,6 +29,13 @@ def test_verify_bad_bound_usage_error(capsys, bound):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_verify_memory_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("DIVCORR_MEMCAP", str(200 << 20))
+    assert main(["verify", "--suite", "lemma1", "--xmax", "1000000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_unknown_suite_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nosuch"])

@@ -24,21 +24,17 @@ class TestDirectSums:
         assert dc.sum_dd(6, 2, DTAB).value == 44  # brute force
 
     def test_sum_dpoly_examples(self):
-        spt = dc.build_shifted_product_table(10, 2)
-        assert dc.sum_dpoly(0, 2, spt).value == 0
-        assert dc.sum_dpoly(6, 2, spt).value == 32  # brute force
-        spt1 = dc.build_shifted_product_table(10, 1)
-        assert dc.sum_dpoly(3, 1, spt1).value == 12  # d(2)+d(6)+d(12)
+        assert dc.sum_dpoly(0, 2, DTAB).value == 0
+        assert dc.sum_dpoly(6, 2, DTAB).value == 32  # brute force
+        assert dc.sum_dpoly(3, 1, DTAB).value == 12  # d(2)+d(6)+d(12)
 
     def test_sum_dpoly_from_spf_table(self):
         # the per-n merged-factorisation count over the SPF table is the
-        # reference for both table types sum_dpoly accepts
-        spt = dc.build_shifted_product_table(50, 3)
+        # reference for the d-table path
         for x in (1, 7, 50):
             want = sum(
                 shifted_product_divisor_count(n, 3, SPF) for n in range(1, x + 1)
             )
-            assert dc.sum_dpoly(x, 3, spt).value == want
             assert dc.sum_dpoly(x, 3, DTAB).value == want
 
     @given(
@@ -48,18 +44,13 @@ class TestDirectSums:
     @settings(deadline=None, max_examples=50)
     def test_sums_match_oracle(self, x, v):
         assert dc.sum_dd(x, v, DTAB).value == sum_dd_naive(x, v)
-        spt = dc.build_shifted_product_table(max(x, 1), v, divisor_table=DTAB)
-        assert dc.sum_dpoly(x, v, spt).value == sum_dpoly_naive(x, v)
         assert dc.sum_dpoly(x, v, DTAB).value == sum_dpoly_naive(x, v)
 
     def test_range_errors(self):
         with pytest.raises(dc.RangeError):
             dc.sum_dd(DTAB.limit, 1, DTAB)
-        spt = dc.build_shifted_product_table(10, 2)
         with pytest.raises(dc.RangeError):
-            dc.sum_dpoly(11, 2, spt)
-        with pytest.raises(dc.RangeError):
-            dc.sum_dpoly(5, 3, spt)  # wrong shift
+            dc.sum_dpoly(DTAB.limit, 1, DTAB)  # d-table too small
         with pytest.raises(dc.RangeError):
             dc.sum_dd(10, 0, DTAB)  # v = 0 excluded
         with pytest.raises(dc.RangeError):
@@ -67,8 +58,7 @@ class TestDirectSums:
 
     def test_exactness_types(self):
         assert isinstance(dc.sum_dd(100, 3, DTAB).value, int)
-        spt = dc.build_shifted_product_table(100, 3)
-        assert isinstance(dc.sum_dpoly(100, 3, spt).value, int)
+        assert isinstance(dc.sum_dpoly(100, 3, DTAB).value, int)
 
 
 class TestDivisorTransforms:
@@ -99,9 +89,8 @@ class TestDivisorTransforms:
     @settings(deadline=None)
     def test_both_directions_exact(self, x, v):
         assert dc.sum_dd_from_dpoly(x, v, DTAB).value == dc.sum_dd(x, v, DTAB).value
-        spt = dc.build_shifted_product_table(x, v, divisor_table=DTAB)
         assert (
-            dc.sum_dpoly_from_dd(x, v, DTAB).value == dc.sum_dpoly(x, v, spt).value
+            dc.sum_dpoly_from_dd(x, v, DTAB).value == dc.sum_dpoly(x, v, DTAB).value
         )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,9 +36,9 @@ class TestRunConfig:
 
 class TestRunCompare:
     def test_dpoly_rows_match_oracle(self, zc):
-        config = dc.RunConfig(x_list=[50, 200], v_list=[2, 3], kind="dpoly")
+        config = dc.RunConfig(x_list=[50, 200], v_list=[2, 3, 4, 12], kind="dpoly")
         rows = dc.run_compare(config)
-        assert len(rows) == 4
+        assert len(rows) == 8
         for row in rows:
             assert row.empirical == sum_dpoly_naive(row.x, row.v)
             assert isinstance(row.empirical, int)
@@ -161,3 +163,16 @@ class TestRunVerify:
             assert suite.checks > 0
             assert suite.failures == 0
             assert suite.first_counterexample is None
+
+    @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
+    def test_suite_arrays_charged_before_allocation(self, monkeypatch, suite):
+        # default vmax at xmax = 1e6 asks for 800 MB of int64 arrays
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(200 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(dc.ResourceError):
+                dc.run_verify([suite], xmax=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the d-table or any array

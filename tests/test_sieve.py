@@ -60,21 +60,25 @@ def _shared_table():
     return _TABLE_CACHE["d3000"]
 
 
-class TestShiftedProductTable:
+def _spv(limit, shift):
+    return dc.shifted_product_values(
+        dc.build_divisor_table(limit + shift), limit, shift
+    )
+
+
+class TestShiftedProductValues:
     def test_examples(self):
-        spt = dc.build_shifted_product_table(4, 2)
-        assert list(spt.values[1:]) == [2, 4, 4, 8]  # d(3), d(8), d(15), d(24)
-        assert list(dc.build_shifted_product_table(1, 1).values[1:]) == [2]
+        assert list(_spv(4, 2)[1:]) == [2, 4, 4, 8]  # d(3), d(8), d(15), d(24)
+        assert list(_spv(1, 1)[1:]) == [2]
 
     def test_coprime_shift_is_multiplicative(self):
-        spt = dc.build_shifted_product_table(10, 2)
-        assert spt.values[3] == 4  # gcd(3,2)=1 so d(3) d(5) = d(15)
+        assert _spv(10, 2)[3] == 4  # gcd(3,2)=1 so d(3) d(5) = d(15)
 
     def test_matches_merged_factorizations(self, spf250k):
         for v in (1, 7, 12, 50):
-            spt = dc.build_shifted_product_table(10_000, v)
+            vals = _spv(10_000, v)
             for n in range(1, 10_001, 7):
-                assert spt.values[n] == shifted_product_divisor_count(
+                assert vals[n] == shifted_product_divisor_count(
                     n, v, spf250k
                 ), (n, v)
 
@@ -86,13 +90,15 @@ class TestShiftedProductTable:
     def test_oracle_sample(self, n, v):
         key = ("spt", v)
         if key not in _TABLE_CACHE:
-            _TABLE_CACHE[key] = dc.build_shifted_product_table(2000, v)
-        assert _TABLE_CACHE[key].values[n] == d_naive(n * (n + v))
+            _TABLE_CACHE[key] = _spv(2000, v)
+        assert _TABLE_CACHE[key][n] == d_naive(n * (n + v))
 
     def test_table_too_small(self):
         small = dc.build_divisor_table(100)
         with pytest.raises(dc.RangeError):
-            dc.build_shifted_product_table(200, 5, divisor_table=small)
+            dc.shifted_product_values(small, 200, 5)
+        with pytest.raises(dc.RangeError):
+            dc.shifted_product_values(small, 96, 5)  # needs d up to 101
 
 
 class TestSegmentedConstruction:
@@ -104,7 +110,7 @@ class TestSegmentedConstruction:
             return (
                 dc.build_spf(n).spf.tobytes(),
                 dc.build_divisor_table(n).values.tobytes(),
-                dc.build_shifted_product_table(n - 64, 12).values.tobytes(),
+                _spv(n - 64, 12).tobytes(),
             )
 
         mono = build(n + 1)
