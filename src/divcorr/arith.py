@@ -280,79 +280,45 @@ def convolution_identity_check(
 def ramanujan_tau_table(limit: int) -> list[int]:
     """tau(n) for n <= limit as exact integers, index-aligned (slot 0 is 0).
 
-    Coefficients of q prod_{m>=1} (1 - q^m)^24; the 24th power is formed by
-    repeated squaring of truncated dense polynomials, with each product taken
-    exactly over unbounded Python integers (packed-limb multiplication), so
+    Coefficients of q prod_{m>=1} (1 - q^m)^24 = q J^8, where Jacobi's
+    identity gives J = prod (1 - q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)
+    directly.  J^8 takes three truncated squarings, each one exact bigint
+    multiply over unbounded Python integers (signed Kronecker packing), so
     no fixed-width overflow can occur.
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
-    n = limit  # degree window for the eta-product factor
-    e1 = _euler_product_coeffs(n)
-    e2 = _poly_mul_trunc(e1, e1, n)
-    e4 = _poly_mul_trunc(e2, e2, n)
-    e8 = _poly_mul_trunc(e4, e4, n)
-    e16 = _poly_mul_trunc(e8, e8, n)
-    e24 = _poly_mul_trunc(e16, e8, n)
-    return [0] + e24
-
-
-def _euler_product_coeffs(n: int) -> list[int]:
-    # prod_{m>=1} (1 - q^m) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2))
-    out = [0] * n
-    out[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 >= n:
-            break
-        sign = -1 if k % 2 else 1
-        out[g1] = sign
-        if g2 < n:
-            out[g2] = sign
+    n = limit  # degree window for J^8
+    j = [0] * n
+    k = 0
+    while k * (k + 1) // 2 < n:
+        j[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
         k += 1
-    return out
+    for _ in range(3):
+        j = _square_trunc(j, n)
+    return [0] + j
 
 
-def _poly_mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    """Exact product of integer polynomials, truncated to degree < n.
+def _square_trunc(a: list[int], n: int) -> list[int]:
+    """Exact square of an integer polynomial, truncated to degree < n.
 
-    Packs each sign-split factor into one big integer with fixed-width limbs
-    wide enough that convolution sums cannot carry between limbs, multiplies
-    natively, and unpacks the first n limbs.
+    Every coefficient c is packed as the limb c + 2^(B-1), with B-bit limbs
+    wide enough that |c| and every convolution sum stay below 2^(B-1); the
+    packed integer minus the all-2^(B-1) offset is the signed polynomial at
+    2^B.  Squaring it natively, adding the offset back and keeping n limbs
+    leaves each limb s_k + 2^(B-1) in [0, 2^B), with no borrow across limbs.
     """
-    a = a[:n]
-    b = b[:n]
-    max_a = max((abs(c) for c in a), default=0)
-    max_b = max((abs(c) for c in b), default=0)
-    if max_a == 0 or max_b == 0:
-        return [0] * n
-    bound = max_a * max_b * min(len(a), len(b))
-    limb_bytes = bound.bit_length() // 8 + 2
-    apos = _pack([c if c > 0 else 0 for c in a], limb_bytes)
-    aneg = _pack([-c if c < 0 else 0 for c in a], limb_bytes)
-    bpos = _pack([c if c > 0 else 0 for c in b], limb_bytes)
-    bneg = _pack([-c if c < 0 else 0 for c in b], limb_bytes)
-    plus = _unpack(apos * bpos + aneg * bneg, limb_bytes, n)
-    minus = _unpack(apos * bneg + aneg * bpos, limb_bytes, n)
-    return [x - y for x, y in zip(plus, minus)]
-
-
-def _pack(coeffs: list[int], limb_bytes: int) -> int:
-    buf = bytearray(limb_bytes * len(coeffs))
-    for i, c in enumerate(coeffs):
-        if c:
-            nbytes = (c.bit_length() + 7) // 8
-            off = i * limb_bytes
-            buf[off : off + nbytes] = c.to_bytes(nbytes, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(x: int, limb_bytes: int, count: int) -> list[int]:
-    size = max(limb_bytes * count, (x.bit_length() + 7) // 8)
-    raw = x.to_bytes(size, "little")
+    bound = max(abs(c) for c in a) ** 2 * len(a)
+    limb = bound.bit_length() // 8 + 1  # bytes per limb
+    half = 1 << (8 * limb - 1)
+    offset = int.from_bytes((bytes(limb - 1) + b"\x80") * n, "little")
+    packed = int.from_bytes(
+        b"".join((c + half).to_bytes(limb, "little") for c in a), "little"
+    )
+    packed -= offset
+    square = (packed * packed + offset) & ((1 << (8 * limb * n)) - 1)
+    raw = square.to_bytes(limb * n, "little")
     return [
-        int.from_bytes(raw[i * limb_bytes : (i + 1) * limb_bytes], "little")
-        for i in range(count)
+        int.from_bytes(raw[i : i + limb], "little") - half
+        for i in range(0, limb * n, limb)
     ]

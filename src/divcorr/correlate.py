@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from divcorr import sieve
 from divcorr.arith import (
     Factorization,
     MultiplicativeSpec,
@@ -28,12 +29,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import (
-    SEGMENT_SIZE,
-    DivisorTable,
-    SpfTable,
-    shifted_product_values,
-)
+from divcorr.sieve import DivisorTable, SpfTable, shifted_product_values
 
 
 @dataclass(frozen=True)
@@ -50,13 +46,14 @@ class CorrelationSum:
 def _exact_sum(x: int, terms: Callable[[int, int], np.ndarray]) -> int:
     """sum_{n<=x} a(n), where terms(lo, hi) gives a(lo..hi) for one chunk.
 
-    Chunks of SEGMENT_SIZE terms are reduced in int64 and folded into an
-    unbounded Python int; each chunk of <= 2^22 terms below 2^40 stays far
-    from int64 overflow.
+    Chunks of sieve.SEGMENT_SIZE terms (read per call) are reduced in int64
+    and folded into an unbounded Python int; a chunk of 2^19 terms below
+    2^32 stays far from int64 overflow.
     """
     total = 0
-    for lo in range(1, x + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE - 1, x)
+    chunk = sieve.SEGMENT_SIZE
+    for lo in range(1, x + 1, chunk):
+        hi = min(lo + chunk - 1, x)
         total += int(np.sum(terms(lo, hi), dtype=np.int64))
     return total
 

@@ -1,10 +1,17 @@
 """Sieved tables over [1, N]: smallest prime factor and d(n), plus the
 d(n(n+v)) values formed from a d-table.
 
-Builders are numpy-vectorised and chunked in SEGMENT_SIZE entries, so a
-segment-by-segment build yields byte-identical arrays to a monolithic one;
-tables are immutable after construction and safe to share.  charge() is the
-one memory-cap check: callers charge their allocations before making them.
+Builders are numpy-vectorised and work in windows of SEGMENT_SIZE entries,
+so a window-by-window build yields byte-identical arrays to a monolithic
+one; tables are immutable after construction and safe to share.  charge()
+is the one memory-cap check: callers charge their allocations before making
+them.
+
+SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
+2^19 uint32 entries is 2 MiB, so the many strided passes over one window
+(one per sieving prime in the builders, one per prime power of the shift in
+shifted_product_values) hit cache instead of streaming the window from RAM
+each time.  correlate's exact reductions read the same constant per call.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 from divcorr.arith import trial_factorize
 from divcorr.errors import ContractError, RangeError, ResourceError
 
-SEGMENT_SIZE = 1 << 22  # table entries per chunk
+SEGMENT_SIZE = 1 << 19  # table entries per window
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
 
@@ -144,47 +151,52 @@ def build_divisor_table(limit: int, *, memory_cap: int | None = None) -> Divisor
     return DivisorTable(limit, d)
 
 
-def _valuations(p: int, n: int) -> np.ndarray:
-    """v_p(m) for m in [0, n] as uint8."""
-    val = np.zeros(n + 1, dtype=np.uint8)
-    pk = p
-    while pk <= n:
-        val[pk::pk] += 1
-        pk *= p
-    return val
-
-
 def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.ndarray:
     """d(n(n+shift)) for n in [1, limit] from a d-table covering limit+shift.
 
-    A prime shared by n and n+shift necessarily divides the shift, so with
-    a = v_p(n), b = v_p(n+shift) over primes p | shift:
+    A prime shared by n and n+shift necessarily divides the shift, and for
+    such p, p | n exactly when p | n+shift.  So with a = v_p(n) and
+    b = v_p(n+shift),
 
-        d(n(n+shift)) = d(n) d(n+shift) * prod_p (a+b+1) / ((a+1)(b+1))
+        d(n(n+shift)) = d(n) d(n+shift) * prod_{p | shift} (a+b+1) / ((a+1)(b+1))
 
-    and the divisions are exact.  This is the bulk equivalent of merging the
-    two factorisations of n and n+shift.
+    where each factor is 1 unless p | n.  Each window of SEGMENT_SIZE entries
+    takes the uint32 product d(n) d(n+shift) and corrects only its multiples
+    of each p | shift: a and b come from strided increments over p^2, p^3, ...
+    within the window, and the divisions are exact because (a+1)(b+1) still
+    divides the running product.  Memory beyond the output is O(window).
+
+    Returns a uint32 array of limit+1 entries with slot 0 = 0.  Raises
+    RangeError if the d-table is too short, OverflowError if a window's
+    max d(n) * max d(n+shift) reaches 2^32 (which bounds d(n(n+shift))).
     """
     need = limit + shift
     if dtab.limit < need:
         raise RangeError(f"divisor table limit {dtab.limit} < {need}")
+    window = SEGMENT_SIZE
+    charge(dtab.values.nbytes + (limit + 1) * 4 + 16 * min(window, limit))
     d = dtab.values
     pdivs = [p for p, _ in trial_factorize(shift).entries]
-    vals = {p: _valuations(p, need) for p in pdivs}
     out = np.zeros(limit + 1, dtype=np.uint32)
-    for lo in range(1, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE - 1, limit)
-        left = d[lo : hi + 1].astype(np.int64)
-        right = d[lo + shift : hi + shift + 1].astype(np.int64)
-        corr = np.ones(hi - lo + 1, dtype=np.int64)
+    for lo in range(1, limit + 1, window):
+        hi = min(lo + window - 1, limit)
+        left = d[lo : hi + 1]
+        right = d[lo + shift : hi + shift + 1]
+        if int(left.max()) * int(right.max()) >= 1 << 32:
+            raise OverflowError("d(n) d(n+shift) exceeds uint32")
+        seg = out[lo : hi + 1]
+        np.multiply(left, right, out=seg)
         for p in pdivs:
-            a = vals[p][lo : hi + 1].astype(np.int64)
-            b = vals[p][lo + shift : hi + shift + 1].astype(np.int64)
-            left //= a + 1
-            right //= b + 1
-            corr *= a + b + 1
-        prod = left * right * corr
-        if int(prod.max(initial=0)) >= 1 << 32:
-            raise OverflowError("d(n(n+shift)) exceeds uint32")
-        out[lo : hi + 1] = prod
+            first = lo + (-lo) % p  # first multiple of p in the window
+            sub = seg[first - lo :: p]
+            a1 = np.full(len(sub), 2, dtype=np.uint32)  # a + 1
+            b1 = np.full(len(sub), 2, dtype=np.uint32)  # b + 1
+            pk = p * p
+            while pk <= hi + shift:
+                step = pk // p
+                a1[(-first) % pk // p :: step] += 1
+                b1[(-first - shift) % pk // p :: step] += 1
+                pk *= p
+            sub //= a1 * b1
+            sub *= a1 + b1 - 1
     return out

@@ -224,6 +224,12 @@ class TestRamanujanTau:
     def test_against_naive_expansion(self):
         assert dc.ramanujan_tau_table(50) == tau_naive(50)
 
+    def test_ramanujan_congruence_mod_691(self):
+        # tau(n) = sigma_11(n) (mod 691), from the weight-12 Eisenstein series
+        tau = dc.ramanujan_tau_table(10_000)
+        for n in range(1, 10_001):
+            assert (tau[n] - sigma_naive(n, 11)) % 691 == 0, n
+
     def test_multiplicative_on_coprime_pairs(self):
         limit = 2000
         tau = dc.ramanujan_tau_table(limit)

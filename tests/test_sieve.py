@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,7 +78,7 @@ class TestShiftedProductValues:
         assert _spv(10, 2)[3] == 4  # gcd(3,2)=1 so d(3) d(5) = d(15)
 
     def test_matches_merged_factorizations(self, spf250k):
-        for v in (1, 7, 12, 50):
+        for v in (1, 7, 12, 50, 1024, 30030):
             vals = _spv(10_000, v)
             for n in range(1, 10_001, 7):
                 assert vals[n] == shifted_product_divisor_count(
@@ -100,17 +103,41 @@ class TestShiftedProductValues:
         with pytest.raises(dc.RangeError):
             dc.shifted_product_values(small, 96, 5)  # needs d up to 101
 
+    def test_overflow_guard(self):
+        # d(n) d(n+1) = 2^32 wraps to 0 in uint32; the guard must see it first
+        big = dc.DivisorTable(10, np.full(11, 1 << 16, dtype=np.uint32))
+        with pytest.raises(OverflowError):
+            dc.shifted_product_values(big, 5, 1)
+
+    def test_no_full_length_temporaries(self, monkeypatch):
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
+        limit = 10**6
+        dtab = dc.build_divisor_table(limit + 60)
+        tracemalloc.start()
+        try:
+            dc.shifted_product_values(dtab, limit, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (limit + 1) + 16 * dc.sieve.SEGMENT_SIZE, peak
+
 
 class TestSegmentedConstruction:
     def test_bit_identical_to_monolithic(self, monkeypatch):
         n = 60_000
 
+        # 1024 is a prime power above the 777 window; 30030 = 2*3*5*7*11*13
+        shifts = (12, 60, 1024, 30030)
+        sums = (dc.sum_dd, dc.sum_dpoly)
+
         def build(segment_size):
             monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
+            dtab = dc.build_divisor_table(n)
             return (
                 dc.build_spf(n).spf.tobytes(),
-                dc.build_divisor_table(n).values.tobytes(),
-                _spv(n - 64, 12).tobytes(),
+                dtab.values.tobytes(),
+                *(dc.shifted_product_values(dtab, n - v, v).tobytes() for v in shifts),
+                *(f(n - v, v, dtab).value for f in sums for v in shifts),
             )
 
         mono = build(n + 1)
