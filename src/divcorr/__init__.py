@@ -71,6 +71,7 @@ from divcorr.sieve import (
     DivisorTable,
     SpfTable,
     build_divisor_table,
+    build_mult_table,
     build_spf,
     shifted_product_values,
 )

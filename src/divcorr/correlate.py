@@ -8,28 +8,35 @@ The two shapes of sum:
 For any multiplicative f with Chebyshev companion g they determine each
 other through exact divisor sums over v; everything here is evaluated in
 the spec's exact value domain (Python integers for d, sigma_k, tau).
+
+The d sums read a DivisorTable and reduce in int64 window by window.  The
+f sums read one exact object-dtype f-table from sieve.build_mult_table over
+an SpfTable covering x + v; the product form splits each n(n+v) into
+coprime parts at the primes of v, so it needs no factorisation per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from divcorr import sieve
 from divcorr.arith import (
-    Factorization,
     MultiplicativeSpec,
     completely_mult_value,
     divisors,
-    eval_mult,
-    factorize,
     mobius_divisors,
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import DivisorTable, SpfTable, shifted_product_values
+from divcorr.sieve import (
+    DivisorTable,
+    SpfTable,
+    build_mult_table,
+    shifted_product_values,
+)
 
 
 @dataclass(frozen=True)
@@ -43,24 +50,31 @@ class CorrelationSum:
     spec_name: str | None = None
 
 
-def _exact_sum(x: int, terms: Callable[[int, int], np.ndarray]) -> int:
-    """sum_{n<=x} a(n), where terms(lo, hi) gives a(lo..hi) for one chunk.
-
-    Chunks of sieve.SEGMENT_SIZE terms (read per call) are reduced in int64
-    and folded into an unbounded Python int; a chunk of 2^19 terms below
-    2^32 stays far from int64 overflow.
-    """
-    total = 0
+def _windows(x: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) over [1, x] in ascending windows of sieve.SEGMENT_SIZE
+    terms, the constant read per call."""
     chunk = sieve.SEGMENT_SIZE
     for lo in range(1, x + 1, chunk):
-        hi = min(lo + chunk - 1, x)
-        total += int(np.sum(terms(lo, hi), dtype=np.int64))
-    return total
+        yield lo, min(lo + chunk - 1, x)
+
+
+def _exact_sum(x: int, terms: Callable[[int, int], np.ndarray]) -> int:
+    """sum_{n<=x} a(n), where terms(lo, hi) gives a(lo..hi) for one window.
+
+    Each window is reduced in int64 and folded into an unbounded Python
+    int; a window of 2^19 terms below 2^32 stays far from int64 overflow.
+    """
+    return sum(int(np.sum(terms(lo, hi), dtype=np.int64)) for lo, hi in _windows(x))
 
 
 def _check_shift(v: int) -> None:
     if v < 1:
         raise RangeError("shift v must be >= 1")
+
+
+def _check_x(x: int) -> None:
+    if x < 0:
+        raise RangeError("x must be >= 0")
 
 
 def _lattice_sum(
@@ -88,8 +102,7 @@ def _unit(p: int) -> int:
 def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Exact sum of d(n) d(n+v) over n <= x."""
     _check_shift(v)
-    if x < 0:
-        raise RangeError("x must be >= 0")
+    _check_x(x)
     if x > 0 and tables.limit < x + v:
         raise RangeError(f"divisor table limit {tables.limit} < {x + v}")
     d = tables.values
@@ -107,8 +120,7 @@ def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     through pair-form sums.
     """
     _check_shift(v)
-    if x < 0:
-        raise RangeError("x must be >= 0")
+    _check_x(x)
     value = 0
     if x:
         vals = shifted_product_values(tables, x, v)
@@ -134,40 +146,80 @@ def sum_dpoly_from_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     return CorrelationSum("dpoly", x, v, value)
 
 
-def _merged_factorization(n: int, v: int, spf: SpfTable) -> Factorization:
-    merged = dict(factorize(n, spf).entries)
-    for p, e in factorize(n + v, spf).entries:
-        merged[p] = merged.get(p, 0) + e
-    return Factorization(tuple(sorted(merged.items())))
+# bytes per term of one window of the f-sums: int64 L and R, the weight,
+# the gathered and product ints and the index temporaries (measured 70-110
+# for values below 2^128)
+_TERM_BYTES = 128
+
+
+def _mult_table(
+    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
+) -> np.ndarray:
+    """f(0..x+v), charged together with one window of the sum over it."""
+    window = min(sieve.SEGMENT_SIZE, x)
+    sieve.charge(sieve.MULT_ENTRY_BYTES * (x + v + 1) + _TERM_BYTES * window)
+    return build_mult_table(spec, spf, x + v)
 
 
 def sum_correlation(
     spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
 ) -> CorrelationSum:
-    """Exact pair-form sum of f(n) f(n+v) over n <= x."""
+    """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
+    empty sum.  f comes from one build_mult_table over an SPF table
+    covering x + v, charged with the window temporaries of the sum."""
     _check_shift(v)
-    if x <= 0:
-        return CorrelationSum("ff", x, v, 0, spec_name=spec.name)
-    if spf.limit < x + v:
-        raise RangeError(f"spf table limit {spf.limit} < {x + v}")
-    fvals = [eval_mult(spec, factorize(n, spf)) for n in range(1, x + v + 1)]
-    value = sum(fvals[n - 1] * fvals[n - 1 + v] for n in range(1, x + 1))
+    _check_x(x)
+    value: int | float = 0
+    if x:
+        f = _mult_table(spec, x, v, spf)
+        for lo, hi in _windows(x):
+            value += sum(f[lo : hi + 1] * f[lo + v : hi + v + 1])
     return CorrelationSum("ff", x, v, value, spec_name=spec.name)
 
 
 def sum_shifted_product(
     spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
 ) -> CorrelationSum:
-    """Exact product-form sum of f(n(n+v)) over n <= x, f evaluated on the
-    merged factorisation of n and n+v."""
+    """Exact product-form sum of f(n(n+v)) over n <= x; x = 0 gives the
+    empty sum.
+
+    A prime shared by n and n+v divides v, so with L = n and R = n+v
+    stripped of their powers p^a, p^b of each p | v,
+
+        f(n(n+v)) = f(L) f(R) prod_{p | v} f(p^(a+b))
+
+    over coprime factors; f(L) and f(R) are read from one build_mult_table
+    over an SPF table covering x + v, and the stripping touches only the
+    multiples of each p | v, window by window.
+    """
     _check_shift(v)
-    if x <= 0:
-        return CorrelationSum("fpoly", x, v, 0, spec_name=spec.name)
-    if spf.limit < x + v:
-        raise RangeError(f"spf table limit {spf.limit} < {x + v}")
+    _check_x(x)
     value: int | float = 0
-    for n in range(1, x + 1):
-        value += eval_mult(spec, _merged_factorization(n, v, spf))
+    if not x:
+        return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
+    f = _mult_table(spec, x, v, spf)
+    pdivs = [p for p, _ in trial_factorize(v).entries]
+    for lo, hi in _windows(x):
+        left = np.arange(lo, hi + 1, dtype=np.int64)
+        right = left + v
+        weight = np.ones(len(left), dtype=object)  # prod f(p^(a+b))
+        for p in pdivs:
+            at = np.arange((-lo) % p, len(left), p)  # multiples of p
+            k = np.zeros(len(at), dtype=np.int64)  # a + b
+            for side in (left, right):
+                j = np.arange(len(at))
+                while len(j):
+                    side[at[j]] //= p
+                    k[j] += 1
+                    j = j[side[at[j]] % p == 0]
+            fpk = np.zeros(int(k.max(initial=0)) + 1, dtype=object)
+            for m in np.unique(k).tolist():
+                fpk[m] = spec.prime_power_value(p, m)
+            weight[at] *= fpk[k]
+        terms = f[left]
+        terms *= f[right]  # in place: one new int per term, not two
+        terms *= weight
+        value += sum(terms)
     return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
 
 

@@ -22,8 +22,6 @@ from divcorr.arith import (
     completely_mult_value,
     divisor_count_spec,
     divisors,
-    eval_mult,
-    factorize,
     mobius_divisors,
     ramanujan_tau_table,
     sigma_spec,
@@ -42,7 +40,9 @@ from divcorr.constants import (
 from divcorr.correlate import sum_dd, sum_dpoly_from_dd, sum_shifted_product
 from divcorr.errors import ContractError
 from divcorr.sieve import (
+    MULT_ENTRY_BYTES,
     build_divisor_table,
+    build_mult_table,
     build_spf,
     charge,
     shifted_product_values,
@@ -315,7 +315,9 @@ def _suite_induction(pmax: int, alpha_max: int) -> SuiteResult:
 def _suite_genrec(amax: int) -> SuiteResult:
     # gcd-weighted convolution identity f(a) f(b) == sum g(e) f(ab/e^2) for
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
-    # on pairs with ab inside the tau table
+    # on pairs with ab inside the tau table; the SPF table, the f-table in
+    # use and the next one being built are charged before anything is built
+    charge((4 + 2 * MULT_ENTRY_BYTES) * (amax * amax + 1))
     spf = build_spf(amax * amax)
     tau_limit = min(10_000, amax * amax)
     tau = ramanujan_tau_table(tau_limit)
@@ -328,10 +330,7 @@ def _suite_genrec(amax: int) -> SuiteResult:
     checks = failures = 0
     first = None
     for spec, prod_limit in specs:
-        fval = [0] * (prod_limit + 1)
-        fval[1] = 1
-        for n in range(2, prod_limit + 1):
-            fval[n] = eval_mult(spec, factorize(n, spf))
+        fval = build_mult_table(spec, spf, prod_limit).tolist()
         gval = {
             e: completely_mult_value(spec.companion_g, e)
             for e in range(1, amax + 1)

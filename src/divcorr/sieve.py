@@ -1,9 +1,12 @@
-"""Sieved tables over [1, N]: smallest prime factor and d(n), plus the
-d(n(n+v)) values formed from a d-table.
+"""Sieved tables over [1, N]: smallest prime factor and d(n), the d(n(n+v))
+values formed from a d-table, and the exact values f(n) of any
+multiplicative spec formed from the SPF table.
 
-Builders are numpy-vectorised and work in windows of SEGMENT_SIZE entries,
-so a window-by-window build yields byte-identical arrays to a monolithic
-one; tables are immutable after construction and safe to share.  charge()
+Builders are numpy-vectorised.  The SPF and d builders work in windows of
+SEGMENT_SIZE entries, so a window-by-window build yields byte-identical
+arrays to a monolithic one; tables are immutable after construction and
+safe to share.  build_mult_table gives f(n) as exact Python ints in an
+object array, from vectorised passes over the whole SPF table.  charge()
 is the one memory-cap check: callers charge their allocations before making
 them.
 
@@ -22,10 +25,15 @@ from math import isqrt
 
 import numpy as np
 
-from divcorr.arith import trial_factorize
+from divcorr.arith import MultiplicativeSpec, trial_factorize
 from divcorr.errors import ContractError, RangeError, ResourceError
 
 SEGMENT_SIZE = 1 << 19  # table entries per window
+# bytes per entry charged by build_mult_table: the object array's pointer
+# (8), one int object (28-36 for values below 2^90) and the int64 / int8
+# index temporaries of the build (about 40); tracemalloc peaks at 2e5
+# entries are 53 (d) to 81 (sigma_3, tau)
+MULT_ENTRY_BYTES = 96
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
 
@@ -200,3 +208,58 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
             sub //= a1 * b1
             sub *= a1 + b1 - 1
     return out
+
+
+def build_mult_table(
+    spec: MultiplicativeSpec, spf: SpfTable, limit: int
+) -> np.ndarray:
+    """f(0..limit) for a multiplicative spec, as exact Python numbers.
+
+    Each n >= 2 splits as n = p^e * rest with p = spf[n]; vectorised passes
+    over the SPF table give p^e and rest, spec.prime_power_value runs once
+    per prime power p^e <= limit (the n with rest = 1), and every other
+    f(n) = f(rest) f(p^e) is filled by one gather pass per omega(n) level
+    (omega(n) <= 9 below 2^31), once f(rest) is known.  Only
+    multiplications are used, so the values are exact for any integer spec,
+    including one with f(p^k) = 0.
+
+    Returns an object-dtype array of limit+1 entries with f[0] = 0 and
+    f[1] = 1.  Charges MULT_ENTRY_BYTES per entry against the memory cap
+    before allocating; raises RangeError unless 1 <= limit <= spf.limit,
+    and passes on whatever the spec raises (EvaluationError for a tau table
+    that stops short of a prime power).
+    """
+    if limit < 1:
+        raise RangeError("limit must be >= 1")
+    if spf.limit < limit:
+        raise RangeError(f"spf table limit {spf.limit} < {limit}")
+    charge(MULT_ENTRY_BYTES * (limit + 1))
+    # position i holds n = i + 2
+    p = spf.spf[2 : limit + 1].astype(np.int64)
+    rest = np.arange(2, limit + 1, dtype=np.int64) // p
+    pk = p.copy()  # p^e
+    e = np.ones(len(p), dtype=np.int8)
+    idx = np.nonzero(rest % p == 0)[0]
+    while len(idx):
+        rest[idx] //= p[idx]
+        pk[idx] *= p[idx]
+        e[idx] += 1
+        idx = idx[rest[idx] % p[idx] == 0]
+    f = np.zeros(limit + 1, dtype=object)
+    f[1] = 1
+    pp = np.nonzero(rest == 1)[0]
+    f[pp + 2] = np.array(
+        [spec.prime_power_value(q, k) for q, k in zip(p[pp].tolist(), e[pp].tolist())],
+        dtype=object,
+    )
+    done = np.zeros(limit + 1, dtype=bool)
+    done[1] = True
+    done[pp + 2] = True
+    todo = np.nonzero(rest > 1)[0]
+    while len(todo):  # each round fills the next omega level
+        ready = done[rest[todo]]
+        at = todo[ready]
+        f[at + 2] = f[rest[at]] * f[pk[at]]
+        done[at + 2] = True
+        todo = todo[~ready]
+    return f

@@ -36,6 +36,13 @@ def test_verify_memory_cap_exit_code(capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_genrec_memory_cap_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
+    assert main(["verify", "--suite", "genrec", "--vmax", "2000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sum_dpoly_memory_cap_exit_code(capsys, monkeypatch):
     # the 32 MB d-table fits the cap; the table plus the 32 MB output does not
     monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")

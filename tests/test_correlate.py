@@ -11,6 +11,7 @@ from oracles import (
     sum_dpoly_naive,
     sum_ff_naive,
     sum_fpoly_naive,
+    tau_naive,
 )
 
 DTAB = dc.build_divisor_table(12_000)
@@ -107,16 +108,45 @@ class TestSpecSums:
 
     @given(
         st.integers(min_value=0, max_value=150),
-        st.integers(min_value=1, max_value=12),
+        # the composite shifts are p^2, p^2 q and p^2 q r shapes (and 2^10),
+        # where stripping p^a from n and p^b from n+v matters
+        st.one_of(
+            st.integers(min_value=1, max_value=12),
+            st.sampled_from([1, 4, 12, 60, 90, 1024]),
+        ),
+        st.sampled_from([1, 2]),
     )
-    @settings(deadline=None, max_examples=40)
-    def test_spec_sums_match_oracle(self, x, v):
-        spec = dc.sigma_spec(1)
-        assert dc.sum_correlation(spec, x, v, SPF).value == sum_ff_naive(
-            sigma_naive, x, v
-        )
+    @settings(deadline=None, max_examples=60)
+    def test_spec_sums_match_oracle(self, x, v, alpha):
+        spec = dc.sigma_spec(alpha)
+
+        def f(n):
+            return sigma_naive(n, alpha)
+
+        assert dc.sum_correlation(spec, x, v, SPF).value == sum_ff_naive(f, x, v)
         assert dc.sum_shifted_product(spec, x, v, SPF).value == sum_fpoly_naive(
-            sigma_naive, x, v
+            f, x, v
+        )
+
+    def test_range_errors(self):
+        spec = dc.sigma_spec(1)
+        for fn in (dc.sum_correlation, dc.sum_shifted_product):
+            with pytest.raises(dc.RangeError, match="x must be >= 0"):
+                fn(spec, -1, 2, SPF)
+            with pytest.raises(dc.RangeError):
+                fn(spec, 10, 0, SPF)  # v = 0 excluded
+            with pytest.raises(dc.RangeError):
+                fn(spec, SPF.limit, 1, SPF)  # SPF table too small
+            assert fn(spec, 0, 2, SPF).value == 0  # the empty sum
+
+    def test_prime_power_outside_tau_table(self):
+        # n = 6, v = 2: 6 * 8 = 2^4 * 3 needs tau(16) from a table to 8
+        spec = dc.tau_spec(dc.ramanujan_tau_table(8))
+        with pytest.raises(dc.EvaluationError):
+            dc.sum_shifted_product(spec, 6, 2, SPF)
+        tau = tau_naive(35)  # n(n+2) <= 35 for n <= 5
+        assert dc.sum_shifted_product(spec, 5, 2, SPF).value == sum_fpoly_naive(
+            tau.__getitem__, 5, 2
         )
 
     @given(st.integers(min_value=1, max_value=300))

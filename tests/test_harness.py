@@ -176,3 +176,15 @@ class TestRunVerify:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # refused before the d-table or any array
+
+    def test_genrec_tables_charged_before_allocation(self, monkeypatch):
+        # vmax 2000 asks for an SPF table and f-tables over 4e6 entries
+        monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
+        tracemalloc.start()
+        try:
+            with pytest.raises(dc.ResourceError):
+                dc.run_verify(["genrec"], vmax=2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the SPF table or any f-table

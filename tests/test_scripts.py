@@ -1,0 +1,48 @@
+"""Smoke tests: each script under scripts/ runs in a fresh interpreter,
+exits 0 and writes its CSV header."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from divcorr.harness import CSV_HEADER
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script,args,header,rows",
+    [
+        (
+            "residual_scaling.py",
+            ("--kind", "dpoly", "--v", "1,2", "--decades", "1"),
+            CSV_HEADER,
+            2,
+        ),
+        ("coefficient_table.py", ("--vmax", "5"), "v,c1,c2,A1,A2", 5),
+    ],
+)
+def test_script_writes_csv(script, args, header, rows):
+    proc = _run(script, *args)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + rows
+    assert all(len(line.split(",")) == len(header.split(",")) for line in lines)

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import divcorr as dc
 from oracles import (
     d_naive,
+    mobius_naive,
     shifted_product_divisor_count,
+    sigma_naive,
     smallest_prime_factor_naive,
 )
 
@@ -122,6 +124,57 @@ class TestShiftedProductValues:
         assert peak <= 4 * (limit + 1) + 16 * dc.sieve.SEGMENT_SIZE, peak
 
 
+class TestMultTable:
+    def test_matches_oracles(self):
+        spf = dc.build_spf(3000)
+        for spec, f in (
+            (dc.divisor_count_spec(), d_naive),
+            (dc.sigma_spec(1), sigma_naive),
+            (dc.sigma_spec(2), lambda n: sigma_naive(n, 2)),
+        ):
+            table = dc.build_mult_table(spec, spf, 3000)
+            assert table.dtype == object and len(table) == 3001
+            values = table.tolist()
+            assert values[0] == 0
+            assert values[1:] == [f(n) for n in range(1, 3001)], spec.name
+            assert all(type(x) is int for x in values)
+
+    def test_reproduces_tau_table(self):
+        # only prime powers are read from the table; every other entry
+        # comes from multiplicativity (test_arith checks the table itself
+        # against the naive q-expansion)
+        tau = dc.ramanujan_tau_table(10_000)
+        table = dc.build_mult_table(dc.tau_spec(tau), dc.build_spf(10_000), 10_000)
+        assert table.tolist() == tau
+
+    def test_zero_prime_power_values(self):
+        mu = dc.MultiplicativeSpec("mu", lambda p, e: -1 if e == 1 else 0)
+        table = dc.build_mult_table(mu, dc.build_spf(3000), 3000)
+        assert table[1:].tolist() == [mobius_naive(n) for n in range(1, 3001)]
+
+    def test_range_errors(self):
+        spf = dc.build_spf(100)
+        spec = dc.divisor_count_spec()
+        with pytest.raises(dc.RangeError):
+            dc.build_mult_table(spec, spf, 0)
+        with pytest.raises(dc.RangeError):
+            dc.build_mult_table(spec, spf, 101)
+        assert dc.build_mult_table(spec, spf, 1).tolist() == [0, 1]
+
+    def test_charged_before_allocation(self, monkeypatch):
+        spf = dc.build_spf(10**5)
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(dc.sieve.MULT_ENTRY_BYTES * 1000))
+        dc.build_mult_table(dc.sigma_spec(1), spf, 998)  # fits
+        tracemalloc.start()
+        try:
+            with pytest.raises(dc.ResourceError):
+                dc.build_mult_table(dc.sigma_spec(1), spf, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
 class TestSegmentedConstruction:
     def test_bit_identical_to_monolithic(self, monkeypatch):
         n = 60_000
@@ -129,15 +182,19 @@ class TestSegmentedConstruction:
         # 1024 is a prime power above the 777 window; 30030 = 2*3*5*7*11*13
         shifts = (12, 60, 1024, 30030)
         sums = (dc.sum_dd, dc.sum_dpoly)
+        spec_sums = (dc.sum_correlation, dc.sum_shifted_product)
+        sigma = dc.sigma_spec(1)
 
         def build(segment_size):
             monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
             dtab = dc.build_divisor_table(n)
+            spf = dc.build_spf(n)
             return (
-                dc.build_spf(n).spf.tobytes(),
+                spf.spf.tobytes(),
                 dtab.values.tobytes(),
                 *(dc.shifted_product_values(dtab, n - v, v).tobytes() for v in shifts),
                 *(f(n - v, v, dtab).value for f in sums for v in shifts),
+                *(f(sigma, n - v, v, spf).value for f in spec_sums for v in shifts),
             )
 
         mono = build(n + 1)
