@@ -12,12 +12,8 @@ from divcorr.arith import (
     MultiplicativeSpec,
     chebyshev_extend,
     completely_mult_value,
-    convolution_identity_check,
-    divisor_count,
     divisor_count_spec,
     divisors,
-    eval_mult,
-    factorize,
     mobius,
     mobius_divisors,
     ramanujan_tau_table,

@@ -1,7 +1,10 @@
-"""Exact evaluation of multiplicative arithmetic functions.
+"""Exact arithmetic of single integers and multiplicative specs.
 
-Everything here works on explicit prime factorisations and exact Python
-integers; floating point only enters for real-exponent power sums and the
+Everything here works on one integer at a time, factored by trial division
+(shifts v, their divisors, prime powers); values of f over a range come
+from divcorr.sieve, which builds on this bottom layer.  arith imports
+nothing from divcorr except its errors.  Exact Python integers throughout;
+floating point only enters for real-exponent power sums and the
 log-weighted divisor sums.
 
 Key objects:
@@ -16,12 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from divcorr.errors import ContractError, EvaluationError, RangeError
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only, sieve imports us
-    from divcorr.sieve import SpfTable
 
 
 @dataclass(frozen=True)
@@ -32,34 +32,6 @@ class Factorization:
     """
 
     entries: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
-
-
-def factorize(n: int, spf: "SpfTable") -> Factorization:
-    """Factor n by walking the smallest-prime-factor table.
-
-    Runs in O(Omega(n)) table lookups; raises RangeError when n is outside
-    [1, spf.limit].
-    """
-    if n <= 0 or n > spf.limit:
-        raise RangeError(f"n={n} outside factorisable range [1, {spf.limit}]")
-    table = spf.spf
-    entries = []
-    m = n
-    while m > 1:
-        p = int(table[m])
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        entries.append((p, e))
-    return Factorization(tuple(entries))
 
 
 def trial_factorize(n: int) -> Factorization:
@@ -111,14 +83,6 @@ def mobius_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisor_count(f: Factorization) -> int:
-    """d(n) = product of (exponent + 1)."""
-    out = 1
-    for _, e in f.entries:
-        out *= e + 1
-    return out
-
-
 def sigma_pow(alpha: int | float, f: Factorization) -> int | float:
     """sigma_alpha(n) = sum of d^alpha over divisors d of n.
 
@@ -127,7 +91,7 @@ def sigma_pow(alpha: int | float, f: Factorization) -> int | float:
     """
     if isinstance(alpha, int) and alpha >= 0:
         if alpha == 0:
-            return divisor_count(f)
+            return math.prod(e + 1 for _, e in f.entries)
         out = 1
         for p, e in f.entries:
             pa = p**alpha
@@ -220,14 +184,6 @@ def tau_spec(table: Sequence[int]) -> MultiplicativeSpec:
     return MultiplicativeSpec("tau", ppv, companion_g=lambda p: p**11)
 
 
-def eval_mult(spec: MultiplicativeSpec, f: Factorization) -> int | float:
-    """f(n) as the product of prime-power values; 1 on the empty product."""
-    out: int | float = 1
-    for p, e in f.entries:
-        out *= spec.prime_power_value(p, e)
-    return out
-
-
 def completely_mult_value(g: Callable[[int], int], n: int) -> int:
     """Value at n of the completely multiplicative function with g(p) given."""
     out = 1
@@ -248,33 +204,6 @@ def chebyshev_extend(f_p: int | float, g_p: int | float, k: int) -> int | float:
     for _ in range(k - 1):
         prev, cur = cur, f_p * cur - g_p * prev
     return cur
-
-
-class IdentityCheck(NamedTuple):
-    ok: bool
-    lhs: int | float
-    rhs: int | float
-
-
-def convolution_identity_check(
-    spec: MultiplicativeSpec, a: int, b: int
-) -> IdentityCheck:
-    """Compare f(a) f(b) against sum over e | gcd(a, b) of g(e) f(ab / e^2).
-
-    Exact arithmetic whenever the spec values are; requires a companion g
-    (g == 1 recovers the unweighted identity satisfied by d).
-    """
-    if spec.companion_g is None:
-        raise ContractError(f"spec {spec.name!r} has no companion g")
-    fa = eval_mult(spec, trial_factorize(a))
-    fb = eval_mult(spec, trial_factorize(b))
-    lhs = fa * fb
-    ab = a * b
-    rhs: int | float = 0
-    for e in divisors(trial_factorize(math.gcd(a, b))):
-        ge = completely_mult_value(spec.companion_g, e)
-        rhs += ge * eval_mult(spec, trial_factorize(ab // (e * e)))
-    return IdentityCheck(lhs == rhs, lhs, rhs)
 
 
 def ramanujan_tau_table(limit: int) -> list[int]:

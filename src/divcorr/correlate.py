@@ -11,8 +11,9 @@ the spec's exact value domain (Python integers for d, sigma_k, tau).
 
 The d sums read a DivisorTable and reduce in int64 window by window.  The
 f sums read one exact object-dtype f-table from sieve.build_mult_table over
-an SpfTable covering x + v; the product form splits each n(n+v) into
-coprime parts at the primes of v, so it needs no factorisation per n.
+an SpfTable covering x + v, which also serves every inner sum of a
+transform; the product form splits each n(n+v) into coprime parts at the
+primes of v, so it needs no factorisation per n.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ def _check_shift(v: int) -> None:
         raise RangeError("shift v must be >= 1")
 
 
-def _check_x(x: int) -> None:
+def _check_range(x: int, v: int) -> None:
+    _check_shift(v)
     if x < 0:
         raise RangeError("x must be >= 0")
 
@@ -101,8 +103,7 @@ def _unit(p: int) -> int:
 
 def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Exact sum of d(n) d(n+v) over n <= x."""
-    _check_shift(v)
-    _check_x(x)
+    _check_range(x, v)
     if x > 0 and tables.limit < x + v:
         raise RangeError(f"divisor table limit {tables.limit} < {x + v}")
     d = tables.values
@@ -119,8 +120,7 @@ def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     This is the direct sum; sum_dpoly_from_dd reaches the same value
     through pair-form sums.
     """
-    _check_shift(v)
-    _check_x(x)
+    _check_range(x, v)
     value = 0
     if x:
         vals = shifted_product_values(tables, x, v)
@@ -161,43 +161,19 @@ def _mult_table(
     return build_mult_table(spec, spf, x + v)
 
 
-def sum_correlation(
-    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
-) -> CorrelationSum:
-    """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
-    empty sum.  f comes from one build_mult_table over an SPF table
-    covering x + v, charged with the window temporaries of the sum."""
-    _check_shift(v)
-    _check_x(x)
+def _pair_sum(f: np.ndarray, x: int, v: int) -> int | float:
+    """sum_{n<=x} f(n) f(n+v) over an f-table covering x + v."""
     value: int | float = 0
-    if x:
-        f = _mult_table(spec, x, v, spf)
-        for lo, hi in _windows(x):
-            value += sum(f[lo : hi + 1] * f[lo + v : hi + v + 1])
-    return CorrelationSum("ff", x, v, value, spec_name=spec.name)
+    for lo, hi in _windows(x):
+        value += sum(f[lo : hi + 1] * f[lo + v : hi + v + 1])
+    return value
 
 
-def sum_shifted_product(
-    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
-) -> CorrelationSum:
-    """Exact product-form sum of f(n(n+v)) over n <= x; x = 0 gives the
-    empty sum.
-
-    A prime shared by n and n+v divides v, so with L = n and R = n+v
-    stripped of their powers p^a, p^b of each p | v,
-
-        f(n(n+v)) = f(L) f(R) prod_{p | v} f(p^(a+b))
-
-    over coprime factors; f(L) and f(R) are read from one build_mult_table
-    over an SPF table covering x + v, and the stripping touches only the
-    multiples of each p | v, window by window.
-    """
-    _check_shift(v)
-    _check_x(x)
+def _product_sum(
+    spec: MultiplicativeSpec, f: np.ndarray, x: int, v: int
+) -> int | float:
+    """sum_{n<=x} f(n(n+v)) over an f-table covering x + v."""
     value: int | float = 0
-    if not x:
-        return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
-    f = _mult_table(spec, x, v, spf)
     pdivs = [p for p, _ in trial_factorize(v).entries]
     for lo, hi in _windows(x):
         left = np.arange(lo, hi + 1, dtype=np.int64)
@@ -220,6 +196,37 @@ def sum_shifted_product(
         terms *= f[right]  # in place: one new int per term, not two
         terms *= weight
         value += sum(terms)
+    return value
+
+
+def sum_correlation(
+    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
+) -> CorrelationSum:
+    """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
+    empty sum.  f comes from one build_mult_table over an SPF table
+    covering x + v, charged with the window temporaries of the sum."""
+    _check_range(x, v)
+    value = _pair_sum(_mult_table(spec, x, v, spf), x, v) if x else 0
+    return CorrelationSum("ff", x, v, value, spec_name=spec.name)
+
+
+def sum_shifted_product(
+    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
+) -> CorrelationSum:
+    """Exact product-form sum of f(n(n+v)) over n <= x; x = 0 gives the
+    empty sum.
+
+    A prime shared by n and n+v divides v, so with L = n and R = n+v
+    stripped of their powers p^a, p^b of each p | v,
+
+        f(n(n+v)) = f(L) f(R) prod_{p | v} f(p^(a+b))
+
+    over coprime factors; f(L) and f(R) are read from one build_mult_table
+    over an SPF table covering x + v, and the stripping touches only the
+    multiples of each p | v, window by window.
+    """
+    _check_range(x, v)
+    value = _product_sum(spec, _mult_table(spec, x, v, spf), x, v) if x else 0
     return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
 
 
@@ -235,15 +242,24 @@ def transform_correlation(
     poly_from_corr:  sum_{e|v} mu(e) g(e) * [pair form at (x/e, v/e)]
 
     The two directions are mutually inverse; each must reproduce the direct
-    sum of the other shape.
+    sum of the other shape.  Every inner sum reads the one f-table over
+    x + v; x = 0 gives the empty sum without building it.
     """
     if spec.companion_g is None:
         raise ContractError(f"spec {spec.name!r} has no companion g")
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}")
+    _check_range(x, v)
     inverse = direction == "poly_from_corr"
-    kind, inner = ("fpoly", sum_correlation) if inverse else ("ff", sum_shifted_product)
-    total = _lattice_sum(
-        v, spec.companion_g, inverse, lambda e: inner(spec, x // e, v // e, spf).value
-    )
+    total: int | float = 0
+    if x:
+        f = _mult_table(spec, x, v, spf)
+
+        def term(e: int) -> int | float:
+            if inverse:
+                return _pair_sum(f, x // e, v // e)
+            return _product_sum(spec, f, x // e, v // e)
+
+        total = _lattice_sum(v, spec.companion_g, inverse, term)
+    kind = "fpoly" if inverse else "ff"
     return CorrelationSum(kind, x, v, total, spec_name=spec.name)

@@ -49,6 +49,9 @@ from divcorr.sieve import (
 )
 
 KINDS = ("dd", "dpoly", "sigma_corr")
+# bytes per entry at the peak of ramanujan_tau_table (measured 182-198 for
+# limits 1e2-1e4; the finished table holds 38-46)
+_TAU_ENTRY_BYTES = 200
 SUITES = (
     "lemma1",
     "lemma2",
@@ -315,11 +318,15 @@ def _suite_induction(pmax: int, alpha_max: int) -> SuiteResult:
 def _suite_genrec(amax: int) -> SuiteResult:
     # gcd-weighted convolution identity f(a) f(b) == sum g(e) f(ab/e^2) for
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
-    # on pairs with ab inside the tau table; the SPF table, the f-table in
-    # use and the next one being built are charged before anything is built
-    charge((4 + 2 * MULT_ENTRY_BYTES) * (amax * amax + 1))
-    spf = build_spf(amax * amax)
+    # on pairs with ab inside the tau table; the SPF table, the tau table,
+    # the f-table in use and the next one being built are charged before
+    # anything is built
     tau_limit = min(10_000, amax * amax)
+    charge(
+        (4 + 2 * MULT_ENTRY_BYTES) * (amax * amax + 1)
+        + _TAU_ENTRY_BYTES * (tau_limit + 1)
+    )
+    spf = build_spf(amax * amax)
     tau = ramanujan_tau_table(tau_limit)
     specs = [
         (divisor_count_spec(), amax * amax),

@@ -38,30 +38,16 @@ DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
 
 
-def resolve_memory_cap(explicit: int | None = None) -> int:
-    """Memory budget in bytes: explicit argument, else DIVCORR_MEMCAP, else 2 GiB.
-
-    Raises ContractError unless the budget is an integer >= 1.
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ContractError(f"memory cap must be >= 1 byte, got {explicit}")
-        return explicit
-    env = os.environ.get(MEMCAP_ENV)
-    if not env:
-        return DEFAULT_MEMORY_CAP
+def charge(nbytes: int) -> None:
+    """Raise ResourceError if an allocation of ~nbytes exceeds the memory cap,
+    DIVCORR_MEMCAP bytes or else 2 GiB; call it before allocating.  A cap
+    that is not an integer >= 1 raises ContractError."""
+    env = os.environ.get(MEMCAP_ENV) or str(DEFAULT_MEMORY_CAP)
     if not env.isdecimal() or int(env) < 1:
         raise ContractError(f"{MEMCAP_ENV}={env!r} is not an integer byte count >= 1")
-    return int(env)
-
-
-def charge(nbytes: int, cap: int | None = None) -> None:
-    """Raise ResourceError if an allocation of ~nbytes exceeds the memory cap
-    (resolve_memory_cap(cap)); call it before allocating."""
-    budget = resolve_memory_cap(cap)
-    if nbytes > budget:
+    if nbytes > int(env):
         raise ResourceError(
-            f"allocation of ~{nbytes} bytes exceeds memory cap {budget}"
+            f"allocation of ~{nbytes} bytes exceeds memory cap {int(env)}"
         )
 
 
@@ -93,12 +79,11 @@ def _base_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def build_spf(limit: int, *, memory_cap: int | None = None) -> SpfTable:
+def build_spf(limit: int) -> SpfTable:
     """Smallest-prime-factor table over [1, limit].
 
     Args:
         limit: inclusive upper bound, must satisfy 1 <= limit < 2^31.
-        memory_cap: byte budget; DIVCORR_MEMCAP or 2 GiB when None.
 
     Returns:
         SpfTable with spf[1] = 1 and spf[p] = p on primes.
@@ -107,7 +92,7 @@ def build_spf(limit: int, *, memory_cap: int | None = None) -> SpfTable:
         raise RangeError("limit must be >= 1")
     if limit >= 1 << 31:
         raise RangeError("limit must fit in int32")
-    charge((limit + 1) * 4 + isqrt(limit) * 2, memory_cap)
+    charge((limit + 1) * 4 + isqrt(limit) * 2)
     spf = np.zeros(limit + 1, dtype=np.int32)
     primes = [int(p) for p in _base_primes(isqrt(limit))]
     for lo in range(0, limit + 1, SEGMENT_SIZE):
@@ -127,7 +112,7 @@ def build_spf(limit: int, *, memory_cap: int | None = None) -> SpfTable:
     return SpfTable(limit, spf)
 
 
-def build_divisor_table(limit: int, *, memory_cap: int | None = None) -> DivisorTable:
+def build_divisor_table(limit: int) -> DivisorTable:
     """Divisor-count table d(1..limit).
 
     Every divisor pair (i, n/i) with i <= sqrt(n) contributes two counts
@@ -136,14 +121,13 @@ def build_divisor_table(limit: int, *, memory_cap: int | None = None) -> Divisor
 
     Args:
         limit: inclusive upper bound.
-        memory_cap: byte budget; DIVCORR_MEMCAP or 2 GiB when None.
 
     Returns:
         DivisorTable of uint32 counts.
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
-    charge((limit + 1) * 4, memory_cap)
+    charge((limit + 1) * 4)
     d = np.zeros(limit + 1, dtype=np.uint32)
     for lo in range(0, limit + 1, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE - 1, limit)

@@ -7,40 +7,48 @@ from hypothesis import strategies as st
 
 import divcorr as dc
 from oracles import (
-    d_naive,
     divisors_naive,
     mobius_naive,
     sigma_naive,
+    smallest_prime_factor_naive,
     tau_naive,
     von_mangoldt_naive,
 )
 
 
 class TestFactorize:
-    def test_one_is_empty_product(self, spf250k):
-        assert dc.factorize(1, spf250k).entries == ()
+    def test_one_is_empty_product(self):
+        assert dc.trial_factorize(1).entries == ()
 
-    def test_forced_decompositions(self, spf250k):
-        assert dc.factorize(12, spf250k).entries == ((2, 2), (3, 1))
-        assert dc.factorize(97, spf250k).entries == ((97, 1),)
+    def test_forced_decompositions(self):
+        assert dc.trial_factorize(12).entries == ((2, 2), (3, 1))
+        assert dc.trial_factorize(97).entries == ((97, 1),)
+        assert dc.trial_factorize(2 * 49999).entries == ((2, 1), (49999, 1))
 
-    def test_out_of_range(self, spf250k):
+    def test_out_of_range(self):
         with pytest.raises(dc.RangeError):
-            dc.factorize(0, spf250k)
+            dc.trial_factorize(0)
         with pytest.raises(dc.RangeError):
-            dc.factorize(spf250k.limit + 1, spf250k)
+            dc.trial_factorize(-12)
 
     @given(st.integers(min_value=1, max_value=250_000))
-    def test_reconstructs_input(self, spf250k, n):
-        f = dc.factorize(n, spf250k)
-        assert f.n == n
+    def test_reconstructs_input(self, n):
+        f = dc.trial_factorize(n)
+        assert math.prod(p**e for p, e in f.entries) == n
         primes = [p for p, _ in f.entries]
-        assert primes == sorted(primes)
+        assert primes == sorted(set(primes))
         assert all(e >= 1 for _, e in f.entries)
 
     @given(st.integers(min_value=1, max_value=100_000))
-    def test_trial_division_agrees(self, spf250k, n):
-        assert dc.trial_factorize(n) == dc.factorize(n, spf250k)
+    def test_trial_division_agrees(self, n):
+        f = dc.trial_factorize(n)
+        assert all(smallest_prime_factor_naive(p) == p for p, _ in f.entries)
+        want: dict[int, int] = {}
+        while n > 1:  # peel smallest prime factors off n
+            p = smallest_prime_factor_naive(n)
+            want[p] = want.get(p, 0) + 1
+            n //= p
+        assert dict(f.entries) == want
 
 
 class TestPointwiseFunctions:
@@ -61,15 +69,6 @@ class TestPointwiseFunctions:
     def test_mobius_divisors_oracle(self, n):
         want = [(e, mobius_naive(e)) for e in divisors_naive(n) if mobius_naive(e)]
         assert sorted(dc.mobius_divisors(n)) == want
-
-    def test_divisor_count_examples(self):
-        assert dc.divisor_count(dc.trial_factorize(1)) == 1
-        assert dc.divisor_count(dc.trial_factorize(12)) == 6
-        assert dc.divisor_count(dc.trial_factorize(32)) == 6  # 2^5 -> 5+1
-
-    @given(st.integers(min_value=1, max_value=5000))
-    def test_divisor_count_oracle(self, n):
-        assert dc.divisor_count(dc.trial_factorize(n)) == d_naive(n)
 
     def test_divisors_enumeration(self):
         assert sorted(dc.divisors(dc.trial_factorize(60))) == divisors_naive(60)
@@ -133,35 +132,24 @@ class TestPointwiseFunctions:
 
 
 class TestMultiplicativeSpecs:
-    def test_eval_examples(self):
-        d = dc.divisor_count_spec()
-        assert dc.eval_mult(d, dc.trial_factorize(12)) == 6
-        assert dc.eval_mult(dc.sigma_spec(1), dc.trial_factorize(4)) == 7
-        assert dc.eval_mult(d, dc.trial_factorize(1)) == 1
-
     def test_tau_spec_out_of_table(self):
         spec = dc.tau_spec(dc.ramanujan_tau_table(10))
+        assert spec.prime_power_value(3, 2) == -113643  # tau(9)
         with pytest.raises(dc.EvaluationError):
-            dc.eval_mult(spec, dc.trial_factorize(11))
+            spec.prime_power_value(11, 1)
 
     def test_sigma_spec_rejects_bad_alpha(self):
         with pytest.raises(dc.ContractError):
             dc.sigma_spec(0)
 
-    def test_gcd_lcm_identity_exhaustive(self):
-        # f(a) f(b) == f(gcd) f(lcm) exactly, for a, b <= 500
+    def test_gcd_lcm_identity_exhaustive(self, spf250k):
+        # f(a) f(b) == f(gcd) f(lcm) exactly, for a, b <= 500, on the f-table
         for spec in (dc.divisor_count_spec(), dc.sigma_spec(1), dc.sigma_spec(2)):
-            cache = {}
-
-            def f(n, spec=spec, cache=cache):
-                if n not in cache:
-                    cache[n] = dc.eval_mult(spec, dc.trial_factorize(n))
-                return cache[n]
-
+            f = dc.build_mult_table(spec, spf250k, 250_000).tolist()
             for a in range(1, 501):
                 for b in range(a, 501):
                     g = gcd(a, b)
-                    assert f(a) * f(b) == f(g) * f(a * b // g), (spec.name, a, b)
+                    assert f[a] * f[b] == f[g] * f[a * b // g], (spec.name, a, b)
 
     def test_chebyshev_examples(self):
         assert dc.chebyshev_extend(2, 1, 3) == 4  # d(p^3)
@@ -182,34 +170,6 @@ class TestMultiplicativeSpecs:
     def test_chebyshev_negative_exponent(self):
         with pytest.raises(dc.ContractError):
             dc.chebyshev_extend(2, 1, -1)
-
-
-class TestConvolutionIdentity:
-    def test_divisor_example(self):
-        ok, lhs, rhs = dc.convolution_identity_check(dc.divisor_count_spec(), 4, 6)
-        assert ok and lhs == 12 and rhs == 12  # d(24) + d(6) = 8 + 4
-
-    def test_sigma_example(self):
-        ok, lhs, rhs = dc.convolution_identity_check(dc.sigma_spec(1), 4, 6)
-        # sigma(4) sigma(6) = 84 = sigma(24) + 2 sigma(6) = 60 + 24
-        assert ok and lhs == 84 and rhs == 84
-
-    @given(
-        st.integers(min_value=1, max_value=300),
-        st.integers(min_value=1, max_value=300),
-    )
-    def test_coprime_reduces_to_multiplicativity(self, a, b):
-        while gcd(a, b) > 1:
-            b //= gcd(a, b)
-        spec = dc.sigma_spec(1)
-        check = dc.convolution_identity_check(spec, a, b)
-        assert check.ok
-        assert check.rhs == dc.eval_mult(spec, dc.trial_factorize(a * b))
-
-    def test_requires_companion(self):
-        spec = dc.MultiplicativeSpec("bare", lambda p, e: e + 1)
-        with pytest.raises(dc.ContractError):
-            dc.convolution_identity_check(spec, 4, 6)
 
 
 class TestRamanujanTau:

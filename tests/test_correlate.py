@@ -215,6 +215,26 @@ class TestSpecTransforms:
             for x, v in ((1000, 12), (729, 20), (50, 6)):
                 self._round_trip_restores_pair_sum(spec, x, v)
 
+    def test_one_f_table_per_transform(self, monkeypatch):
+        limits = []
+        build = dc.correlate.build_mult_table
+
+        def counted(spec, spf, limit):
+            limits.append(limit)
+            return build(spec, spf, limit)
+
+        monkeypatch.setattr(dc.correlate, "build_mult_table", counted)
+        spec = dc.sigma_spec(1)
+        for direction in dc.correlate.DIRECTIONS:
+            limits.clear()
+            dc.transform_correlation(spec, 1000, 12, direction, SPF)
+            assert limits == [1012], direction  # one table over x + v
+            limits.clear()
+            assert dc.transform_correlation(spec, 0, 12, direction, SPF).value == 0
+            assert limits == []  # the empty sum builds nothing
+            with pytest.raises(dc.RangeError, match="x must be >= 0"):
+                dc.transform_correlation(spec, -1, 12, direction, SPF)
+
     def test_requires_companion_and_direction(self):
         bare = dc.MultiplicativeSpec("bare", lambda p, e: e + 1)
         with pytest.raises(dc.ContractError):

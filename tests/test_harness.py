@@ -188,3 +188,21 @@ class TestRunVerify:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # refused before the SPF table or any f-table
+
+    def test_genrec_peak_within_charge(self, monkeypatch):
+        charged = []
+        charge = dc.harness.charge
+
+        def record(nbytes):
+            charged.append(nbytes)
+            charge(nbytes)
+
+        monkeypatch.setattr(dc.harness, "charge", record)
+        tracemalloc.start()
+        try:
+            report = dc.run_verify(["genrec"], vmax=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= sum(charged), (peak, charged)

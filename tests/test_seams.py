@@ -1,4 +1,5 @@
-"""Modules of the package meet at public names only."""
+"""Modules of the package meet at public names only, and arith is the
+bottom layer."""
 
 import ast
 from pathlib import Path
@@ -21,4 +22,24 @@ def test_no_private_cross_module_imports():
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
+    assert not offenders, offenders
+
+
+def test_arith_imports_only_errors():
+    # TYPE_CHECKING blocks count too: ast.walk visits their bodies
+    path = SRC / "arith.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            mods = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            mods = [alias.name for alias in node.names]
+        else:
+            continue
+        offenders += [
+            mod
+            for mod in mods
+            if mod.startswith(".") or mod == "divcorr" or mod.startswith("divcorr.")
+            if mod != "divcorr.errors"
+        ]
     assert not offenders, offenders

@@ -1,8 +1,9 @@
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divcorr as dc
@@ -45,10 +46,9 @@ class TestDivisorTable:
         assert table.values[36] == 9  # 36 = 2^2 3^2
         assert table.values[97] == 2
 
-    def test_agrees_with_factorization_to_1e4(self, spf250k):
+    def test_agrees_with_factorization_to_1e4(self):
         table = dc.build_divisor_table(10_000)
-        for n in range(1, 10_001):
-            assert table.values[n] == dc.divisor_count(dc.factorize(n, spf250k))
+        assert table.values[1:].tolist() == [d_naive(n) for n in range(1, 10_001)]
 
     @given(st.integers(min_value=1, max_value=3000))
     def test_oracle_sample(self, n):
@@ -57,6 +57,26 @@ class TestDivisorTable:
 
 
 _TABLE_CACHE = {}
+
+
+def _d_prefix_sums():
+    # one table over four windows of the real SEGMENT_SIZE (2^19)
+    if "dsum" not in _TABLE_CACHE:
+        values = dc.build_divisor_table(2_000_000).values
+        _TABLE_CACHE["dsum"] = np.cumsum(values, dtype=np.int64)
+    return _TABLE_CACHE["dsum"]
+
+
+@given(st.integers(min_value=1, max_value=2_000_000))
+@example(1 << 19)
+@example((1 << 19) + 1)
+@example(2_000_000)
+@settings(deadline=None)
+def test_hyperbola_identity(x):
+    # sum_{n<=x} d(n) = 2 sum_{i<=r} floor(x/i) - r^2, r = isqrt(x)
+    r = isqrt(x)
+    want = 2 * sum(x // i for i in range(1, r + 1)) - r * r
+    assert int(_d_prefix_sums()[x]) == want
 
 
 def _shared_table():
@@ -203,15 +223,12 @@ class TestSegmentedConstruction:
 
 
 class TestMemoryCap:
-    def test_explicit_cap(self):
-        with pytest.raises(dc.ResourceError):
-            dc.build_divisor_table(10**7, memory_cap=1000)
-        with pytest.raises(dc.ResourceError):
-            dc.build_spf(10**7, memory_cap=1000)
-
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DIVCORR_MEMCAP", "1000")
         with pytest.raises(dc.ResourceError):
             dc.build_divisor_table(10**6)
+        with pytest.raises(dc.ResourceError):
+            dc.build_spf(10**6)
         monkeypatch.setenv("DIVCORR_MEMCAP", str(2**31))
         dc.build_divisor_table(1000)  # fits again
+        dc.build_spf(1000)
