@@ -11,7 +11,7 @@ import json
 import sys
 
 from divcorr.constants import asymptotic_coefficients, compute_zeta_constants
-from divcorr.correlate import sum_dd, sum_dpoly
+from divcorr.correlate import check_range, sum_dd, sum_dpoly
 from divcorr.errors import ContractError, RangeError, ResourceError
 from divcorr.harness import KINDS, SUITES, RunConfig, emit, run_compare, run_verify
 from divcorr.sieve import build_divisor_table
@@ -84,6 +84,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     sum_fn = sum_dd if args.kind == "dd" else sum_dpoly
+    check_range(args.x, args.v)  # before sieving x + v
     print(sum_fn(args.x, args.v, build_divisor_table(args.x + args.v)).value)
     return EXIT_OK
 

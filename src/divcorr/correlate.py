@@ -9,7 +9,7 @@ For any multiplicative f with Chebyshev companion g they determine each
 other through exact divisor sums over v; everything here is evaluated in
 the spec's exact value domain (Python integers for d, sigma_k, tau).
 
-The d sums read a DivisorTable and reduce in int64 window by window.  The
+The d sums read a DivisorTable and reduce in uint64 window by window.  The
 f sums read one exact object-dtype f-table from sieve.build_mult_table over
 an SpfTable covering x + v, which also serves every inner sum of a
 transform; the product form splits each n(n+v) into coprime parts at the
@@ -62,10 +62,10 @@ def _windows(x: int) -> Iterator[tuple[int, int]]:
 def _exact_sum(x: int, terms: Callable[[int, int], np.ndarray]) -> int:
     """sum_{n<=x} a(n), where terms(lo, hi) gives a(lo..hi) for one window.
 
-    Each window is reduced in int64 and folded into an unbounded Python
-    int; a window of 2^19 terms below 2^32 stays far from int64 overflow.
+    Each window is reduced in uint64 and folded into an unbounded Python
+    int; a window of 2^19 terms below 2^32 stays far from uint64 overflow.
     """
-    return sum(int(np.sum(terms(lo, hi), dtype=np.int64)) for lo, hi in _windows(x))
+    return sum(int(np.sum(terms(lo, hi), dtype=np.uint64)) for lo, hi in _windows(x))
 
 
 def _check_shift(v: int) -> None:
@@ -73,7 +73,8 @@ def _check_shift(v: int) -> None:
         raise RangeError("shift v must be >= 1")
 
 
-def _check_range(x: int, v: int) -> None:
+def check_range(x: int, v: int) -> None:
+    """Raise RangeError unless v >= 1 and x >= 0."""
     _check_shift(v)
     if x < 0:
         raise RangeError("x must be >= 0")
@@ -102,15 +103,25 @@ def _unit(p: int) -> int:
 
 
 def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
-    """Exact sum of d(n) d(n+v) over n <= x."""
-    _check_range(x, v)
+    """Exact sum of d(n) d(n+v) over n <= x.
+
+    Each window multiplies in uint32 into one reused buffer; raises
+    OverflowError if a window's max d(n) * max d(n+v) reaches 2^32.
+    """
+    check_range(x, v)
     if x > 0 and tables.limit < x + v:
         raise RangeError(f"divisor table limit {tables.limit} < {x + v}")
     d = tables.values
-    total = _exact_sum(
-        x, lambda lo, hi: d[lo : hi + 1].astype(np.int64) * d[lo + v : hi + v + 1]
-    )
-    return CorrelationSum("dd", x, v, total)
+    buf = np.empty(min(sieve.SEGMENT_SIZE, x), dtype=np.uint32)
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        left = d[lo : hi + 1]
+        right = d[lo + v : hi + v + 1]
+        if int(left.max()) * int(right.max()) >= 1 << 32:
+            raise OverflowError("d(n) d(n+v) exceeds uint32")
+        return np.multiply(left, right, out=buf[: hi - lo + 1])
+
+    return CorrelationSum("dd", x, v, _exact_sum(x, terms))
 
 
 def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
@@ -120,7 +131,7 @@ def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     This is the direct sum; sum_dpoly_from_dd reaches the same value
     through pair-form sums.
     """
-    _check_range(x, v)
+    check_range(x, v)
     value = 0
     if x:
         vals = shifted_product_values(tables, x, v)
@@ -205,7 +216,7 @@ def sum_correlation(
     """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
     empty sum.  f comes from one build_mult_table over an SPF table
     covering x + v, charged with the window temporaries of the sum."""
-    _check_range(x, v)
+    check_range(x, v)
     value = _pair_sum(_mult_table(spec, x, v, spf), x, v) if x else 0
     return CorrelationSum("ff", x, v, value, spec_name=spec.name)
 
@@ -225,7 +236,7 @@ def sum_shifted_product(
     over an SPF table covering x + v, and the stripping touches only the
     multiples of each p | v, window by window.
     """
-    _check_range(x, v)
+    check_range(x, v)
     value = _product_sum(spec, _mult_table(spec, x, v, spf), x, v) if x else 0
     return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
 
@@ -249,7 +260,7 @@ def transform_correlation(
         raise ContractError(f"spec {spec.name!r} has no companion g")
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}")
-    _check_range(x, v)
+    check_range(x, v)
     inverse = direction == "poly_from_corr"
     total: int | float = 0
     if x:

@@ -5,10 +5,15 @@ multiplicative spec formed from the SPF table.
 Builders are numpy-vectorised.  The SPF and d builders work in windows of
 SEGMENT_SIZE entries, so a window-by-window build yields byte-identical
 arrays to a monolithic one; tables are immutable after construction and
-safe to share.  build_mult_table gives f(n) as exact Python ints in an
-object array, from vectorised passes over the whole SPF table.  charge()
-is the one memory-cap check: callers charge their allocations before making
-them.
+safe to share.  A table of more than one window is filled on all usable
+CPUs: forked workers take the windows round-robin and write them into one
+shared anonymous mapping, with the same bytes as an in-process build.  No
+knob selects this.  The children's CPU time is not the caller's own, so
+time.process_time() no longer covers the build, while the CPU time of all
+its workers together exceeds its wall time.  build_mult_table gives f(n) as
+exact Python ints in an object array, from vectorised passes over the whole
+SPF table.  charge() is the one memory-cap check: callers charge their
+allocations before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -19,9 +24,11 @@ each time.  correlate's exact reductions read the same constant per call.
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 import numpy as np
 
@@ -79,6 +86,65 @@ def _base_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def _fan_out(
+    limit: int, dtype: type, fill: Callable[[np.ndarray, int, int], None]
+) -> np.ndarray:
+    """A zeroed table of limit+1 entries after fill(table, lo, hi) has run on
+    every window [lo, hi] of SEGMENT_SIZE entries.
+
+    fill writes only table[lo : hi+1], so windows are independent.  A table
+    of two or more windows lives in a shared anonymous mapping and the
+    windows go round-robin to one worker per usable CPU: the parent and
+    forked children that fill their share and exit.  A child runs only
+    numpy slice arithmetic, and leaves by os._exit, so it flushes no stdio
+    and runs no exit handler of the parent.  The parent reaps every child
+    before it returns or raises; a child that exits nonzero or is killed
+    raises ResourceError.  One window, or a platform without fork, is
+    filled in process.
+    """
+    bounds = [
+        (lo, min(lo + SEGMENT_SIZE - 1, limit))
+        for lo in range(0, limit + 1, SEGMENT_SIZE)
+    ]
+    workers = 1
+    if len(bounds) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), len(bounds))
+    if workers == 1:
+        table = np.zeros(limit + 1, dtype=dtype)
+        for lo, hi in bounds:
+            fill(table, lo, hi)
+        return table
+    nbytes = (limit + 1) * np.dtype(dtype).itemsize
+    table = np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype)  # zero-filled
+    pids: list[int] = []
+    try:
+        for rank in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                raise ResourceError(f"cannot fork a sieve worker: {exc}") from exc
+            if pid == 0:
+                code = 1
+                try:
+                    for lo, hi in bounds[rank::workers]:
+                        fill(table, lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        for lo, hi in bounds[::workers]:
+            fill(table, lo, hi)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status in zip(pids, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code > 0:
+            raise ResourceError(f"sieve worker {pid} exited with status {code}")
+        if code < 0:
+            raise ResourceError(f"sieve worker {pid} was killed by signal {-code}")
+    return table
+
+
 def build_spf(limit: int) -> SpfTable:
     """Smallest-prime-factor table over [1, limit].
 
@@ -93,10 +159,9 @@ def build_spf(limit: int) -> SpfTable:
     if limit >= 1 << 31:
         raise RangeError("limit must fit in int32")
     charge((limit + 1) * 4 + isqrt(limit) * 2)
-    spf = np.zeros(limit + 1, dtype=np.int32)
     primes = [int(p) for p in _base_primes(isqrt(limit))]
-    for lo in range(0, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE - 1, limit)
+
+    def fill(spf: np.ndarray, lo: int, hi: int) -> None:
         seg = spf[lo : hi + 1]
         for p in primes:
             if p * p > hi:
@@ -109,6 +174,8 @@ def build_spf(limit: int) -> SpfTable:
         # untouched entries are prime; this also leaves spf[0] = 0, spf[1] = 1
         unmarked = np.nonzero(seg == 0)[0]
         seg[unmarked] = unmarked + lo
+
+    spf = _fan_out(limit, np.int32, fill)
     return SpfTable(limit, spf)
 
 
@@ -128,9 +195,8 @@ def build_divisor_table(limit: int) -> DivisorTable:
     if limit < 1:
         raise RangeError("limit must be >= 1")
     charge((limit + 1) * 4)
-    d = np.zeros(limit + 1, dtype=np.uint32)
-    for lo in range(0, limit + 1, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE - 1, limit)
+
+    def fill(d: np.ndarray, lo: int, hi: int) -> None:
         seg = d[lo : hi + 1]
         for i in range(1, isqrt(hi) + 1):
             sq = i * i
@@ -139,6 +205,8 @@ def build_divisor_table(limit: int) -> DivisorTable:
             start = max(sq + i, (lo + i - 1) // i * i)
             if start <= hi:
                 seg[start - lo :: i] += 2
+
+    d = _fan_out(limit, np.uint32, fill)
     d[0] = 0
     return DivisorTable(limit, d)
 

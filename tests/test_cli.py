@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from divcorr import cli, sieve
 from divcorr.cli import main
 
 
@@ -15,6 +17,37 @@ def test_sum_dpoly(capsys):
     assert capsys.readouterr().out.strip() == "32"
     assert main(["sum", "--kind", "dpoly", "--x", "6", "--v", "0"]) == 2
     assert capsys.readouterr().err.strip() == "error: shift v must be >= 1"
+
+
+@pytest.mark.parametrize("kind", ["dd", "dpoly"])
+@pytest.mark.parametrize(
+    "x, v, message",
+    [("-5", "2", "x must be >= 0"), ("30000000", "0", "shift v must be >= 1")],
+)
+def test_sum_validates_before_sieving(capsys, monkeypatch, kind, x, v, message):
+    def no_table(limit):
+        raise AssertionError(f"sieved {limit} before validating")
+
+    monkeypatch.setattr(cli, "build_divisor_table", no_table)
+    assert main(["sum", "--kind", kind, "--x", x, "--v", v]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_sieve_worker_failure_exit_code(capsys, monkeypatch):
+    fork = os.fork
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            os._exit(1)
+        return pid
+
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", failing_fork)
+    assert main(["sum", "--kind", "dd", "--x", "5000", "--v", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sieve worker") and err.count("\n") == 1
 
 
 def test_verify_pass_exit_zero(capsys):

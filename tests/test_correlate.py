@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,14 @@ class TestDirectSums:
             dc.sum_dd(10, 0, DTAB)  # v = 0 excluded
         with pytest.raises(dc.RangeError):
             dc.sum_dd_from_dpoly(-5, 2, DTAB)  # same x contract as sum_dd
+
+    def test_sum_dd_overflow_guard(self):
+        # d(n) d(n+1) = 2^32 wraps to 0 in uint32; the guard must see it first
+        big = dc.DivisorTable(10, np.full(11, 1 << 16, dtype=np.uint32))
+        with pytest.raises(OverflowError):
+            dc.sum_dd(5, 1, big)
+        edge = dc.DivisorTable(10, np.full(11, (1 << 16) - 1, dtype=np.uint32))
+        assert dc.sum_dd(5, 1, edge).value == 5 * ((1 << 16) - 1) ** 2
 
     def test_exactness_types(self):
         assert isinstance(dc.sum_dd(100, 3, DTAB).value, int)

@@ -1,3 +1,5 @@
+import os
+import signal
 import tracemalloc
 from math import isqrt
 
@@ -220,6 +222,111 @@ class TestSegmentedConstruction:
         mono = build(n + 1)
         for segment_size in (777, 1009, 4096):
             assert build(segment_size) == mono, segment_size
+
+
+    @pytest.mark.parametrize("segment_size", [777, 1009, 4096])
+    def test_worker_pool_matches_in_process_and_oracles(self, monkeypatch, segment_size):
+        # three CPUs split 26, 20 and 5 windows unevenly between the parent
+        # and two children
+        n = 20_000
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def build(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            return dc.build_divisor_table(n).values, dc.build_spf(n).spf
+
+        d1, spf1 = build(1)
+        assert forks == []
+        d3, spf3 = build(3)
+        assert len(forks) == 4  # two children per table
+        assert d3.tobytes() == d1.tobytes()
+        assert spf3.tobytes() == spf1.tobytes()
+        assert d3[1:].tolist() == [d_naive(k) for k in range(1, n + 1)]
+        assert spf3[2:].tolist() == [
+            smallest_prime_factor_naive(k) for k in range(2, n + 1)
+        ]
+
+    def test_single_window_tables_never_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-window table forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert dc.build_divisor_table(10_100).values[10_080] == d_naive(10_080)
+        assert dc.build_spf(40_000).spf[39_999] == smallest_prime_factor_naive(39_999)
+
+
+def _failing_children(monkeypatch, how):
+    """Make every forked sieve worker die at once, by exit or by SIGKILL."""
+    fork = os.fork
+
+    def failing_fork():
+        pid = fork()
+        if pid == 0:
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            os._exit(1)
+        return pid
+
+    monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", failing_fork)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerFailure:
+    @pytest.mark.parametrize(
+        "how, status", [("exit", "exited with status 1"), ("kill", "killed by signal 9")]
+    )
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch, how, status):
+        _failing_children(monkeypatch, how)
+        for build in (dc.build_divisor_table, dc.build_spf):
+            with pytest.raises(dc.ResourceError, match=status):
+                build(20_000)
+            _assert_no_child_left()
+
+    def test_fork_failure_raises_and_reaps_started_children(self, monkeypatch):
+        _failing_children(monkeypatch, "exit")
+        fork = os.fork  # the failing wrapper: its one child exits at once
+        calls = []
+
+        def second_fork_fails():
+            calls.append(1)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        with pytest.raises(dc.ResourceError, match="cannot fork a sieve worker"):
+            dc.build_divisor_table(20_000)
+        _assert_no_child_left()
+
+    def test_children_reaped_when_parent_windows_raise(self, monkeypatch):
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        parent = os.getpid()
+
+        def fill(table, lo, hi):
+            if os.getpid() == parent:
+                raise KeyError("parent window")
+            table[lo : hi + 1] = 1
+
+        with pytest.raises(KeyError):
+            dc.sieve._fan_out(20_000, np.uint32, fill)
+        _assert_no_child_left()
 
 
 class TestMemoryCap:
