@@ -123,17 +123,7 @@ def von_mangoldt_k(n: int, k: int) -> float:
     """
     if n < 1:
         raise RangeError(f"n={n} must be positive")
-    primes = [p for p, _ in trial_factorize(n).entries]
-    terms = []
-    for mask in range(1 << len(primes)):
-        d = 1
-        sign = 1
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d *= p
-                sign = -sign
-        terms.append(sign * math.log(n // d) ** k)
-    return math.fsum(terms)
+    return math.fsum(mu * math.log(n // d) ** k for d, mu in mobius_divisors(n))
 
 
 @dataclass(frozen=True)

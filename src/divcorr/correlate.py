@@ -9,17 +9,18 @@ For any multiplicative f with Chebyshev companion g they determine each
 other through exact divisor sums over v; everything here is evaluated in
 the spec's exact value domain (Python integers for d, sigma_k, tau).
 
-The d sums read a DivisorTable and reduce in uint64 window by window.  The
-f sums read one exact object-dtype f-table from sieve.build_mult_table over
-an SpfTable covering x + v, which also serves every inner sum of a
-transform; the product form splits each n(n+v) into coprime parts at the
-primes of v, so it needs no factorisation per n.
+The d sums fold the windows of sieve.shifted_windows over a DivisorTable
+into exact ints, in uint64 per window and O(window) memory.  The f sums
+walk sieve.windows over one exact object-dtype f-table from
+sieve.build_mult_table over an SpfTable covering x + v, which also serves
+every inner sum of a transform; the product form splits each n(n+v) into
+coprime parts at the primes of v, so it needs no factorisation per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,12 +33,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import (
-    DivisorTable,
-    SpfTable,
-    build_mult_table,
-    shifted_product_values,
-)
+from divcorr.sieve import DivisorTable, SpfTable, build_mult_table
 
 
 @dataclass(frozen=True)
@@ -51,31 +47,19 @@ class CorrelationSum:
     spec_name: str | None = None
 
 
-def _windows(x: int) -> Iterator[tuple[int, int]]:
-    """(lo, hi) over [1, x] in ascending windows of sieve.SEGMENT_SIZE
-    terms, the constant read per call."""
-    chunk = sieve.SEGMENT_SIZE
-    for lo in range(1, x + 1, chunk):
-        yield lo, min(lo + chunk - 1, x)
-
-
-def _exact_sum(x: int, terms: Callable[[int, int], np.ndarray]) -> int:
-    """sum_{n<=x} a(n), where terms(lo, hi) gives a(lo..hi) for one window.
+def _exact_sum(terms: Iterable[np.ndarray]) -> int:
+    """The sum of every term of every window of terms.
 
     Each window is reduced in uint64 and folded into an unbounded Python
     int; a window of 2^19 terms below 2^32 stays far from uint64 overflow.
     """
-    return sum(int(np.sum(terms(lo, hi), dtype=np.uint64)) for lo, hi in _windows(x))
-
-
-def _check_shift(v: int) -> None:
-    if v < 1:
-        raise RangeError("shift v must be >= 1")
+    return sum(int(np.sum(window, dtype=np.uint64)) for window in terms)
 
 
 def check_range(x: int, v: int) -> None:
     """Raise RangeError unless v >= 1 and x >= 0."""
-    _check_shift(v)
+    if v < 1:
+        raise RangeError("shift v must be >= 1")
     if x < 0:
         raise RangeError("x must be >= 0")
 
@@ -86,8 +70,8 @@ def _lattice_sum(
     """sum_{e|v} w(e) term(e), w = g(e), or mu(e) g(e) when inverse.
 
     This is the Lemma 1 transform for every spec; d is the g == 1 case.
+    Callers check the range of x and v first.
     """
-    _check_shift(v)
     if inverse:
         weights = mobius_divisors(v)
     else:
@@ -103,45 +87,33 @@ def _unit(p: int) -> int:
 
 
 def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
-    """Exact sum of d(n) d(n+v) over n <= x.
+    """Exact sum of d(n) d(n+v) over n <= x; x = 0 gives the empty sum.
 
-    Each window multiplies in uint32 into one reused buffer; raises
-    OverflowError if a window's max d(n) * max d(n+v) reaches 2^32.
+    The terms come window by window from sieve.shifted_windows, which
+    raises OverflowError if a window's max d(n) * max d(n+v) reaches 2^32.
     """
     check_range(x, v)
-    if x > 0 and tables.limit < x + v:
-        raise RangeError(f"divisor table limit {tables.limit} < {x + v}")
-    d = tables.values
-    buf = np.empty(min(sieve.SEGMENT_SIZE, x), dtype=np.uint32)
-
-    def terms(lo: int, hi: int) -> np.ndarray:
-        left = d[lo : hi + 1]
-        right = d[lo + v : hi + v + 1]
-        if int(left.max()) * int(right.max()) >= 1 << 32:
-            raise OverflowError("d(n) d(n+v) exceeds uint32")
-        return np.multiply(left, right, out=buf[: hi - lo + 1])
-
-    return CorrelationSum("dd", x, v, _exact_sum(x, terms))
+    value = _exact_sum(sieve.shifted_windows(tables, x, v, False)) if x else 0
+    return CorrelationSum("dd", x, v, value)
 
 
 def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Exact sum of d(n(n+v)) over n <= x; x = 0 gives the empty sum.
 
-    The d(n(n+v)) values are formed from a DivisorTable covering x + v.
+    The d(n(n+v)) values come window by window from sieve.shifted_windows
+    over a DivisorTable covering x + v, in O(window) memory beyond it.
     This is the direct sum; sum_dpoly_from_dd reaches the same value
     through pair-form sums.
     """
     check_range(x, v)
-    value = 0
-    if x:
-        vals = shifted_product_values(tables, x, v)
-        value = _exact_sum(x, lambda lo, hi: vals[lo : hi + 1])
+    value = _exact_sum(sieve.shifted_windows(tables, x, v, True)) if x else 0
     return CorrelationSum("dpoly", x, v, value)
 
 
 def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Assemble sum_{n<=x} d(n) d(n+v) from product-form sums over the
     divisors of v:  sum_{e|v} sum_{n<=x/e} d(n(n+v/e)).  Equals sum_dd."""
+    check_range(x, v)
     value = _lattice_sum(
         v, _unit, False, lambda e: sum_dpoly(x // e, v // e, tables).value
     )
@@ -151,6 +123,7 @@ def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
 def sum_dpoly_from_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Moebius-inverted companion:  sum_{e|v} mu(e) sum_{n<=x/e} d(n) d(n+v/e).
     Equals sum_dpoly."""
+    check_range(x, v)
     value = _lattice_sum(
         v, _unit, True, lambda e: sum_dd(x // e, v // e, tables).value
     )
@@ -175,7 +148,7 @@ def _mult_table(
 def _pair_sum(f: np.ndarray, x: int, v: int) -> int | float:
     """sum_{n<=x} f(n) f(n+v) over an f-table covering x + v."""
     value: int | float = 0
-    for lo, hi in _windows(x):
+    for lo, hi in sieve.windows(1, x):
         value += sum(f[lo : hi + 1] * f[lo + v : hi + v + 1])
     return value
 
@@ -186,7 +159,7 @@ def _product_sum(
     """sum_{n<=x} f(n(n+v)) over an f-table covering x + v."""
     value: int | float = 0
     pdivs = [p for p, _ in trial_factorize(v).entries]
-    for lo, hi in _windows(x):
+    for lo, hi in sieve.windows(1, x):
         left = np.arange(lo, hi + 1, dtype=np.int64)
         right = left + v
         weight = np.ones(len(left), dtype=object)  # prod f(p^(a+b))

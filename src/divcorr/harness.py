@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,6 +91,15 @@ class RunConfig:
                 raise ContractError(
                     "sigma_corr keeps the empirical sum exact only for "
                     "integer alpha >= 1"
+                )
+            # x (x(x+v))^alpha zeta(2) bounds the exact sum (alpha >= 2)
+            # and the main term, so it bounds every float of a row
+            x, v = max(self.x_list), max(self.v_list)
+            size = math.log(x * math.pi**2 / 6) + self.alpha * math.log(x * (x + v))
+            if size >= math.log(sys.float_info.max):
+                raise ContractError(
+                    f"sigma_corr with alpha={self.alpha} overflows a float "
+                    f"at x={x}, v={v}"
                 )
 
 

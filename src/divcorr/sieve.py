@@ -1,16 +1,17 @@
-"""Sieved tables over [1, N]: smallest prime factor and d(n), the d(n(n+v))
-values formed from a d-table, and the exact values f(n) of any
+"""Sieved tables over [1, N]: smallest prime factor and d(n), the windowed
+d(n) d(n+v) kernel over a d-table, and the exact values f(n) of any
 multiplicative spec formed from the SPF table.
 
-Builders are numpy-vectorised.  The SPF and d builders work in windows of
-SEGMENT_SIZE entries, so a window-by-window build yields byte-identical
-arrays to a monolithic one; tables are immutable after construction and
-safe to share.  A table of more than one window is filled on all usable
-CPUs: forked workers take the windows round-robin and write them into one
-shared anonymous mapping, with the same bytes as an in-process build.  No
-knob selects this.  The children's CPU time is not the caller's own, so
-time.process_time() no longer covers the build, while the CPU time of all
-its workers together exceeds its wall time.  build_mult_table gives f(n) as
+windows() is the one walk in windows of SEGMENT_SIZE entries.  The SPF and
+d builders fill their tables window by window, byte-identical to a
+monolithic build; tables are immutable and safe to share.  A table of more
+than one window is filled on all usable CPUs: forked workers take the
+windows round-robin and write one shared anonymous mapping.  No knob
+selects this.  time.process_time() of the caller leaves out the children's
+CPU time.  shifted_windows is the one kernel of the d sums: window by window
+it yields d(n) d(n+v), or d(n(n+v)) with the correction at the primes of v,
+from buffers it reuses, so sum_dd, sum_dpoly and shifted_product_values
+need O(window) memory beyond the d-table.  build_mult_table gives f(n) as
 exact Python ints in an object array, from vectorised passes over the whole
 SPF table.  charge() is the one memory-cap check: callers charge their
 allocations before making them.
@@ -18,8 +19,7 @@ allocations before making them.
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
 (one per sieving prime in the builders, one per prime power of the shift in
-shifted_product_values) hit cache instead of streaming the window from RAM
-each time.  correlate's exact reductions read the same constant per call.
+shifted_windows) hit cache instead of streaming the window from RAM.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import mmap
 import os
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -86,36 +86,38 @@ def _base_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def windows(first: int, last: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) over [first, last] in ascending windows of SEGMENT_SIZE
+    entries: the one window walk of the builders, the kernel and the sums."""
+    for lo in range(first, last + 1, SEGMENT_SIZE):
+        yield lo, min(lo + SEGMENT_SIZE - 1, last)
+
+
 def _fan_out(
     limit: int, dtype: type, fill: Callable[[np.ndarray, int, int], None]
 ) -> np.ndarray:
     """A zeroed table of limit+1 entries after fill(table, lo, hi) has run on
-    every window [lo, hi] of SEGMENT_SIZE entries.
+    every window [lo, hi] of windows(0, limit).
 
-    fill writes only table[lo : hi+1], so windows are independent.  A table
-    of two or more windows lives in a shared anonymous mapping and the
-    windows go round-robin to one worker per usable CPU: the parent and
-    forked children that fill their share and exit.  A child runs only
-    numpy slice arithmetic, and leaves by os._exit, so it flushes no stdio
-    and runs no exit handler of the parent.  The parent reaps every child
-    before it returns or raises; a child that exits nonzero or is killed
-    raises ResourceError.  One window, or a platform without fork, is
-    filled in process.
+    fill writes only table[lo : hi+1], so windows are independent.  They go
+    round-robin to one worker per usable CPU: the parent and forked children
+    that fill their share and exit.  With more than one worker the table
+    lives in a shared anonymous mapping.  A child runs only numpy slice
+    arithmetic, and leaves by os._exit, so it flushes no stdio and runs no
+    exit handler of the parent.  The parent reaps every child before it
+    returns or raises; a child that exits nonzero or is killed raises
+    ResourceError.  One window, or a platform without fork, makes the parent
+    the only worker.
     """
-    bounds = [
-        (lo, min(lo + SEGMENT_SIZE - 1, limit))
-        for lo in range(0, limit + 1, SEGMENT_SIZE)
-    ]
+    bounds = list(windows(0, limit))
     workers = 1
     if len(bounds) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(bounds))
     if workers == 1:
         table = np.zeros(limit + 1, dtype=dtype)
-        for lo, hi in bounds:
-            fill(table, lo, hi)
-        return table
-    nbytes = (limit + 1) * np.dtype(dtype).itemsize
-    table = np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype)  # zero-filled
+    else:
+        nbytes = (limit + 1) * np.dtype(dtype).itemsize
+        table = np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype)  # zero-filled
     pids: list[int] = []
     try:
         for rank in range(1, workers):
@@ -211,54 +213,76 @@ def build_divisor_table(limit: int) -> DivisorTable:
     return DivisorTable(limit, d)
 
 
-def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.ndarray:
-    """d(n(n+shift)) for n in [1, limit] from a d-table covering limit+shift.
+def shifted_windows(
+    dtab: DivisorTable, limit: int, shift: int, product: bool
+) -> Iterator[np.ndarray]:
+    """d(n) d(n+shift), or d(n(n+shift)) when product, for n in each window
+    of windows(1, limit), from a d-table covering limit + shift.
 
-    A prime shared by n and n+shift necessarily divides the shift, and for
-    such p, p | n exactly when p | n+shift.  So with a = v_p(n) and
-    b = v_p(n+shift),
+    A prime shared by n and n+shift divides the shift, and for such p,
+    p | n exactly when p | n+shift.  So with a = v_p(n), b = v_p(n+shift),
 
         d(n(n+shift)) = d(n) d(n+shift) * prod_{p | shift} (a+b+1) / ((a+1)(b+1))
 
-    where each factor is 1 unless p | n.  Each window of SEGMENT_SIZE entries
-    takes the uint32 product d(n) d(n+shift) and corrects only its multiples
-    of each p | shift: a and b come from strided increments over p^2, p^3, ...
-    within the window, and the divisions are exact because (a+1)(b+1) still
-    divides the running product.  Memory beyond the output is O(window).
+    where each factor is 1 unless p | n.  The product form corrects only the
+    multiples of each p | shift in the window: a and b come from strided
+    increments over p^2, p^3, ..., and (a+1)(b+1) divides the product exactly.
 
-    Returns a uint32 array of limit+1 entries with slot 0 = 0.  Raises
-    RangeError if the d-table is too short, OverflowError if a window's
-    max d(n) * max d(n+shift) reaches 2^32 (which bounds d(n(n+shift))).
+    Every window is written into one uint32 buffer of min(SEGMENT_SIZE,
+    limit) entries and corrected in one scratch of three half-window rows
+    (empty when nothing is corrected); both are reused, so a yielded window
+    is valid until the next.  The call raises RangeError if the d-table is
+    too short and charges it with 16 B per window entry; a window raises
+    OverflowError if max d(n) * max d(n+shift) reaches 2^32 (a bound on both).
     """
     need = limit + shift
     if dtab.limit < need:
         raise RangeError(f"divisor table limit {dtab.limit} < {need}")
-    window = SEGMENT_SIZE
-    charge(dtab.values.nbytes + (limit + 1) * 4 + 16 * min(window, limit))
+    size = min(SEGMENT_SIZE, limit)
+    charge(dtab.values.nbytes + 16 * size)
     d = dtab.values
-    pdivs = [p for p, _ in trial_factorize(shift).entries]
-    out = np.zeros(limit + 1, dtype=np.uint32)
-    for lo in range(1, limit + 1, window):
-        hi = min(lo + window - 1, limit)
+    pdivs = [p for p, _ in trial_factorize(shift).entries] if product else []
+    buf = np.empty(size, dtype=np.uint32)
+    scratch = np.empty((3, (size + 1) // 2 if pdivs else 0), dtype=np.uint32)
+
+    def window(lo: int, hi: int) -> np.ndarray:
         left = d[lo : hi + 1]
         right = d[lo + shift : hi + shift + 1]
         if int(left.max()) * int(right.max()) >= 1 << 32:
             raise OverflowError("d(n) d(n+shift) exceeds uint32")
-        seg = out[lo : hi + 1]
-        np.multiply(left, right, out=seg)
+        seg = np.multiply(left, right, out=buf[: hi - lo + 1])
         for p in pdivs:
             first = lo + (-lo) % p  # first multiple of p in the window
             sub = seg[first - lo :: p]
-            a1 = np.full(len(sub), 2, dtype=np.uint32)  # a + 1
-            b1 = np.full(len(sub), 2, dtype=np.uint32)  # b + 1
+            a1, b1, t = scratch[:, : len(sub)]  # a + 1, b + 1, temporary
+            scratch[:2, : len(sub)] = 2
             pk = p * p
             while pk <= hi + shift:
                 step = pk // p
                 a1[(-first) % pk // p :: step] += 1
                 b1[(-first - shift) % pk // p :: step] += 1
                 pk *= p
-            sub //= a1 * b1
-            sub *= a1 + b1 - 1
+            sub //= np.multiply(a1, b1, out=t)
+            a1 += b1
+            a1 -= 1  # a + b + 1
+            sub *= a1
+        return seg
+
+    return (window(lo, hi) for lo, hi in windows(1, limit))
+
+
+def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.ndarray:
+    """d(n(n+shift)) for n in [1, limit] from a d-table covering limit+shift:
+    the product-form windows of shifted_windows, copied out.
+
+    Returns a uint32 array of limit+1 entries with slot 0 = 0; raises as
+    shifted_windows does.  Memory beyond the output is O(window).
+    """
+    segs = shifted_windows(dtab, limit, shift, True)
+    charge(dtab.values.nbytes + (limit + 1) * 4 + 16 * min(SEGMENT_SIZE, limit))
+    out = np.zeros(limit + 1, dtype=np.uint32)
+    for (lo, hi), seg in zip(windows(1, limit), segs):
+        out[lo : hi + 1] = seg
     return out
 
 

@@ -1,9 +1,10 @@
 import json
+import math
 import os
 
 import pytest
 
-from divcorr import cli, sieve
+from divcorr import cli, harness, sieve
 from divcorr.cli import main
 
 
@@ -77,11 +78,19 @@ def test_verify_genrec_memory_cap_exit_code(capsys, monkeypatch):
 
 
 def test_sum_dpoly_memory_cap_exit_code(capsys, monkeypatch):
-    # the 32 MB d-table fits the cap; the table plus the 32 MB output does not
-    monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
+    # the 32 MB d-table fits the cap; the table plus 16 B per entry of one
+    # 2^19 window (40.4 MB) does not
+    monkeypatch.setenv("DIVCORR_MEMCAP", "36000000")
     assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sum_dpoly_needs_no_output_array(capsys, monkeypatch):
+    # the 32 MB table and a window fit 50 MB; no x-length array is charged
+    monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
+    assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 0
+    assert capsys.readouterr().out == "1272072482\n"
 
 
 def test_verify_unknown_suite_usage_error():
@@ -126,6 +135,23 @@ def test_compare_json(capsys):
 def test_compare_sigma_needs_alpha(capsys):
     code = main(["compare", "--x", "100", "--v", "1", "--kind", "sigma_corr"])
     assert code == 2  # usage error
+
+
+def test_compare_sigma_large_alpha(capsys, monkeypatch):
+    # x^(2 alpha + 1) first leaves the float range at alpha = 77 for x = 100
+    argv = ["compare", "--x", "100", "--v", "1", "--kind", "sigma_corr"]
+    assert main([*argv, "--alpha", "76", "--out", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    floats = ("main1", "main2", "main3", "residual", "residual_scaled")
+    assert all(math.isfinite(row[key]) for key in floats)
+
+    def no_table(limit):
+        raise AssertionError(f"sieved {limit} before validating")
+
+    monkeypatch.setattr(harness, "build_spf", no_table)
+    assert main([*argv, "--alpha", "77"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma_corr with alpha=77") and err.count("\n") == 1
 
 
 def test_compare_bad_bound(capsys):

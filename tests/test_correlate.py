@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,20 @@ class TestDirectSums:
             dc.sum_dd(5, 1, big)
         edge = dc.DivisorTable(10, np.full(11, (1 << 16) - 1, dtype=np.uint32))
         assert dc.sum_dd(5, 1, edge).value == 5 * ((1 << 16) - 1) ** 2
+
+    @pytest.mark.parametrize("sum_fn", [dc.sum_dd, dc.sum_dpoly])
+    def test_window_memory(self, monkeypatch, sum_fn):
+        # the terms live in one reused window, not in an x-length array
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
+        x, v = 10**6, 60
+        dtab = dc.build_divisor_table(x + v)
+        tracemalloc.start()
+        try:
+            sum_fn(x, v, dtab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dc.sieve.SEGMENT_SIZE < 4 * (x + 1), peak
 
     def test_exactness_types(self):
         assert isinstance(dc.sum_dd(100, 3, DTAB).value, int)

@@ -25,6 +25,46 @@ def test_no_private_cross_module_imports():
     assert not offenders, offenders
 
 
+def _module_of(node: ast.expr, aliases: dict[str, str]) -> str | None:
+    """The divcorr module an expression names, if any."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute) and _module_of(node.value, aliases) == "divcorr":
+        if (SRC / f"{node.attr}.py").exists():
+            return f"divcorr.{node.attr}"
+    return None
+
+
+def test_no_private_reads_through_other_modules():
+    # e.g. sieve._fan_out read from correlate after `from divcorr import sieve`
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        own = f"divcorr.{path.stem}"
+        tree = ast.parse(path.read_text(), str(path))
+        aliases: dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "divcorr":
+                for alias in node.names:
+                    if (SRC / f"{alias.name}.py").exists():
+                        aliases[alias.asname or alias.name] = f"divcorr.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "divcorr":
+                        if alias.asname:
+                            aliases[alias.asname] = alias.name
+                        else:
+                            aliases["divcorr"] = "divcorr"
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or not node.attr.startswith("_"):
+                continue
+            if node.attr.startswith("__"):
+                continue
+            mod = _module_of(node.value, aliases)
+            if mod is not None and mod != own:
+                offenders.append(f"{path.name}:{node.lineno}: {mod}.{node.attr}")
+    assert not offenders, offenders
+
+
 def test_arith_imports_only_errors():
     # TYPE_CHECKING blocks count too: ast.walk visits their bodies
     path = SRC / "arith.py"

@@ -201,8 +201,9 @@ class TestSegmentedConstruction:
     def test_bit_identical_to_monolithic(self, monkeypatch):
         n = 60_000
 
-        # 1024 is a prime power above the 777 window; 30030 = 2*3*5*7*11*13
-        shifts = (12, 60, 1024, 30030)
+        # 1 corrects at no prime; 1024 is a prime power above the 777
+        # window; 30030 = 2*3*5*7*11*13
+        shifts = (1, 12, 60, 1024, 30030)
         sums = (dc.sum_dd, dc.sum_dpoly)
         spec_sums = (dc.sum_correlation, dc.sum_shifted_product)
         sigma = dc.sigma_spec(1)
