@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -206,3 +207,83 @@ class TestRunVerify:
             tracemalloc.stop()
         assert report.passed
         assert peak <= sum(charged), (peak, charged)
+
+
+def _plant(suite):
+    """One planted fault per suite, as (harness binding, faulty stand-in)."""
+    h = dc.harness
+    if suite in ("lemma1", "lemma2"):
+        spv = h.shifted_product_values
+
+        def off_by_one(dtab, limit, shift):
+            out = spv(dtab, limit, shift)
+            if shift == 2:
+                out[7] += 1  # d(7 * 9) read as 7
+            return out
+
+        return "shifted_product_values", off_by_one
+    if suite == "induction":
+        ext = h.chebyshev_extend
+        return "chebyshev_extend", lambda fp, gp, k: ext(fp, gp, k) + (
+            (fp, gp, k) == (3, 2, 4)  # sigma_1(2^4) read as 32
+        )
+    if suite == "genrec":
+        table = h.build_mult_table
+
+        def off_at_6(spec, spf, limit):
+            out = table(spec, spf, limit)
+            if spec.name == "sigma_1":
+                out[6] += 1
+            return out
+
+        return "build_mult_table", off_at_6
+    if suite == "sigma_lambda":
+        rep = h.sigma_lambda_identity
+        return "sigma_lambda_identity", lambda v, k: (
+            dataclasses.replace(rep(v, k), lhs=2.5, rhs=0.5, tolerance=1.0)
+            if (v, k) == (6, 2)
+            else rep(v, k)
+        )
+    if suite == "binomial":
+        rep = h.binomial_log_identity
+        return "binomial_log_identity", lambda v, n: (
+            dataclasses.replace(rep(v, n), lhs=1.0)
+            if v in (4, 9) and n == 1
+            else rep(v, n)
+        )
+    rep = h.coefficient_consistency
+
+    def a1_off(v, zc):
+        r = rep(v, zc)
+        return dataclasses.replace(r, a1_combined=r.a1_direct + 0.5) if v % 5 == 0 else r
+
+    return "coefficient_consistency", a1_off
+
+
+class TestFailureReports:
+    # each suite's checks, failure count and first counterexample with one
+    # planted fault, at xmax = 20, vmax = 12 (induction has fixed bounds)
+    @pytest.mark.parametrize(
+        "suite,checks,failures,first",
+        [
+            # the fault moves the product-form prefix sums of shift 2 from
+            # x = 7 on: pair form v = 2 (x = 7..20) and v = 4 (x = 14..20),
+            # product form v = 2 (x = 7..20)
+            ("lemma1", 480, 35, "pair form v=2, x= index 6: 50 != 51"),
+            # n = 7 at v = 2 (e = 1) and n = 14 at v = 4 (e = 2)
+            ("lemma2", 240, 2, "v=2, n= index 6: 6 != 7"),
+            ("induction", 1350, 21, "sigma_1 p=2 alpha=2 beta=2: 50 != 49"),
+            ("genrec", 312, 14, "sigma_1 a=2 b=3: 12 != 13"),
+            ("sigma_lambda", 48, 1, "v=6: |2.5 - 0.5| > 1.0"),
+            ("binomial", 48, 2, "v=4: |1.0 - 0.0| > 1e-10"),
+            ("coeff_consistency", 12, 2, "v=5: max deviation 5.000e-01"),
+        ],
+    )
+    def test_planted_fault(self, monkeypatch, suite, checks, failures, first):
+        monkeypatch.setattr(dc.harness, *_plant(suite))
+        report = dc.run_verify([suite], xmax=20, vmax=12)
+        assert not report.passed
+        (got,) = report.suites
+        assert (got.name, got.checks, got.failures, got.first_counterexample) == (
+            suite, checks, failures, first,
+        )
