@@ -10,11 +10,12 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.constants import (
+    IdentityReport,
     binomial_log_identity,
     coefficient_consistency,
     compute_zeta_constants,
@@ -120,10 +122,16 @@ class ComparisonRow:
 
 def run_compare(config: RunConfig) -> list[ComparisonRow]:
     """One row per (v, x), v-major order; deterministic across runs."""
-    rows: list[ComparisonRow] = []
-    xmax = max(config.x_list)
-    vmax = max(config.v_list)
-    if config.kind in ("dd", "dpoly"):
+    table_limit = max(config.x_list) + max(config.v_list)
+    if config.kind == "sigma_corr":
+        spf = build_spf(table_limit)
+        spec = sigma_spec(config.alpha)
+
+        def cell(x: int, v: int) -> tuple[int, list[float]]:
+            emp = sum_shifted_product(spec, x, v, spf).value
+            return emp, [sigma_correlation_main_term(x, v, config.alpha)] * 3
+
+    else:
         # both kinds read the one d-table; product-form cells go through
         # Lemma 1 on pair-form sums
         if config.kind == "dd":
@@ -131,38 +139,19 @@ def run_compare(config: RunConfig) -> list[ComparisonRow]:
         else:
             sum_fn, main = sum_dpoly_from_dd, shifted_product_main_term
         zc = compute_zeta_constants()
-        dtab = build_divisor_table(xmax + vmax)
-        for v in config.v_list:
-            for x in config.x_list:
-                emp = sum_fn(x, v, dtab).value
-                mains = [main(x, v, zc, t) for t in (1, 2, 3)]
-                rows.append(_row(config, x, v, emp, mains))
-    else:
-        spf = build_spf(xmax + vmax)
-        spec = sigma_spec(config.alpha)
-        for v in config.v_list:
-            for x in config.x_list:
-                emp = sum_shifted_product(spec, x, v, spf).value
-                m = sigma_correlation_main_term(x, v, config.alpha)
-                rows.append(_row(config, x, v, emp, [m, m, m]))
+        dtab = build_divisor_table(table_limit)
+
+        def cell(x: int, v: int) -> tuple[int, list[float]]:
+            return sum_fn(x, v, dtab).value, [main(x, v, zc, t) for t in (1, 2, 3)]
+
+    rows = []
+    for v in config.v_list:
+        for x in config.x_list:
+            emp, mains = cell(x, v)
+            residual = emp - mains[config.truncation - 1]
+            scaled = residual / x**config.residual_exponent
+            rows.append(ComparisonRow(config.kind, x, v, emp, *mains, residual, scaled))
     return rows
-
-
-def _row(
-    config: RunConfig, x: int, v: int, empirical: int, mains: list[float]
-) -> ComparisonRow:
-    residual = empirical - mains[config.truncation - 1]
-    return ComparisonRow(
-        kind=config.kind,
-        x=x,
-        v=v,
-        empirical=empirical,
-        main1=mains[0],
-        main2=mains[1],
-        main3=mains[2],
-        residual=residual,
-        residual_scaled=residual / x**config.residual_exponent,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +213,46 @@ def run_verify(
     return VerifyReport(results)
 
 
-def _first_bad(lhs: np.ndarray, rhs: np.ndarray, label: str) -> tuple[int, str | None]:
-    bad = np.nonzero(lhs != rhs)[0]
+# (checks, failures, first counterexample or None) of one row, array or
+# identity report; a suite with many checks per row yields one per row, and
+# a message is formatted only for a failing check
+_Outcome = tuple[int, int, "str | None"]
+
+
+def _tally(suite: Callable[..., Iterator[_Outcome]]) -> Callable[..., SuiteResult]:
+    """Run a suite's outcome generator into its SuiteResult, named after the
+    function (_suite_<name>); the one place a suite's result is formed."""
+    name = suite.__name__.removeprefix("_suite_")
+
+    @functools.wraps(suite)
+    def run(*args: int) -> SuiteResult:
+        checks = failures = 0
+        first = None
+        for n, bad, msg in suite(*args):
+            checks += n
+            failures += bad
+            first = first or msg
+        return SuiteResult(name, checks, failures, first)
+
+    return run
+
+
+def _compare(lhs: np.ndarray, rhs: np.ndarray, label: str) -> _Outcome:
+    bad = np.flatnonzero(lhs != rhs)
     if len(bad) == 0:
-        return 0, None
+        return len(lhs), 0, None
     i = int(bad[0])
-    return len(bad), f"{label} index {i}: {int(lhs[i])} != {int(rhs[i])}"
+    return len(lhs), len(bad), f"{label} index {i}: {int(lhs[i])} != {int(rhs[i])}"
 
 
-def _suite_lemma1(xmax: int, vmax: int) -> SuiteResult:
+def _reported(r: IdentityReport) -> _Outcome:
+    if r.passed:
+        return 1, 0, None
+    return 1, 1, f"v={r.v}: |{r.lhs} - {r.rhs}| > {r.tolerance}"
+
+
+@_tally
+def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
     # both transform directions, checked for every x <= xmax and v <= vmax
     charge(2 * vmax * (xmax + 1) * 8)
     dtab = build_divisor_table(xmax + vmax)
@@ -246,8 +266,6 @@ def _suite_lemma1(xmax: int, vmax: int) -> SuiteResult:
         poly_cum[v] = np.cumsum(
             shifted_product_values(dtab, xmax, v), dtype=np.int64
         )
-    checks = failures = 0
-    first = None
     for v in range(1, vmax + 1):
         rhs_dd = np.zeros(xmax + 1, dtype=np.int64)
         rhs_poly = np.zeros(xmax + 1, dtype=np.int64)
@@ -255,19 +273,12 @@ def _suite_lemma1(xmax: int, vmax: int) -> SuiteResult:
             rhs_dd += poly_cum[v // e][idx // e]
         for e, mu in mobius_divisors(v):
             rhs_poly += mu * dd_cum[v // e][idx // e]
-        for lhs, rhs, tag in (
-            (dd_cum[v][1:], rhs_dd[1:], f"pair form v={v}, x="),
-            (poly_cum[v][1:], rhs_poly[1:], f"product form v={v}, x="),
-        ):
-            checks += xmax
-            nbad, msg = _first_bad(lhs, rhs, tag)
-            failures += nbad
-            if first is None and msg:
-                first = msg
-    return SuiteResult("lemma1", checks, failures, first)
+        yield _compare(dd_cum[v][1:], rhs_dd[1:], f"pair form v={v}, x=")
+        yield _compare(poly_cum[v][1:], rhs_poly[1:], f"product form v={v}, x=")
 
 
-def _suite_lemma2(nmax: int, vmax: int) -> SuiteResult:
+@_tally
+def _suite_lemma2(nmax: int, vmax: int) -> Iterator[_Outcome]:
     # pointwise d(n) d(n+v) == sum_{e | gcd(n,v)} d(n(n+v)/e^2); the inner
     # term at n = e m equals the shifted-product value at (m, v/e)
     charge(vmax * (nmax + 1) * 8)
@@ -277,29 +288,21 @@ def _suite_lemma2(nmax: int, vmax: int) -> SuiteResult:
         w: shifted_product_values(dtab, nmax, w).astype(np.int64)
         for w in range(1, vmax + 1)
     }
-    checks = failures = 0
-    first = None
     for v in range(1, vmax + 1):
         lhs = d[1 : nmax + 1] * d[1 + v : nmax + v + 1]
         rhs = np.zeros(nmax + 1, dtype=np.int64)
         for e in divisors(trial_factorize(v)):
-            m_count = nmax // e
-            rhs[e :: e] += spt[v // e][1 : m_count + 1]
-        checks += nmax
-        nbad, msg = _first_bad(lhs, rhs[1:], f"v={v}, n=")
-        failures += nbad
-        if first is None and msg:
-            first = msg
-    return SuiteResult("lemma2", checks, failures, first)
+            rhs[e :: e] += spt[v // e][1 : nmax // e + 1]
+        yield _compare(lhs, rhs[1:], f"v={v}, n=")
 
 
-def _suite_induction(pmax: int, alpha_max: int) -> SuiteResult:
+@_tally
+def _suite_induction(pmax: int, alpha_max: int) -> Iterator[_Outcome]:
     # sum_{m<=beta} g(p)^m f(p^(alpha+beta-2m)) == f(p^alpha) f(p^beta) for
     # recurrence-generated prime-power values; g == 1 for d, g(p) = p for
     # sigma_1
     primes = [p for p in range(2, pmax + 1) if all(p % q for q in range(2, p))]
-    checks = failures = 0
-    first = None
+    pairs = [(a, b) for a in range(alpha_max + 1) for b in range(a + 1)]
     for label, f_of_p, g_of_p in (
         ("d", lambda p: 2, lambda p: 1),
         ("sigma_1", lambda p: p + 1, lambda p: p),
@@ -307,25 +310,21 @@ def _suite_induction(pmax: int, alpha_max: int) -> SuiteResult:
         for p in primes:
             fp, gp = f_of_p(p), g_of_p(p)
             values = [chebyshev_extend(fp, gp, k) for k in range(2 * alpha_max + 1)]
-            for alpha in range(alpha_max + 1):
-                for beta in range(alpha + 1):
-                    lhs = sum(
-                        gp**m * values[alpha + beta - 2 * m]
-                        for m in range(beta + 1)
+            bad = []
+            for alpha, beta in pairs:
+                lhs = sum(
+                    gp**m * values[alpha + beta - 2 * m] for m in range(beta + 1)
+                )
+                rhs = values[alpha] * values[beta]
+                if lhs != rhs:
+                    bad.append(
+                        f"{label} p={p} alpha={alpha} beta={beta}: {lhs} != {rhs}"
                     )
-                    rhs = values[alpha] * values[beta]
-                    checks += 1
-                    if lhs != rhs:
-                        failures += 1
-                        if first is None:
-                            first = (
-                                f"{label} p={p} alpha={alpha} beta={beta}: "
-                                f"{lhs} != {rhs}"
-                            )
-    return SuiteResult("induction", checks, failures, first)
+            yield len(pairs), len(bad), bad[0] if bad else None
 
 
-def _suite_genrec(amax: int) -> SuiteResult:
+@_tally
+def _suite_genrec(amax: int) -> Iterator[_Outcome]:
     # gcd-weighted convolution identity f(a) f(b) == sum g(e) f(ab/e^2) for
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
     # on pairs with ab inside the tau table; the SPF table, the tau table,
@@ -344,8 +343,6 @@ def _suite_genrec(amax: int) -> SuiteResult:
         (sigma_spec(2), amax * amax),
         (tau_spec(tau), tau_limit),
     ]
-    checks = failures = 0
-    first = None
     for spec, prod_limit in specs:
         fval = build_mult_table(spec, spf, prod_limit).tolist()
         gval = {
@@ -353,75 +350,56 @@ def _suite_genrec(amax: int) -> SuiteResult:
             for e in range(1, amax + 1)
         }
         for a in range(1, amax + 1):
-            b_top = min(amax, prod_limit // a)
-            for b in range(a, b_top + 1):
+            bs = range(a, min(amax, prod_limit // a) + 1)
+            bad = []
+            for b in bs:
                 lhs = fval[a] * fval[b]
                 rhs = 0
                 ab = a * b
                 for e in divisors(trial_factorize(math.gcd(a, b))):
                     rhs += gval[e] * fval[ab // (e * e)]
-                checks += 1
                 if lhs != rhs:
-                    failures += 1
-                    if first is None:
-                        first = f"{spec.name} a={a} b={b}: {lhs} != {rhs}"
-    return SuiteResult("genrec", checks, failures, first)
+                    bad.append(f"{spec.name} a={a} b={b}: {lhs} != {rhs}")
+            yield len(bs), len(bad), bad[0] if bad else None
 
 
-def _report_suite(name: str, reports) -> SuiteResult:
-    failures = 0
-    first = None
-    reports = list(reports)
-    for r in reports:
-        if not r.passed:
-            failures += 1
-            if first is None:
-                first = f"v={r.v}: |{r.lhs} - {r.rhs}| > {r.tolerance}"
-    return SuiteResult(name, len(reports), failures, first)
-
-
-def _suite_sigma_lambda(vmax: int, kmax: int) -> SuiteResult:
-    return _report_suite(
-        "sigma_lambda",
-        (
-            sigma_lambda_identity(v, k)
-            for v in range(1, vmax + 1)
-            for k in range(kmax + 1)
-        ),
+@_tally
+def _suite_sigma_lambda(vmax: int, kmax: int) -> Iterator[_Outcome]:
+    return (
+        _reported(sigma_lambda_identity(v, k))
+        for v in range(1, vmax + 1)
+        for k in range(kmax + 1)
     )
 
 
-def _suite_binomial(vmax: int, nmax: int) -> SuiteResult:
-    return _report_suite(
-        "binomial",
-        (
-            binomial_log_identity(v, n)
-            for v in range(1, vmax + 1)
-            for n in range(nmax + 1)
-        ),
+@_tally
+def _suite_binomial(vmax: int, nmax: int) -> Iterator[_Outcome]:
+    return (
+        _reported(binomial_log_identity(v, n))
+        for v in range(1, vmax + 1)
+        for n in range(nmax + 1)
     )
 
 
-def _suite_coeff_consistency(vmax: int) -> SuiteResult:
+@_tally
+def _suite_coeff_consistency(vmax: int) -> Iterator[_Outcome]:
     zc = compute_zeta_constants()
-    failures = 0
-    first = None
-    count = 0
     for v in range(1, vmax + 1):
         rep = coefficient_consistency(v, zc)
-        count += 1
-        if not rep.passed:
-            failures += 1
-            if first is None:
-                first = f"v={v}: max deviation {rep.max_abs_diff:.3e}"
-    return SuiteResult("coeff_consistency", count, failures, first)
+        yield 1, not rep.passed, (
+            None if rep.passed else f"v={v}: max deviation {rep.max_abs_diff:.3e}"
+        )
 
 
 # ---------------------------------------------------------------------------
 # serialisation
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "kind,x,v,empirical,main1,main2,main3,residual,residual_scaled"
+# field name -> type, in declaration order: the one field list behind the
+# CSV header, both writers and both readers
+_FIELDS = get_type_hints(ComparisonRow)
+_QUOTED_IN_JSON = ("kind", "empirical")
+CSV_HEADER = ",".join(_FIELDS)
 
 
 def _fmt17(x: float) -> str:
@@ -434,37 +412,25 @@ def emit(rows: Sequence[ComparisonRow], fmt: str) -> bytes:
     Binary64 fields carry 17 significant digits (lossless round trip); the
     exact integer `empirical` is a decimal string in both formats.
     """
+    table = [
+        [
+            _fmt17(getattr(r, name)) if kind is float else str(getattr(r, name))
+            for name, kind in _FIELDS.items()
+        ]
+        for r in rows
+    ]
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    (
-                        r.kind,
-                        str(r.x),
-                        str(r.v),
-                        str(r.empirical),
-                        _fmt17(r.main1),
-                        _fmt17(r.main2),
-                        _fmt17(r.main3),
-                        _fmt17(r.residual),
-                        _fmt17(r.residual_scaled),
-                    )
-                )
-            )
+        lines = [CSV_HEADER] + [",".join(cells) for cells in table]
         return ("\n".join(lines) + "\n").encode("ascii")
     if fmt == "json":
         items = [
-            (
-                f'{{"kind": "{r.kind}", "x": {r.x}, "v": {r.v},'
-                f' "empirical": "{r.empirical}", "main1": {_fmt17(r.main1)},'
-                f' "main2": {_fmt17(r.main2)}, "main3": {_fmt17(r.main3)},'
-                f' "residual": {_fmt17(r.residual)},'
-                f' "residual_scaled": {_fmt17(r.residual_scaled)}}}'
+            ", ".join(
+                f'"{name}": ' + (f'"{cell}"' if name in _QUOTED_IN_JSON else cell)
+                for name, cell in zip(_FIELDS, cells)
             )
-            for r in rows
+            for cells in table
         ]
-        return ("[" + ", ".join(items) + "]\n").encode("ascii")
+        return ("[" + ", ".join(f"{{{i}}}" for i in items) + "]\n").encode("ascii")
     raise ContractError(f"unknown format {fmt!r}")
 
 
@@ -474,25 +440,14 @@ def parse_rows(data: bytes, fmt: str) -> list[ComparisonRow]:
         lines = data.decode("ascii").splitlines()
         if not lines or lines[0] != CSV_HEADER:
             raise ContractError("missing CSV header")
-        out = []
-        for line in lines[1:]:
-            kind, x, v, emp, m1, m2, m3, res, scaled = line.split(",")
-            out.append(
-                ComparisonRow(
-                    kind, int(x), int(v), int(emp),
-                    float(m1), float(m2), float(m3), float(res), float(scaled),
-                )
-            )
-        return out
-    if fmt == "json":
-        out = []
-        for obj in json.loads(data.decode("ascii")):
-            out.append(
-                ComparisonRow(
-                    obj["kind"], obj["x"], obj["v"], int(obj["empirical"]),
-                    obj["main1"], obj["main2"], obj["main3"],
-                    obj["residual"], obj["residual_scaled"],
-                )
-            )
-        return out
-    raise ContractError(f"unknown format {fmt!r}")
+        records = [line.split(",") for line in lines[1:]]
+    elif fmt == "json":
+        records = [
+            [obj[name] for name in _FIELDS] for obj in json.loads(data.decode("ascii"))
+        ]
+    else:
+        raise ContractError(f"unknown format {fmt!r}")
+    return [
+        ComparisonRow(*(kind(cell) for kind, cell in zip(_FIELDS.values(), record)))
+        for record in records
+    ]

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from divcorr import cli, harness, sieve
+from divcorr import cli, constants, harness, sieve
 from divcorr.cli import main
 
 
@@ -91,6 +91,15 @@ def test_sum_dpoly_needs_no_output_array(capsys, monkeypatch):
     monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
     assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 0
     assert capsys.readouterr().out == "1272072482\n"
+
+
+def test_constants_memory_cap_exit_code(capsys, monkeypatch):
+    # the arrays of the default 1e6 terms peak at 72 MB
+    monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
+    constants.compute_zeta_constants.cache_clear()  # a cached call allocates nothing
+    assert main(["constants"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_unknown_suite_usage_error():

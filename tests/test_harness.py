@@ -255,7 +255,7 @@ def _plant(suite):
 
     def a1_off(v, zc):
         r = rep(v, zc)
-        return dataclasses.replace(r, a1_combined=r.a1_direct + 0.5) if v % 5 == 0 else r
+        return r if v % 5 else dataclasses.replace(r, a1_combined=r.a1_direct + 0.5)
 
     return "coefficient_consistency", a1_off
 

@@ -2,6 +2,7 @@ import os
 import signal
 import tracemalloc
 from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ class TestSegmentedConstruction:
         for segment_size in (777, 1009, 4096):
             assert build(segment_size) == mono, segment_size
 
+    @given(
+        segment_size=st.integers(min_value=64, max_value=5000),
+        x=st.integers(min_value=1, max_value=30_000),
+        v=st.integers(min_value=1, max_value=2000),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_random_windows_match_one_window(self, segment_size, x, v):
+        def build(size):
+            with mock.patch.object(dc.sieve, "SEGMENT_SIZE", size):
+                dtab = dc.build_divisor_table(x + v)
+                return (
+                    dtab.values.tobytes(),
+                    dc.build_spf(x + v).spf.tobytes(),
+                    dc.shifted_product_values(dtab, x, v).tobytes(),
+                    dc.sum_dd(x, v, dtab).value,
+                    dc.sum_dpoly(x, v, dtab).value,
+                )
+
+        assert build(segment_size) == build(x + v + 1)
 
     @pytest.mark.parametrize("segment_size", [777, 1009, 4096])
     def test_worker_pool_matches_in_process_and_oracles(self, monkeypatch, segment_size):
