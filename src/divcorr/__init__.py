@@ -65,11 +65,13 @@ from divcorr.harness import (
 )
 from divcorr.sieve import (
     DivisorTable,
+    PairSums,
     SpfTable,
     build_divisor_table,
     build_mult_table,
     build_spf,
     shifted_product_values,
+    stream_pair_sums,
 )
 
 __version__ = "0.1.0"

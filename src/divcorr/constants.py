@@ -38,6 +38,9 @@ DEFAULT_TRUNCATION = 1_000_000
 # for truncations 1e4-2e6, four float64 arrays, one product temporary and
 # the 32 B per term of a tolist() list of floats)
 _ZETA_TERM_BYTES = 80
+# bytes per term of zeta_em: n and n^(-s) in float64 (tracemalloc: 16.0
+# for truncations 1e4-1e6)
+_ZETA_EM_TERM_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -152,10 +155,14 @@ def compute_zeta_constants(
     )
 
 
+@lru_cache(maxsize=None, typed=True)
 def zeta_em(s: float, truncation: int = 100_000) -> float:
-    """zeta(s) for real s > 1 by direct summation with Euler-Maclaurin tail."""
+    """zeta(s) for real s > 1 by direct summation with Euler-Maclaurin tail,
+    cached per (s, truncation).  Raises ResourceError when the per-term
+    arrays would exceed the memory cap."""
     if s <= 1.0:
         raise ContractError("zeta_em needs s > 1")
+    charge(_ZETA_EM_TERM_BYTES * truncation)
     n = np.arange(1, truncation + 1, dtype=np.float64)
     head = float(np.sum(n ** (-s)))
     tail, _ = _tail_log_power(truncation, 0, s)

@@ -10,8 +10,9 @@ other through exact divisor sums over v; everything here is evaluated in
 the spec's exact value domain (Python integers for d, sigma_k, tau).
 
 The d sums fold the windows of sieve.shifted_windows over a DivisorTable
-into exact ints, in uint64 per window and O(window) memory.  The f sums
-walk sieve.windows over one exact object-dtype f-table from
+into exact ints, in uint64 per window and O(window) memory; sum_dd also
+reads the exact cells of sieve.stream_pair_sums, which keeps no d-table.
+The f sums walk sieve.windows over one exact object-dtype f-table from
 sieve.build_mult_table over an SpfTable covering x + v, which also serves
 every inner sum of a transform; the product form splits each n(n+v) into
 coprime parts at the primes of v, so it needs no factorisation per n.
@@ -33,7 +34,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import DivisorTable, SpfTable, build_mult_table
+from divcorr.sieve import DivisorTable, PairSums, SpfTable, build_mult_table
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,21 @@ def _unit(p: int) -> int:
     return 1
 
 
-def sum_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
+def sum_dd(x: int, v: int, tables: DivisorTable | PairSums) -> CorrelationSum:
     """Exact sum of d(n) d(n+v) over n <= x; x = 0 gives the empty sum.
 
-    The terms come window by window from sieve.shifted_windows, which
-    raises OverflowError if a window's max d(n) * max d(n+v) reaches 2^32.
+    From PairSums it is the streamed sum of the cell (x, v), RangeError if
+    that cell was not served.  From a DivisorTable the terms come window by
+    window from sieve.shifted_windows, which raises OverflowError if a
+    window's max d(n) * max d(n+v) reaches 2^32.
     """
     check_range(x, v)
-    value = _exact_sum(sieve.shifted_windows(tables, x, v, False)) if x else 0
+    if not x:
+        value = 0
+    elif isinstance(tables, PairSums):
+        value = tables.at(x, v)
+    else:
+        value = _exact_sum(sieve.shifted_windows(tables, x, v, False))
     return CorrelationSum("dd", x, v, value)
 
 
@@ -120,9 +128,11 @@ def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     return CorrelationSum("dd", x, v, value)
 
 
-def sum_dpoly_from_dd(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
+def sum_dpoly_from_dd(
+    x: int, v: int, tables: DivisorTable | PairSums
+) -> CorrelationSum:
     """Moebius-inverted companion:  sum_{e|v} mu(e) sum_{n<=x/e} d(n) d(n+v/e).
-    Equals sum_dpoly."""
+    Equals sum_dpoly; PairSums must serve every cell (x/e, v/e)."""
     check_range(x, v)
     value = _lattice_sum(
         v, _unit, True, lambda e: sum_dd(x // e, v // e, tables).value

@@ -2,10 +2,12 @@
 
 run_verify exercises the exact and floating identity suites at configurable
 bounds; run_compare produces one ComparisonRow per (x, v) pair, with the
-empirical sum kept in exact integer arithmetic end to end.  emit/parse_rows
-serialise rows to CSV or JSON deterministically (17 significant digits for
-binary64 fields, decimal strings for exact integers), so output is
-byte-identical across runs.
+empirical sum kept in exact integer arithmetic end to end.  The dd and
+dpoly rows read one sieve.stream_pair_sums pass over every pair-form cell
+they need, so compare holds no d-table; the verify suites and sigma_corr
+read tables.  emit/parse_rows serialise rows to CSV or JSON
+deterministically (17 significant digits for binary64 fields, decimal
+strings for exact integers), so output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from divcorr.sieve import (
     build_spf,
     charge,
     shifted_product_values,
+    stream_pair_sums,
 )
 
 KINDS = ("dd", "dpoly", "sigma_corr")
@@ -122,9 +125,8 @@ class ComparisonRow:
 
 def run_compare(config: RunConfig) -> list[ComparisonRow]:
     """One row per (v, x), v-major order; deterministic across runs."""
-    table_limit = max(config.x_list) + max(config.v_list)
     if config.kind == "sigma_corr":
-        spf = build_spf(table_limit)
+        spf = build_spf(max(config.x_list) + max(config.v_list))
         spec = sigma_spec(config.alpha)
 
         def cell(x: int, v: int) -> tuple[int, list[float]]:
@@ -132,17 +134,24 @@ def run_compare(config: RunConfig) -> list[ComparisonRow]:
             return emp, [sigma_correlation_main_term(x, v, config.alpha)] * 3
 
     else:
-        # both kinds read the one d-table; product-form cells go through
-        # Lemma 1 on pair-form sums
+        # one streamed pass serves every pair-form cell (x/e, v/e) a row
+        # reads: e = 1 for dd; product-form rows go through Lemma 1
         if config.kind == "dd":
             sum_fn, main = sum_dd, estermann_main_term
+            lattice: Callable[[int], list[int]] = lambda v: [1]
         else:
             sum_fn, main = sum_dpoly_from_dd, shifted_product_main_term
+            lattice = lambda v: [e for e, _ in mobius_divisors(v)]
         zc = compute_zeta_constants()
-        dtab = build_divisor_table(table_limit)
+        sums = stream_pair_sums(
+            (x // e, v // e)
+            for v in config.v_list
+            for e in lattice(v)
+            for x in config.x_list
+        )
 
         def cell(x: int, v: int) -> tuple[int, list[float]]:
-            return sum_fn(x, v, dtab).value, [main(x, v, zc, t) for t in (1, 2, 3)]
+            return sum_fn(x, v, sums).value, [main(x, v, zc, t) for t in (1, 2, 3)]
 
     rows = []
     for v in config.v_list:
@@ -241,8 +250,8 @@ def _compare(lhs: np.ndarray, rhs: np.ndarray, label: str) -> _Outcome:
     bad = np.flatnonzero(lhs != rhs)
     if len(bad) == 0:
         return len(lhs), 0, None
-    i = int(bad[0])
-    return len(lhs), len(bad), f"{label} index {i}: {int(lhs[i])} != {int(rhs[i])}"
+    i = int(bad[0])  # the arrays start at x = 1 (n = 1)
+    return len(lhs), len(bad), f"{label}{i + 1}: {int(lhs[i])} != {int(rhs[i])}"
 
 
 def _reported(r: IdentityReport) -> _Outcome:

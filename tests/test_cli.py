@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 
 import pytest
 
@@ -49,6 +50,70 @@ def test_sieve_worker_failure_exit_code(capsys, monkeypatch):
     assert main(["sum", "--kind", "dd", "--x", "5000", "--v", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: sieve worker") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["dd", "dpoly"])
+def test_compare_builds_no_divisor_table(capsys, monkeypatch, kind):
+    def no_table(limit):
+        raise AssertionError(f"compare built a d-table to {limit}")
+
+    monkeypatch.setattr(harness, "build_divisor_table", no_table)
+    argv = ["compare", "--kind", kind, "--x", "2,100,1000", "--v", "1,6,30"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9
+
+
+def test_compare_worker_killed_exit_code(capsys, monkeypatch):
+    fork = os.fork
+
+    def killed_fork():
+        pid = fork()
+        if pid == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return pid
+
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", killed_fork)
+    assert main(["compare", "--kind", "dpoly", "--x", "20000", "--v", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: sieve worker") and "signal 9" in captured.err
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_compare_needs_no_divisor_table_memory(capsys, monkeypatch):
+    # a d-table to 25e6 would be charged 100 MB; the streamed pass keeps a
+    # window, and the zeta constants' 80 MB fit under the cap
+    monkeypatch.setenv("DIVCORR_MEMCAP", "90000000")
+    assert main(["compare", "--kind", "dd", "--x", "25000000", "--v", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith("dd,25000000,1,5067141922,")
+
+
+@pytest.mark.parametrize("n", [5, 4000])
+def test_compare_dropped_divisor_raises(capsys, monkeypatch, n):
+    # the streamed pass checks sum d(n) at every x against the hyperbola
+    # identity; n = 4000 lies in the fourth window of 1009, which a child
+    # fills, and the first x past it is 10000
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fill = sieve._divisor_fill
+
+    def dropping(seg, lo, hi):
+        fill(seg, lo, hi)
+        if lo <= n <= hi:
+            seg[n - lo] -= 1
+
+    monkeypatch.setattr(sieve, "_divisor_fill", dropping)
+    first_bad = 10_000 if n == 4000 else 100
+    argv = ["compare", "--kind", "dd", "--x", "100,3999,10000", "--v", "1,6"]
+    with pytest.raises(RuntimeError, match=f"self-test failed at y={first_bad}:"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -71,6 +71,29 @@ class TestZetaConstants:
         with pytest.raises(dc.ContractError):
             dc.zeta_em(1.0)
 
+    def test_zeta_em_cached_and_charged(self, monkeypatch):
+        # n and n^(-s) in float64 are charged before they are allocated,
+        # and a repeated (s, truncation) allocates nothing
+        dc.zeta_em.cache_clear()
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(16 * 10**5 - 1))
+        with pytest.raises(dc.ResourceError):
+            dc.zeta_em(4.0)
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(16 * 10**5))
+        tracemalloc.start()
+        try:
+            first = dc.zeta_em(4.0)
+            lead = dc.sigma_correlation_main_term(100, 6, 1.5)  # zeta(2.5), zeta(5)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert dc.sigma_correlation_main_term(100, 6, 1.5) == lead
+            assert dc.zeta_em(4.0) == first
+            again = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 10**5 + 4096, peak
+        assert again < 1 << 14, again
+        assert dc.zeta_em.cache_info().currsize == 3  # zeta(4), zeta(2.5), zeta(5)
+
 
 class TestCoefficients:
     def test_pair_form_at_shift_one(self, zc):

@@ -269,9 +269,9 @@ class TestFailureReports:
             # the fault moves the product-form prefix sums of shift 2 from
             # x = 7 on: pair form v = 2 (x = 7..20) and v = 4 (x = 14..20),
             # product form v = 2 (x = 7..20)
-            ("lemma1", 480, 35, "pair form v=2, x= index 6: 50 != 51"),
+            ("lemma1", 480, 35, "pair form v=2, x=7: 50 != 51"),
             # n = 7 at v = 2 (e = 1) and n = 14 at v = 4 (e = 2)
-            ("lemma2", 240, 2, "v=2, n= index 6: 6 != 7"),
+            ("lemma2", 240, 2, "v=2, n=7: 6 != 7"),
             ("induction", 1350, 21, "sigma_1 p=2 alpha=2 beta=2: 50 != 49"),
             ("genrec", 312, 14, "sigma_1 a=2 b=3: 12 != 13"),
             ("sigma_lambda", 48, 1, "v=6: |2.5 - 0.5| > 1.0"),

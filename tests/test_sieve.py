@@ -286,6 +286,68 @@ class TestSegmentedConstruction:
         assert dc.build_spf(40_000).spf[39_999] == smallest_prime_factor_naive(39_999)
 
 
+class TestStreamedPairSums:
+    # 30030 is wider than every window below; y = 0 is the empty sum
+    SHIFTS = (1, 2, 12, 60, 1024, 30030)
+    YS = (0, 1, 2, 776, 777, 778, 1008, 1009, 1010, 4097, 12_345, 20_000)
+
+    @pytest.mark.parametrize("segment_size", [777, 1009, 4096])
+    def test_matches_table_path(self, monkeypatch, segment_size):
+        # three CPUs split the windows unevenly between the parent and two
+        # children; the cells mix checkpoints on and beside window edges
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cells = [(y, w) for y in self.YS for w in self.SHIFTS]
+        sums = dc.stream_pair_sums(cells)
+        dtab = dc.build_divisor_table(max(self.YS) + max(self.SHIFTS))
+        for y, w in cells:
+            assert dc.sum_dd(y, w, sums) == dc.sum_dd(y, w, dtab), (y, w)
+        assert dc.sum_dd(776, 2, sums).value == sum(
+            d_naive(n) * d_naive(n + 2) for n in range(1, 777)
+        )
+
+    @given(
+        segment_size=st.integers(min_value=64, max_value=5000),
+        cells=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=30_000),
+                st.integers(min_value=1, max_value=2000),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_random_windows_match_table_path(self, segment_size, cells):
+        with mock.patch.object(dc.sieve, "SEGMENT_SIZE", segment_size):
+            sums = dc.stream_pair_sums(cells)
+        dtab = dc.build_divisor_table(max(y + w for y, w in cells))
+        for y, w in cells:
+            assert dc.sum_dd(y, w, sums) == dc.sum_dd(y, w, dtab), (y, w)
+
+    def test_cells_outside_the_pass(self):
+        sums = dc.stream_pair_sums([(10, 2), (0, 3)])
+        assert dc.sum_dd(0, 3, sums).value == 0
+        with pytest.raises(dc.RangeError):
+            dc.sum_dd(10, 3, sums)
+        with pytest.raises(dc.RangeError):
+            dc.stream_pair_sums([(10, 0)])
+        with pytest.raises(dc.RangeError):
+            dc.stream_pair_sums([(-1, 2)])
+        assert dc.stream_pair_sums([(0, 5)]).sums == {}
+
+    def test_keeps_no_d_table(self, monkeypatch):
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        tracemalloc.start()
+        try:
+            dc.stream_pair_sums([(10**6, v) for v in (1, 2, 6, 12)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * dc.sieve.SEGMENT_SIZE, peak
+
+
 def _failing_children(monkeypatch, how):
     """Make every forked sieve worker die at once, by exit or by SIGKILL."""
     fork = os.fork
@@ -346,7 +408,9 @@ class TestWorkerFailure:
             table[lo : hi + 1] = 1
 
         with pytest.raises(KeyError):
-            dc.sieve._fan_out(20_000, np.uint32, fill)
+            dc.sieve._fan_out(
+                20_001, np.uint32, list(dc.sieve.windows(0, 20_000)), fill
+            )
         _assert_no_child_left()
 
 
