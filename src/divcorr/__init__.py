@@ -44,6 +44,7 @@ from divcorr.constants import (
 )
 from divcorr.correlate import (
     CorrelationSum,
+    streamed_d_sums,
     sum_correlation,
     sum_dd,
     sum_dd_from_dpoly,

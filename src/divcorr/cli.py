@@ -1,4 +1,5 @@
-"""Command-line interface: verify, sum, constants, compare.
+"""Command-line interface: verify, sum, constants, compare; sum and compare
+take their exact d sums from correlate.streamed_d_sums, with no d-table.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 error.  The DIVCORR_MEMCAP environment variable overrides the memory cap.
@@ -11,10 +12,9 @@ import json
 import sys
 
 from divcorr.constants import asymptotic_coefficients, compute_zeta_constants
-from divcorr.correlate import check_range, sum_dd, sum_dpoly
+from divcorr.correlate import streamed_d_sums
 from divcorr.errors import ContractError, RangeError, ResourceError
 from divcorr.harness import KINDS, SUITES, RunConfig, emit, run_compare, run_verify
-from divcorr.sieve import build_divisor_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -83,9 +83,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    sum_fn = sum_dd if args.kind == "dd" else sum_dpoly
-    check_range(args.x, args.v)  # before sieving x + v
-    print(sum_fn(args.x, args.v, build_divisor_table(args.x + args.v)).value)
+    print(streamed_d_sums(args.kind, [(args.x, args.v)])[0])
     return EXIT_OK
 
 

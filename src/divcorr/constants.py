@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -34,10 +36,11 @@ from divcorr.errors import ContractError
 from divcorr.sieve import charge
 
 DEFAULT_TRUNCATION = 1_000_000
-# bytes per term at the peak of compute_zeta_constants (tracemalloc: 72.0
-# for truncations 1e4-2e6, four float64 arrays, one product temporary and
-# the 32 B per term of a tolist() list of floats)
-_ZETA_TERM_BYTES = 80
+# terms per chunk of the head sums of compute_zeta_constants, and the bytes
+# charged for one: a float64 array and the 32 B per term of its tolist()
+# list of floats (tracemalloc: 40.0 B per term for truncations 2^16-1e6)
+_ZETA_CHUNK = 1 << 16
+_ZETA_CHUNK_BYTES = 48 * _ZETA_CHUNK
 # bytes per term of zeta_em: n and n^(-s) in float64 (tracemalloc: 16.0
 # for truncations 1e4-1e6)
 _ZETA_EM_TERM_BYTES = 16
@@ -106,21 +109,26 @@ def compute_zeta_constants(
     and zeta''(2) = sum log^2 n / n^2 are summed to the truncation point with
     tail corrections through the third derivative.  Raises ContractError when
     the requested precision cannot be certified in binary64, and
-    ResourceError when the per-term arrays would exceed the memory cap.
+    ResourceError when one chunk of the head sums would exceed the memory cap.
     """
     if precision_target < 1e-14:
         raise ContractError("binary64 cannot certify targets below 1e-14")
     m = truncation
-    charge(_ZETA_TERM_BYTES * m)
-    n = np.arange(1, m + 1, dtype=np.float64)
-    inv = 1.0 / n
-    inv2 = inv * inv
-    logs = np.log(n)
-    # head sums via fsum: exactly rounded, so only per-term rounding remains
-    harmonic = math.fsum(inv.tolist())
-    s2 = math.fsum(inv2.tolist())
-    s2l = math.fsum((logs * inv2).tolist())
-    s2ll = math.fsum((logs * logs * inv2).tolist())
+    charge(_ZETA_CHUNK_BYTES)
+
+    def head(term: Callable[[np.ndarray], np.ndarray]) -> float:
+        # fsum is exactly rounded, so only per-term rounding remains, and
+        # feeding it chunk by chunk cannot change the sum
+        chunks = (
+            term(np.arange(lo, min(lo + _ZETA_CHUNK, m + 1), dtype=np.float64))
+            for lo in range(1, m + 1, _ZETA_CHUNK)
+        )
+        return math.fsum(chain.from_iterable(c.tolist() for c in chunks))
+
+    harmonic = head(lambda n: 1.0 / n)
+    s2 = head(lambda n: (1.0 / n) * (1.0 / n))
+    s2l = head(lambda n: np.log(n) * ((1.0 / n) * (1.0 / n)))
+    s2ll = head(lambda n: np.log(n) * np.log(n) * ((1.0 / n) * (1.0 / n)))
 
     lm = math.log(m)
     gamma = harmonic - lm - 0.5 / m + 1.0 / (12.0 * m**2) - 1.0 / (120.0 * m**4)

@@ -11,7 +11,8 @@ the spec's exact value domain (Python integers for d, sigma_k, tau).
 
 The d sums fold the windows of sieve.shifted_windows over a DivisorTable
 into exact ints, in uint64 per window and O(window) memory; sum_dd also
-reads the exact cells of sieve.stream_pair_sums, which keeps no d-table.
+reads the exact cells of sieve.stream_pair_sums, which keeps no d-table;
+streamed_d_sums, the route of every d sum the CLI prints, reads only those.
 The f sums walk sieve.windows over one exact object-dtype f-table from
 sieve.build_mult_table over an SpfTable covering x + v, which also serves
 every inner sum of a transform; the product form splits each n(n+v) into
@@ -21,7 +22,7 @@ coprime parts at the primes of v, so it needs no factorisation per n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -57,7 +58,7 @@ def _exact_sum(terms: Iterable[np.ndarray]) -> int:
     return sum(int(np.sum(window, dtype=np.uint64)) for window in terms)
 
 
-def check_range(x: int, v: int) -> None:
+def _check_range(x: int, v: int) -> None:
     """Raise RangeError unless v >= 1 and x >= 0."""
     if v < 1:
         raise RangeError("shift v must be >= 1")
@@ -95,7 +96,7 @@ def sum_dd(x: int, v: int, tables: DivisorTable | PairSums) -> CorrelationSum:
     window from sieve.shifted_windows, which raises OverflowError if a
     window's max d(n) * max d(n+v) reaches 2^32.
     """
-    check_range(x, v)
+    _check_range(x, v)
     if not x:
         value = 0
     elif isinstance(tables, PairSums):
@@ -113,7 +114,7 @@ def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     This is the direct sum; sum_dpoly_from_dd reaches the same value
     through pair-form sums.
     """
-    check_range(x, v)
+    _check_range(x, v)
     value = _exact_sum(sieve.shifted_windows(tables, x, v, True)) if x else 0
     return CorrelationSum("dpoly", x, v, value)
 
@@ -121,7 +122,7 @@ def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
 def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Assemble sum_{n<=x} d(n) d(n+v) from product-form sums over the
     divisors of v:  sum_{e|v} sum_{n<=x/e} d(n(n+v/e)).  Equals sum_dd."""
-    check_range(x, v)
+    _check_range(x, v)
     value = _lattice_sum(
         v, _unit, False, lambda e: sum_dpoly(x // e, v // e, tables).value
     )
@@ -133,11 +134,31 @@ def sum_dpoly_from_dd(
 ) -> CorrelationSum:
     """Moebius-inverted companion:  sum_{e|v} mu(e) sum_{n<=x/e} d(n) d(n+v/e).
     Equals sum_dpoly; PairSums must serve every cell (x/e, v/e)."""
-    check_range(x, v)
+    _check_range(x, v)
     value = _lattice_sum(
         v, _unit, True, lambda e: sum_dd(x // e, v // e, tables).value
     )
     return CorrelationSum("dpoly", x, v, value)
+
+
+def streamed_d_sums(kind: str, cells: Sequence[tuple[int, int]]) -> list[int]:
+    """Exact dd or dpoly sums at the cells (x, v), in order; RangeError for
+    a bad cell before anything is sieved.  One sieve.stream_pair_sums pass
+    serves the pair-form cells (x/e, v/e): e = 1 for dd; e | v squarefree
+    for dpoly, assembled by sum_dpoly_from_dd (Lemma 1).  The pass sieves a
+    window plus the widest shift, so a v far above x costs more than a
+    d-table to x + v would."""
+    if kind not in ("dd", "dpoly"):
+        raise ContractError(f"kind must be dd or dpoly, got {kind!r}")
+    for x, v in cells:
+        _check_range(x, v)
+    sums = sieve.stream_pair_sums(
+        (x // e, v // e)
+        for x, v in cells
+        for e, _ in ([(1, 1)] if kind == "dd" else mobius_divisors(v))
+    )
+    sum_fn = sum_dd if kind == "dd" else sum_dpoly_from_dd
+    return [sum_fn(x, v, sums).value for x, v in cells]
 
 
 # bytes per term of one window of the f-sums: int64 L and R, the weight,
@@ -199,7 +220,7 @@ def sum_correlation(
     """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
     empty sum.  f comes from one build_mult_table over an SPF table
     covering x + v, charged with the window temporaries of the sum."""
-    check_range(x, v)
+    _check_range(x, v)
     value = _pair_sum(_mult_table(spec, x, v, spf), x, v) if x else 0
     return CorrelationSum("ff", x, v, value, spec_name=spec.name)
 
@@ -219,7 +240,7 @@ def sum_shifted_product(
     over an SPF table covering x + v, and the stripping touches only the
     multiples of each p | v, window by window.
     """
-    check_range(x, v)
+    _check_range(x, v)
     value = _product_sum(spec, _mult_table(spec, x, v, spf), x, v) if x else 0
     return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
 
@@ -243,7 +264,7 @@ def transform_correlation(
         raise ContractError(f"spec {spec.name!r} has no companion g")
     if direction not in DIRECTIONS:
         raise ContractError(f"direction must be one of {DIRECTIONS}")
-    check_range(x, v)
+    _check_range(x, v)
     inverse = direction == "poly_from_corr"
     total: int | float = 0
     if x:

@@ -2,12 +2,11 @@
 
 run_verify exercises the exact and floating identity suites at configurable
 bounds; run_compare produces one ComparisonRow per (x, v) pair, with the
-empirical sum kept in exact integer arithmetic end to end.  The dd and
-dpoly rows read one sieve.stream_pair_sums pass over every pair-form cell
-they need, so compare holds no d-table; the verify suites and sigma_corr
-read tables.  emit/parse_rows serialise rows to CSV or JSON
-deterministically (17 significant digits for binary64 fields, decimal
-strings for exact integers), so output is byte-identical across runs.
+empirical sum kept in exact integer arithmetic end to end: dd and dpoly
+rows from correlate.streamed_d_sums with no d-table, sigma_corr rows and
+the verify suites from tables.  emit/parse_rows serialise rows to CSV or
+JSON deterministically (17 significant digits for binary64 fields,
+decimal strings for exact integers), so output is byte-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from divcorr.constants import (
     sigma_correlation_main_term,
     sigma_lambda_identity,
 )
-from divcorr.correlate import sum_dd, sum_dpoly_from_dd, sum_shifted_product
+from divcorr.correlate import streamed_d_sums, sum_shifted_product
 from divcorr.errors import ContractError
 from divcorr.sieve import (
     MULT_ENTRY_BYTES,
@@ -51,7 +50,6 @@ from divcorr.sieve import (
     build_spf,
     charge,
     shifted_product_values,
-    stream_pair_sums,
 )
 
 KINDS = ("dd", "dpoly", "sigma_corr")
@@ -125,41 +123,23 @@ class ComparisonRow:
 
 def run_compare(config: RunConfig) -> list[ComparisonRow]:
     """One row per (v, x), v-major order; deterministic across runs."""
+    cells = [(x, v) for v in config.v_list for x in config.x_list]
     if config.kind == "sigma_corr":
         spf = build_spf(max(config.x_list) + max(config.v_list))
         spec = sigma_spec(config.alpha)
-
-        def cell(x: int, v: int) -> tuple[int, list[float]]:
-            emp = sum_shifted_product(spec, x, v, spf).value
-            return emp, [sigma_correlation_main_term(x, v, config.alpha)] * 3
-
+        sums = [sum_shifted_product(spec, x, v, spf).value for x, v in cells]
+        alpha = config.alpha
+        mains = [[sigma_correlation_main_term(x, v, alpha)] * 3 for x, v in cells]
     else:
-        # one streamed pass serves every pair-form cell (x/e, v/e) a row
-        # reads: e = 1 for dd; product-form rows go through Lemma 1
-        if config.kind == "dd":
-            sum_fn, main = sum_dd, estermann_main_term
-            lattice: Callable[[int], list[int]] = lambda v: [1]
-        else:
-            sum_fn, main = sum_dpoly_from_dd, shifted_product_main_term
-            lattice = lambda v: [e for e, _ in mobius_divisors(v)]
+        main = estermann_main_term if config.kind == "dd" else shifted_product_main_term
         zc = compute_zeta_constants()
-        sums = stream_pair_sums(
-            (x // e, v // e)
-            for v in config.v_list
-            for e in lattice(v)
-            for x in config.x_list
-        )
-
-        def cell(x: int, v: int) -> tuple[int, list[float]]:
-            return sum_fn(x, v, sums).value, [main(x, v, zc, t) for t in (1, 2, 3)]
-
+        sums = streamed_d_sums(config.kind, cells)
+        mains = [[main(x, v, zc, t) for t in (1, 2, 3)] for x, v in cells]
     rows = []
-    for v in config.v_list:
-        for x in config.x_list:
-            emp, mains = cell(x, v)
-            residual = emp - mains[config.truncation - 1]
-            scaled = residual / x**config.residual_exponent
-            rows.append(ComparisonRow(config.kind, x, v, emp, *mains, residual, scaled))
+    for (x, v), emp, terms in zip(cells, sums, mains):
+        residual = emp - terms[config.truncation - 1]
+        scaled = residual / x**config.residual_exponent
+        rows.append(ComparisonRow(config.kind, x, v, emp, *terms, residual, scaled))
     return rows
 
 

@@ -348,9 +348,10 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
     adds each shift's slots in window order as Python ints, so the sums are
     exact and deterministic.
 
-    The pass also sums d(n) up to every y and checks that against the
+    The pass also sums d(n) up to every y, and up to the top y + w of any
+    cell, which the last window sieves to; it checks each against the
     hyperbola identity sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2,
-    r = floor(sqrt y); a mismatch raises RuntimeError naming y.  Charges
+    r = floor(sqrt y), and a mismatch raises RuntimeError naming y.  Charges
     16 B per buffer entry and 8 B per slot; raises RangeError for a cell
     with y < 0 or w < 1.
     """
@@ -364,12 +365,15 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
     if not marks[0]:
         return PairSums({})
     top, widest = max(marks[0]), max(marks)
+    # the last window sieves on to the top n + w any shift reads, and the d
+    # row sums that far too, so no sieved d(n) goes unchecked
+    marks[0].add(max(y + w for w in marks for y in marks[w]))
     # per shift: its last y, the starts of its segments and its first slot
     rows = []
     slot = 0
     for w in sorted(marks):
         last = max(marks[w])
-        cuts = {lo for lo, _ in windows(1, last)} | {y + 1 for y in marks[w]}
+        cuts = {lo for lo, _ in windows(1, min(last, top))} | {y + 1 for y in marks[w]}
         starts = np.array(sorted(cuts - {last + 1}), dtype=np.int64)
         rows.append((w, last, starts, slot))
         slot += len(starts)
@@ -379,17 +383,22 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
     pbuf = np.empty(size, dtype=np.uint32)
 
     def fill(slots: np.ndarray, lo: int, hi: int) -> None:
-        live = [row for row in rows if row[1] >= lo]
-        end = max(min(hi, last) + w for w, last, _, _ in live)
+        # each row still summing here, with the last n it sums in this window
+        live = [
+            (row, row[1] if hi == top else min(hi, row[1]))
+            for row in rows
+            if row[1] >= lo
+        ]
+        end = max(n + row[0] for row, n in live)
         dwin = dbuf[: end - lo + 1]
         dwin.fill(0)
         _divisor_fill(dwin, lo, end)
-        for w, last, starts, first in live:
-            m = min(hi, last) - lo + 1
+        for (w, _, starts, first), n in live:
+            m = n - lo + 1
             terms = dwin[:m]
             if w:
                 terms = _pair_products(terms, dwin[w : w + m], pbuf[:m])
-            i, j = np.searchsorted(starts, (lo, hi + 1))
+            i, j = np.searchsorted(starts, (lo, n + 1))
             cuts = (starts[i:j] - lo).tolist() + [m]
             for k, (a, b) in enumerate(zip(cuts, cuts[1:]), first + i):
                 slots[k] = np.sum(terms[a:b], dtype=np.uint64)

@@ -2,11 +2,16 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from divcorr import cli, constants, harness, sieve
+from divcorr import constants, harness, sieve
 from divcorr.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_sum_dd(capsys):
@@ -27,10 +32,10 @@ def test_sum_dpoly(capsys):
     [("-5", "2", "x must be >= 0"), ("30000000", "0", "shift v must be >= 1")],
 )
 def test_sum_validates_before_sieving(capsys, monkeypatch, kind, x, v, message):
-    def no_table(limit):
-        raise AssertionError(f"sieved {limit} before validating")
+    def no_pass(cells):
+        raise AssertionError(f"streamed {list(cells)} before validating")
 
-    monkeypatch.setattr(cli, "build_divisor_table", no_table)
+    monkeypatch.setattr(sieve, "stream_pair_sums", no_pass)
     assert main(["sum", "--kind", kind, "--x", x, "--v", v]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -50,6 +55,25 @@ def test_sieve_worker_failure_exit_code(capsys, monkeypatch):
     assert main(["sum", "--kind", "dd", "--x", "5000", "--v", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: sieve worker") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, value", [("dd", "112572"), ("dpoly", "45393")])
+def test_sum_builds_no_divisor_table(capsys, monkeypatch, kind, value):
+    # every d-table build, by any route, ends in the DivisorTable constructor;
+    # the values are the naive sums, and most cells (x/e, v/e) have x/e = 0
+    def no_table(limit, values):
+        raise AssertionError(f"sum built a d-table to {limit}")
+
+    monkeypatch.setattr(sieve, "DivisorTable", no_table)
+    assert main(["sum", "--kind", kind, "--x", "1000", "--v", "30030"]) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+
+
+def test_sum_needs_no_divisor_table_memory(capsys, monkeypatch):
+    # a d-table to 25e6 + 1 would be charged 100 MB; the pass keeps a window
+    monkeypatch.setenv("DIVCORR_MEMCAP", "90000000")
+    assert main(["sum", "--kind", "dd", "--x", "25000000", "--v", "1"]) == 0
+    assert capsys.readouterr().out == "5067141922\n"
 
 
 @pytest.mark.parametrize("kind", ["dd", "dpoly"])
@@ -85,7 +109,7 @@ def test_compare_worker_killed_exit_code(capsys, monkeypatch):
 
 def test_compare_needs_no_divisor_table_memory(capsys, monkeypatch):
     # a d-table to 25e6 would be charged 100 MB; the streamed pass keeps a
-    # window, and the zeta constants' 80 MB fit under the cap
+    # window, and the zeta constants one chunk
     monkeypatch.setenv("DIVCORR_MEMCAP", "90000000")
     assert main(["compare", "--kind", "dd", "--x", "25000000", "--v", "1"]) == 0
     row = capsys.readouterr().out.splitlines()[1]
@@ -143,28 +167,71 @@ def test_verify_genrec_memory_cap_exit_code(capsys, monkeypatch):
 
 
 def test_sum_dpoly_memory_cap_exit_code(capsys, monkeypatch):
-    # the 32 MB d-table fits the cap; the table plus 16 B per entry of one
-    # 2^19 window (40.4 MB) does not
-    monkeypatch.setenv("DIVCORR_MEMCAP", "36000000")
+    # the pass charges 16 B per entry of one 2^19 window plus the widest
+    # shift (8.4 MB)
+    monkeypatch.setenv("DIVCORR_MEMCAP", "8000000")
     assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sum_dpoly_needs_no_output_array(capsys, monkeypatch):
-    # the 32 MB table and a window fit 50 MB; no x-length array is charged
+    # one window fits 50 MB; no x-length array is charged
     monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
     assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 0
     assert capsys.readouterr().out == "1272072482\n"
 
 
 def test_constants_memory_cap_exit_code(capsys, monkeypatch):
-    # the arrays of the default 1e6 terms peak at 72 MB
-    monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
+    # one chunk of 2^16 head terms is charged 3.1 MB
+    monkeypatch.setenv("DIVCORR_MEMCAP", "3000000")
     constants.compute_zeta_constants.cache_clear()  # a cached call allocates nothing
     assert main(["constants"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a process keeps across exec the peak RSS of the one it replaced (a fork
+# of pytest), so the command runs in a child forked after the exec
+_PEAK_RSS = """
+import os, resource, sys
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+from divcorr.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+peak = max(resource.getrusage(who).ru_maxrss
+           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(code, peak, file=sys.stderr, flush=True)
+os._exit(0)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--kind", "dpoly", "--x", "30000000", "--v", "12"],
+        ["constants", "--json"],
+    ],
+    ids=["sum", "constants"],
+)
+def test_measured_peak_rss(argv):
+    # a fresh process, so no earlier test's memory or children count; its
+    # forked sieve workers do.  The ~30 MiB floor of the interpreter and
+    # numpy is inside the 64 MiB bound, not subtracted from it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    env.pop("DIVCORR_MEMCAP", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0 and proc.stdout
+    assert peak_kib < 64 << 10, f"peak RSS {peak_kib >> 10} MiB"
 
 
 def test_verify_unknown_suite_usage_error():

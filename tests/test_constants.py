@@ -60,6 +60,27 @@ class TestZetaConstants:
             tracemalloc.stop()
         assert charged and peak <= sum(charged), (peak, charged)
 
+    def test_peak_is_one_chunk_at_default_truncation(self, monkeypatch):
+        # the head sums hold one chunk of terms at a time, so the call is
+        # charged one chunk whatever the truncation, and peaks below it
+        charged = []
+        charge = dc.constants.charge
+
+        def record(nbytes):
+            charged.append(nbytes)
+            charge(nbytes)
+
+        monkeypatch.setattr(dc.constants, "charge", record)
+        dc.compute_zeta_constants.cache_clear()
+        tracemalloc.start()
+        try:
+            dc.compute_zeta_constants()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert charged == [dc.constants._ZETA_CHUNK_BYTES], charged
+        assert peak <= charged[0], (peak, charged)
+
     def test_rejects_impossible_precision(self):
         with pytest.raises(dc.ContractError):
             dc.compute_zeta_constants(precision_target=1e-15)

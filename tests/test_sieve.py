@@ -336,6 +336,25 @@ class TestStreamedPairSums:
             dc.stream_pair_sums([(-1, 2)])
         assert dc.stream_pair_sums([(0, 5)]).sums == {}
 
+    @pytest.mark.parametrize("y, w", [(1000, 1), (20_000, 30_030)])
+    def test_dropped_divisor_past_the_last_y_raises(self, monkeypatch, y, w):
+        # d(n + w) for n <= y reaches past y; the last window sieves it, and
+        # the d row is checked at its top, y + w.  At y = 20000 that window
+        # is a child's, and y + w = 50030 lies in no other window
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fill = dc.sieve._divisor_fill
+
+        def dropping(seg, lo, hi):
+            fill(seg, lo, hi)
+            if lo <= y + w <= hi:
+                seg[y + w - lo] -= 1
+
+        monkeypatch.setattr(dc.sieve, "_divisor_fill", dropping)
+        with pytest.raises(RuntimeError, match=f"self-test failed at y={y + w}:"):
+            dc.stream_pair_sums([(y, w)])
+        _assert_no_child_left()
+
     def test_keeps_no_d_table(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
