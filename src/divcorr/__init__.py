@@ -58,7 +58,6 @@ from divcorr.harness import (
     ComparisonRow,
     RunConfig,
     SuiteResult,
-    VerifyReport,
     emit,
     parse_rows,
     run_compare,
@@ -66,7 +65,6 @@ from divcorr.harness import (
 )
 from divcorr.sieve import (
     DivisorTable,
-    PairSums,
     SpfTable,
     build_divisor_table,
     build_mult_table,

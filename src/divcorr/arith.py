@@ -8,7 +8,7 @@ floating point only enters for real-exponent power sums and the
 log-weighted divisor sums.
 
 Key objects:
-    Factorization       ordered (prime, exponent) decomposition
+    Factorization       ordered (prime, exponent) pairs, a plain tuple
     MultiplicativeSpec  a multiplicative f given by its prime-power values,
                         optionally with the completely multiplicative
                         companion g of the Chebyshev-type recurrence
@@ -23,15 +23,9 @@ from typing import Callable, Sequence
 
 from divcorr.errors import ContractError, EvaluationError, RangeError
 
-
-@dataclass(frozen=True)
-class Factorization:
-    """Ordered prime factorisation ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
-
-    The integer 1 carries the empty tuple.
-    """
-
-    entries: tuple[tuple[int, int], ...]
+# ordered prime factorisation ((p1, e1), (p2, e2), ...) with p1 < p2 < ...;
+# the integer 1 carries the empty tuple
+Factorization = tuple[tuple[int, int], ...]
 
 
 def trial_factorize(n: int) -> Factorization:
@@ -51,13 +45,13 @@ def trial_factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         entries.append((m, 1))
-    return Factorization(tuple(entries))
+    return tuple(entries)
 
 
 def divisors(f: Factorization) -> list[int]:
     """All positive divisors, in deterministic (not sorted) order."""
     out = [1]
-    for p, e in f.entries:
+    for p, e in f:
         base = list(out)
         pk = 1
         for _ in range(e):
@@ -68,17 +62,17 @@ def divisors(f: Factorization) -> list[int]:
 
 def mobius(f: Factorization) -> int:
     """mu(n): 0 on squareful n, else (-1)^(number of prime factors)."""
-    for _, e in f.entries:
+    for _, e in f:
         if e >= 2:
             return 0
-    return -1 if len(f.entries) % 2 else 1
+    return -1 if len(f) % 2 else 1
 
 
 def mobius_divisors(n: int) -> list[tuple[int, int]]:
     """(e, mu(e)) for the divisors e of n with mu(e) != 0, i.e. the
     squarefree ones, in the order divisors() lists them."""
     out = [(1, 1)]
-    for p, _ in trial_factorize(n).entries:
+    for p, _ in trial_factorize(n):
         out += [(e * p, -mu) for e, mu in out]
     return out
 
@@ -91,14 +85,14 @@ def sigma_pow(alpha: int | float, f: Factorization) -> int | float:
     """
     if isinstance(alpha, int) and alpha >= 0:
         if alpha == 0:
-            return math.prod(e + 1 for _, e in f.entries)
+            return math.prod(e + 1 for _, e in f)
         out = 1
-        for p, e in f.entries:
+        for p, e in f:
             pa = p**alpha
             out *= (pa ** (e + 1) - 1) // (pa - 1)
         return out
     out = 1.0
-    for p, e in f.entries:
+    for p, e in f:
         pa = float(p) ** alpha
         out *= math.fsum(pa**j for j in range(e + 1))
     return out
@@ -177,7 +171,7 @@ def tau_spec(table: Sequence[int]) -> MultiplicativeSpec:
 def completely_mult_value(g: Callable[[int], int], n: int) -> int:
     """Value at n of the completely multiplicative function with g(p) given."""
     out = 1
-    for p, e in trial_factorize(n).entries:
+    for p, e in trial_factorize(n):
         out *= g(p) ** e
     return out
 

@@ -8,6 +8,7 @@ error.  The DIVCORR_MEMCAP environment variable overrides the memory cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -74,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verify(args.suite, xmax=args.xmax, vmax=args.vmax)
-    for s in report.suites:
+    for s in report:
         line = f"suite {s.name}: {s.checks} checks, {s.failures} failures"
         if s.first_counterexample:
             line += f" (first: {s.first_counterexample})"
         print(line, "[PASS]" if s.passed else "[FAIL]")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
+    return EXIT_OK if all(s.passed for s in report) else EXIT_VERIFY_FAIL
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
@@ -89,14 +90,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     zc = compute_zeta_constants()
-    payload: dict = {
-        "gamma": zc.gamma,
-        "zeta2": zc.zeta2,
-        "zeta_prime_2": zc.zeta_prime_2,
-        "zeta_double_prime_2": zc.zeta_double_prime_2,
-        "abs_error_bound": zc.abs_error_bound,
-        "truncation_point": zc.truncation_point,
-    }
+    payload = dataclasses.asdict(zc)
     if args.v is not None:
         coef = asymptotic_coefficients(args.v, zc)
         payload["coefficients"] = {

@@ -36,14 +36,17 @@ from divcorr.errors import ContractError
 from divcorr.sieve import charge
 
 DEFAULT_TRUNCATION = 1_000_000
+_PRECISION_TARGET = 1e-12  # absolute error every zeta constant must certify
 # terms per chunk of the head sums of compute_zeta_constants, and the bytes
 # charged for one: a float64 array and the 32 B per term of its tolist()
 # list of floats (tracemalloc: 40.0 B per term for truncations 2^16-1e6)
 _ZETA_CHUNK = 1 << 16
 _ZETA_CHUNK_BYTES = 48 * _ZETA_CHUNK
-# bytes per term of zeta_em: n and n^(-s) in float64 (tracemalloc: 16.0
-# for truncations 1e4-1e6)
+# terms of the head sum of zeta_em, and the bytes per term: n and n^(-s)
+# in float64 (tracemalloc: 16.0 for truncations 1e4-1e6)
+_ZETA_EM_TRUNCATION = 100_000
 _ZETA_EM_TERM_BYTES = 16
+_CONSISTENCY_TOLERANCE = 1e-9  # of every coefficient_consistency check
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,15 @@ def _tail_log_power(m: int, j: int, s: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=None)
-def compute_zeta_constants(
-    precision_target: float = 1e-12, truncation: int = DEFAULT_TRUNCATION
-) -> ZetaConstants:
+def compute_zeta_constants(truncation: int = DEFAULT_TRUNCATION) -> ZetaConstants:
     """Euler-Maclaurin evaluation of gamma, zeta(2), zeta'(2), zeta''(2).
 
     gamma comes from the harmonic sum minus log; zeta'(2) = -sum log n / n^2
     and zeta''(2) = sum log^2 n / n^2 are summed to the truncation point with
     tail corrections through the third derivative.  Raises ContractError when
-    the requested precision cannot be certified in binary64, and
-    ResourceError when one chunk of the head sums would exceed the memory cap.
+    the truncation cannot certify every constant to 1e-12, and ResourceError
+    when one chunk of the head sums would exceed the memory cap.
     """
-    if precision_target < 1e-14:
-        raise ContractError("binary64 cannot certify targets below 1e-14")
     m = truncation
     charge(_ZETA_CHUNK_BYTES)
 
@@ -148,10 +147,10 @@ def compute_zeta_constants(
         "zeta_prime_2": b1 + 8.0 * u * s2l,
         "zeta_double_prime_2": b2 + 12.0 * u * s2ll,
     }
-    if max(bounds.values()) > precision_target:
+    if max(bounds.values()) > _PRECISION_TARGET:
         raise ContractError(
             f"truncation {m} certifies only {max(bounds.values()):.2e}, "
-            f"worse than the target {precision_target:.2e}"
+            f"worse than the target {_PRECISION_TARGET:.2e}"
         )
     return ZetaConstants(
         gamma=gamma,
@@ -164,16 +163,16 @@ def compute_zeta_constants(
 
 
 @lru_cache(maxsize=None, typed=True)
-def zeta_em(s: float, truncation: int = 100_000) -> float:
-    """zeta(s) for real s > 1 by direct summation with Euler-Maclaurin tail,
-    cached per (s, truncation).  Raises ResourceError when the per-term
-    arrays would exceed the memory cap."""
+def zeta_em(s: float) -> float:
+    """zeta(s) for real s > 1 by direct summation of 1e5 terms with
+    Euler-Maclaurin tail, cached per s.  Raises ResourceError when the
+    per-term arrays would exceed the memory cap."""
     if s <= 1.0:
         raise ContractError("zeta_em needs s > 1")
-    charge(_ZETA_EM_TERM_BYTES * truncation)
-    n = np.arange(1, truncation + 1, dtype=np.float64)
+    charge(_ZETA_EM_TERM_BYTES * _ZETA_EM_TRUNCATION)
+    n = np.arange(1, _ZETA_EM_TRUNCATION + 1, dtype=np.float64)
     head = float(np.sum(n ** (-s)))
-    tail, _ = _tail_log_power(truncation, 0, s)
+    tail, _ = _tail_log_power(_ZETA_EM_TRUNCATION, 0, s)
     return head + tail
 
 
@@ -194,19 +193,21 @@ class AsymptoticCoefficients:
     a2: float
 
 
-def _zeta_ratios(zc: ZetaConstants) -> tuple[float, float]:
-    return zc.zeta_prime_2 / zc.zeta2, zc.zeta_double_prime_2 / zc.zeta2
+def _base_coefficients(zc: ZetaConstants) -> tuple[float, float]:
+    """The shift-free parts of (c1, c2) and of (A1, A2): both pairs at v = 1."""
+    zr1, zr2 = zc.zeta_prime_2 / zc.zeta2, zc.zeta_double_prime_2 / zc.zeta2
+    base1 = 4.0 * zc.gamma - 2.0 - 4.0 * zr1
+    base2 = (2.0 * zc.gamma - 1.0 - 2.0 * zr1) ** 2 + 1.0 - 4.0 * zr2 + 4.0 * zr1 * zr1
+    return base1, base2
 
 
 def estermann_coefficients(v: int, zc: ZetaConstants) -> tuple[float, float]:
     """(c1, c2) of the pair-form expansion
     (6/pi^2) sigma_{-1}(v) x (log^2 x + c1(v) log x + c2(v))."""
-    zr1, zr2 = _zeta_ratios(zc)
+    base1, base2 = _base_coefficients(zc)
     s0 = sigma_log_k(v, 0)
     r1 = sigma_log_k(v, 1) / s0
     r2 = sigma_log_k(v, 2) / s0
-    base1 = 4.0 * zc.gamma - 2.0 - 4.0 * zr1
-    base2 = (2.0 * zc.gamma - 1.0 - 2.0 * zr1) ** 2 + 1.0 - 4.0 * zr2 + 4.0 * zr1 * zr1
     c1 = base1 - 4.0 * r1
     c2 = base2 - 2.0 * base1 * r1 + 4.0 * r2
     return c1, c2
@@ -216,13 +217,11 @@ def shifted_product_coefficients(v: int, zc: ZetaConstants) -> tuple[float, floa
     """(A1, A2) of the product-form expansion
     (6/pi^2) x (log^2 x + A1(v) log x + A2(v)); the shift enters only through
     von Mangoldt sums over the divisors of v."""
-    zr1, zr2 = _zeta_ratios(zc)
+    base1, base2 = _base_coefficients(zc)
     divs = divisors(trial_factorize(v))
     lam = math.fsum(von_mangoldt_k(e, 1) / e for e in divs)
     lam_log = math.fsum(von_mangoldt_k(e, 1) * math.log(e) / e for e in divs)
     lam2 = math.fsum(von_mangoldt_k(e, 2) / e for e in divs)
-    base1 = 4.0 * zc.gamma - 2.0 - 4.0 * zr1
-    base2 = (2.0 * zc.gamma - 1.0 - 2.0 * zr1) ** 2 + 1.0 - 4.0 * zr2 + 4.0 * zr1 * zr1
     a1 = base1 - 2.0 * lam
     a2 = base2 - base1 * lam + 2.0 * lam_log + lam2
     return a1, a2
@@ -373,10 +372,8 @@ class ConsistencyReport:
         return self.max_abs_diff <= self.tolerance
 
 
-def coefficient_consistency(
-    v: int, zc: ZetaConstants, tolerance: float = 1e-9
-) -> ConsistencyReport:
-    """Check, to within `tolerance`:
+def coefficient_consistency(v: int, zc: ZetaConstants) -> ConsistencyReport:
+    """Check, to within 1e-9:
 
         sum_{e|v} (mu(e)/e) sigma_{-1}(v/e) (c1(v/e) - 2 log e)          == A1(v)
         sum_{e|v} (mu(e)/e) sigma_{-1}(v/e) (log^2 e - c1(v/e) log e
@@ -408,5 +405,5 @@ def coefficient_consistency(
         a2_direct=a2_direct,
         helper_lhs=math.fsum(helper_terms),
         helper_rhs=helper_rhs,
-        tolerance=tolerance,
+        tolerance=_CONSISTENCY_TOLERANCE,
     )

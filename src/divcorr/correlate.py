@@ -11,12 +11,13 @@ the spec's exact value domain (Python integers for d, sigma_k, tau).
 
 The d sums fold the windows of sieve.shifted_windows over a DivisorTable
 into exact ints, in uint64 per window and O(window) memory; sum_dd also
-reads the exact cells of sieve.stream_pair_sums, which keeps no d-table;
-streamed_d_sums, the route of every d sum the CLI prints, reads only those.
-The f sums walk sieve.windows over one exact object-dtype f-table from
-sieve.build_mult_table over an SpfTable covering x + v, which also serves
-every inner sum of a transform; the product form splits each n(n+v) into
-coprime parts at the primes of v, so it needs no factorisation per n.
+reads the dict of exact cells of sieve.stream_pair_sums, which keeps no
+d-table; streamed_d_sums, the route of every d sum the CLI prints, reads
+only those.  The f sums walk sieve.windows over one exact object-dtype
+f-table from sieve.build_mult_table over an SpfTable covering x + v, which
+also serves every inner sum of a transform; the product form splits each
+n(n+v) into coprime parts at the primes of v, so it needs no factorisation
+per n.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from divcorr import sieve
 from divcorr.arith import (
     MultiplicativeSpec,
     completely_mult_value,
+    divisor_count_spec,
     divisors,
     mobius_divisors,
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import DivisorTable, PairSums, SpfTable, build_mult_table
+from divcorr.sieve import DivisorTable, SpfTable, build_mult_table
 
 
 @dataclass(frozen=True)
@@ -84,23 +86,24 @@ def _lattice_sum(
     return total
 
 
-def _unit(p: int) -> int:
-    return 1
-
-
-def sum_dd(x: int, v: int, tables: DivisorTable | PairSums) -> CorrelationSum:
+def sum_dd(
+    x: int, v: int, tables: DivisorTable | dict[tuple[int, int], int]
+) -> CorrelationSum:
     """Exact sum of d(n) d(n+v) over n <= x; x = 0 gives the empty sum.
 
-    From PairSums it is the streamed sum of the cell (x, v), RangeError if
-    that cell was not served.  From a DivisorTable the terms come window by
-    window from sieve.shifted_windows, which raises OverflowError if a
-    window's max d(n) * max d(n+v) reaches 2^32.
+    From the dict of sieve.stream_pair_sums it is the streamed sum of the
+    cell (x, v), RangeError if that cell was not served.  From a
+    DivisorTable the terms come window by window from sieve.shifted_windows,
+    which raises OverflowError if a window's max d(n) * max d(n+v) reaches
+    2^32.
     """
     _check_range(x, v)
     if not x:
         value = 0
-    elif isinstance(tables, PairSums):
-        value = tables.at(x, v)
+    elif isinstance(tables, dict):
+        if (x, v) not in tables:
+            raise RangeError(f"no streamed sum for x={x}, v={v}")
+        value = tables[x, v]
     else:
         value = _exact_sum(sieve.shifted_windows(tables, x, v, False))
     return CorrelationSum("dd", x, v, value)
@@ -123,21 +126,19 @@ def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     """Assemble sum_{n<=x} d(n) d(n+v) from product-form sums over the
     divisors of v:  sum_{e|v} sum_{n<=x/e} d(n(n+v/e)).  Equals sum_dd."""
     _check_range(x, v)
-    value = _lattice_sum(
-        v, _unit, False, lambda e: sum_dpoly(x // e, v // e, tables).value
-    )
+    g = divisor_count_spec().companion_g
+    value = _lattice_sum(v, g, False, lambda e: sum_dpoly(x // e, v // e, tables).value)
     return CorrelationSum("dd", x, v, value)
 
 
 def sum_dpoly_from_dd(
-    x: int, v: int, tables: DivisorTable | PairSums
+    x: int, v: int, tables: DivisorTable | dict[tuple[int, int], int]
 ) -> CorrelationSum:
     """Moebius-inverted companion:  sum_{e|v} mu(e) sum_{n<=x/e} d(n) d(n+v/e).
-    Equals sum_dpoly; PairSums must serve every cell (x/e, v/e)."""
+    Equals sum_dpoly; streamed sums must serve every cell (x/e, v/e)."""
     _check_range(x, v)
-    value = _lattice_sum(
-        v, _unit, True, lambda e: sum_dd(x // e, v // e, tables).value
-    )
+    g = divisor_count_spec().companion_g
+    value = _lattice_sum(v, g, True, lambda e: sum_dd(x // e, v // e, tables).value)
     return CorrelationSum("dpoly", x, v, value)
 
 
@@ -189,7 +190,7 @@ def _product_sum(
 ) -> int | float:
     """sum_{n<=x} f(n(n+v)) over an f-table covering x + v."""
     value: int | float = 0
-    pdivs = [p for p, _ in trial_factorize(v).entries]
+    pdivs = [p for p, _ in trial_factorize(v)]
     for lo, hi in sieve.windows(1, x):
         left = np.arange(lo, hi + 1, dtype=np.int64)
         right = left + v

@@ -160,19 +160,11 @@ class SuiteResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    suites: tuple[SuiteResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.suites)
-
-
 def run_verify(
     suites: Sequence[str], xmax: int | None = None, vmax: int | None = None
-) -> VerifyReport:
-    """Run the named identity suites; unknown names raise ContractError.
+) -> tuple[SuiteResult, ...]:
+    """Run the named identity suites, one SuiteResult each in the order
+    given; unknown names raise ContractError.
 
     When xmax/vmax are None each suite uses its own full verification bounds
     (lemma1: x <= 1e4, v <= 50; lemma2: n <= 1e4, v <= 100; genrec:
@@ -198,8 +190,7 @@ def run_verify(
         "binomial": lambda: _suite_binomial(bound(vmax, 200), 3),
         "coeff_consistency": lambda: _suite_coeff_consistency(bound(vmax, 100)),
     }
-    results = tuple(runners[name]() for name in suites)
-    return VerifyReport(results)
+    return tuple(runners[name]() for name in suites)
 
 
 # (checks, failures, first counterexample or None) of one row, array or

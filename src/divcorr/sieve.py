@@ -8,19 +8,21 @@ d builders fill their tables window by window, byte-identical to a
 monolithic build; tables are immutable and safe to share.  A table of more
 than one window is filled on all usable CPUs: forked workers (_fan_out,
 the one fork site) take the windows round-robin and write one shared
-anonymous mapping.  No knob selects this.  time.process_time() of the
-caller leaves out the children's CPU time.  shifted_windows is the one
-kernel of the d sums over a table: window by window it yields d(n) d(n+v),
-or d(n(n+v)) with the correction at the primes of v, from buffers it
-reuses or straight into an output array, so sum_dd, sum_dpoly and
-shifted_product_values need O(window) memory beyond the d-table.
-stream_pair_sums serves many cells sum_{n<=y} d(n) d(n+w) in one pass:
-each window is sieved by the same divisor fill as the table build, every
-shift is multiplied behind the same overflow guard, and the windows go to
-the same workers, so only O(window) memory is held.  build_mult_table gives
-f(n) as exact Python ints in an object array, from vectorised passes over
-the whole SPF table.  charge() is the one memory-cap check: callers charge
-their allocations before making them.
+anonymous mapping, and the windows of a worker that raised are rerun in
+the caller, so the error keeps its class.  No knob selects this.
+time.process_time() of the caller leaves out the children's CPU time.
+shifted_windows is the one kernel of the d sums over a table: window by
+window it yields d(n) d(n+v), or d(n(n+v)) with the correction at the
+primes of v, from buffers it reuses or straight into an output array, so
+sum_dd, sum_dpoly and shifted_product_values need O(window) memory beyond
+the d-table.  stream_pair_sums serves many cells sum_{n<=y} d(n) d(n+w) in
+one pass, as a plain dict keyed by (y, w): each window is sieved by the
+same divisor fill as the table build, every shift is multiplied behind the
+same overflow guard, and the windows go to the same workers, so only
+O(window) memory is held.  build_mult_table gives f(n) as exact Python
+ints in an object array, from vectorised passes over the whole SPF table.
+charge() is the one memory-cap check: callers charge their allocations
+before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -116,9 +118,11 @@ def _fan_out(
     buffer that fill reuses is each worker's own copy.  A child runs only
     numpy arithmetic, and leaves by os._exit, so it flushes no stdio and
     runs no exit handler of the parent.  The parent reaps every child before
-    it returns or raises; a child that exits nonzero or is killed raises
-    ResourceError.  One window, or a platform without fork, makes the parent
-    the only worker.
+    it returns or raises.  A child that raised (status 1) has its windows
+    rerun in the parent, so a fault of the window raises here with its own
+    class and message; if the rerun passes, or the child was killed, or a
+    fork fails, the call raises ResourceError.  One window, or a platform
+    without fork, makes the parent the only worker.
     """
     workers = 1
     if len(bounds) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -148,8 +152,11 @@ def _fan_out(
             fill(out, lo, hi)
     finally:
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for pid, status in zip(pids, statuses):
+    for rank, (pid, status) in enumerate(zip(pids, statuses), 1):
         code = os.waitstatus_to_exitcode(status)
+        if code == 1:
+            for lo, hi in bounds[rank::workers]:
+                fill(out, lo, hi)
         if code > 0:
             raise ResourceError(f"sieve worker {pid} exited with status {code}")
         if code < 0:
@@ -271,7 +278,7 @@ def shifted_windows(
     size = min(SEGMENT_SIZE, limit)
     charge(dtab.values.nbytes + 16 * size)
     d = dtab.values
-    pdivs = [p for p, _ in trial_factorize(shift).entries] if product else []
+    pdivs = [p for p, _ in trial_factorize(shift)] if product else []
     buf = np.empty(size if out is None else 0, dtype=np.uint32)
     scratch = np.empty((3, (size + 1) // 2 if pdivs else 0), dtype=np.uint32)
 
@@ -313,29 +320,16 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
     return out
 
 
-@dataclass(frozen=True)
-class PairSums:
-    """sums[y, w] = sum_{n<=y} d(n) d(n+w), exact, for every cell (y, w)
-    with y >= 1 that stream_pair_sums served."""
-
-    sums: dict[tuple[int, int], int]
-
-    def at(self, y: int, w: int) -> int:
-        """The sum of cell (y, w); RangeError if it was not served."""
-        if (y, w) not in self.sums:
-            raise RangeError(f"no streamed sum for x={y}, v={w}")
-        return self.sums[y, w]
-
-
 def _divisor_summatory(y: int) -> int:
     """sum_{n<=y} d(n) by the hyperbola identity, in O(sqrt y)."""
     r = isqrt(y)
     return 2 * sum(y // i for i in range(1, r + 1)) - r * r
 
 
-def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
-    """sum_{n<=y} d(n) d(n+w) for every cell (y, w), y >= 0 and w >= 1, in
-    one pass over the windows of [1, max y] that keeps no d-table.
+def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """{(y, w): sum_{n<=y} d(n) d(n+w)} for every cell (y, w) with y >= 1,
+    exact, in one pass over the windows of [1, max y] that keeps no d-table;
+    cells with y = 0 get no entry.
 
     Each window [lo, hi] is sieved into one reused buffer by the divisor
     fill of build_divisor_table, on [lo, hi + w] for the widest shift w
@@ -346,7 +340,7 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
     cast the whole window to uint64 first).  Each segment sum is one slot of
     a shared array; the windows go to the workers of _fan_out, and the parent
     adds each shift's slots in window order as Python ints, so the sums are
-    exact and deterministic.
+    exact and deterministic; a window that raises in a worker raises here.
 
     The pass also sums d(n) up to every y, and up to the top y + w of any
     cell, which the last window sieves to; it checks each against the
@@ -363,7 +357,7 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
             marks.setdefault(w, set()).add(y)
             marks[0].add(y)
     if not marks[0]:
-        return PairSums({})
+        return {}
     top, widest = max(marks[0]), max(marks)
     # the last window sieves on to the top n + w any shift reads, and the d
     # row sums that far too, so no sieved d(n) goes unchecked
@@ -416,7 +410,7 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> PairSums:
                     f"divisor sieve self-test failed at y={y}: sum of d(n) "
                     f"{value} != {_divisor_summatory(y)} by the hyperbola identity"
                 )
-    return PairSums(sums)
+    return sums
 
 
 def build_mult_table(

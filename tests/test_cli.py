@@ -212,8 +212,13 @@ os._exit(0)
     [
         ["sum", "--kind", "dpoly", "--x", "30000000", "--v", "12"],
         ["constants", "--json"],
+        [
+            "compare", "--kind", "dpoly",
+            "--x", "10000,100000,1000000,10000000,30000000", "--v", "1,2,3,4,6,12",
+        ],
+        ["verify"],
     ],
-    ids=["sum", "constants"],
+    ids=["sum", "constants", "compare", "verify"],
 )
 def test_measured_peak_rss(argv):
     # a fresh process, so no earlier test's memory or children count; its

@@ -54,7 +54,7 @@ class TestZetaConstants:
         try:
             # tracemalloc slows the per-term floats 20-fold; the peak per term
             # is the same 72 B from 1e4 to 2e6 terms
-            dc.compute_zeta_constants(1e-9, 100_000)
+            dc.compute_zeta_constants(truncation=100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -82,8 +82,9 @@ class TestZetaConstants:
         assert peak <= charged[0], (peak, charged)
 
     def test_rejects_impossible_precision(self):
-        with pytest.raises(dc.ContractError):
-            dc.compute_zeta_constants(precision_target=1e-15)
+        # 30 terms leave gamma's Euler-Maclaurin tail at 5.45e-12
+        with pytest.raises(dc.ContractError, match="worse than the target 1.00e-12"):
+            dc.compute_zeta_constants(truncation=30)
 
     def test_zeta_em(self):
         assert dc.zeta_em(3.0) == pytest.approx(ZETA_3_REF, abs=1e-13)
@@ -94,7 +95,7 @@ class TestZetaConstants:
 
     def test_zeta_em_cached_and_charged(self, monkeypatch):
         # n and n^(-s) in float64 are charged before they are allocated,
-        # and a repeated (s, truncation) allocates nothing
+        # and a repeated s allocates nothing
         dc.zeta_em.cache_clear()
         monkeypatch.setenv("DIVCORR_MEMCAP", str(16 * 10**5 - 1))
         with pytest.raises(dc.ResourceError):

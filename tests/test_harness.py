@@ -64,6 +64,27 @@ class TestRunCompare:
         assert r2.residual == r2.empirical - r2.main2
         assert r2.main3 == r3.main3
 
+    @pytest.mark.parametrize("kind", ["dd", "dpoly"])
+    def test_cells_read_through_correlate_sum_dd(self, monkeypatch, kind):
+        # fault injection rebinds correlate.sum_dd, so every streamed cell,
+        # (x, v) for dd and (x/e, v/e) over squarefree e | v for dpoly, must
+        # be read through that module binding
+        config = dc.RunConfig(x_list=[100, 1000], v_list=[1, 6, 12], kind=kind)
+        want = dc.run_compare(config)
+        sum_dd = dc.correlate.sum_dd
+        seen = set()
+
+        def recording(x, v, tables):
+            seen.add((x, v))
+            return sum_dd(x, v, tables)
+
+        monkeypatch.setattr(dc.correlate, "sum_dd", recording)
+        assert dc.run_compare(config) == want
+        def weights(v):  # (e, mu(e)) of the pair-form cells of one row
+            return [(1, 1)] if kind == "dd" else dc.mobius_divisors(v)
+
+        assert seen == {(r.x // e, r.v // e) for r in want for e, _ in weights(r.v)}
+
     def test_sigma_corr_rows(self):
         config = dc.RunConfig(
             x_list=[100], v_list=[1], kind="sigma_corr", alpha=1
@@ -157,10 +178,10 @@ class TestRunVerify:
 
     def test_all_suites_reduced_bounds(self):
         report = dc.run_verify(list(dc.harness.SUITES), xmax=500, vmax=12)
-        assert report.passed
-        names = [s.name for s in report.suites]
+        assert all(s.passed for s in report)
+        names = [s.name for s in report]
         assert names == list(dc.harness.SUITES)
-        for suite in report.suites:
+        for suite in report:
             assert suite.checks > 0
             assert suite.failures == 0
             assert suite.first_counterexample is None
@@ -205,7 +226,7 @@ class TestRunVerify:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.passed
+        assert all(s.passed for s in report)
         assert peak <= sum(charged), (peak, charged)
 
 
@@ -282,8 +303,8 @@ class TestFailureReports:
     def test_planted_fault(self, monkeypatch, suite, checks, failures, first):
         monkeypatch.setattr(dc.harness, *_plant(suite))
         report = dc.run_verify([suite], xmax=20, vmax=12)
-        assert not report.passed
-        (got,) = report.suites
+        (got,) = report
+        assert not got.passed
         assert (got.name, got.checks, got.failures, got.first_counterexample) == (
             suite, checks, failures, first,
         )

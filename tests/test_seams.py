@@ -83,3 +83,25 @@ def test_arith_imports_only_errors():
             if mod != "divcorr.errors"
         ]
     assert not offenders, offenders
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else target.id
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_no_single_field_dataclass():
+    # a dataclass of one field wraps a value that its callers must still
+    # know whole; the value itself is the simpler interface
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                if len(fields) == 1:
+                    offenders.append(f"{path.name}: {node.name}")
+    assert not offenders, offenders

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divcorr as dc
+from divcorr.cli import main
 from oracles import (
     d_naive,
     mobius_naive,
@@ -334,7 +335,7 @@ class TestStreamedPairSums:
             dc.stream_pair_sums([(10, 0)])
         with pytest.raises(dc.RangeError):
             dc.stream_pair_sums([(-1, 2)])
-        assert dc.stream_pair_sums([(0, 5)]).sums == {}
+        assert dc.stream_pair_sums([(0, 5)]) == {}
 
     @pytest.mark.parametrize("y, w", [(1000, 1), (20_000, 30_030)])
     def test_dropped_divisor_past_the_last_y_raises(self, monkeypatch, y, w):
@@ -415,6 +416,32 @@ class TestWorkerFailure:
         with pytest.raises(dc.ResourceError, match="cannot fork a sieve worker"):
             dc.build_divisor_table(20_000)
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("n", [3000, 4000])
+    def test_window_fault_keeps_its_class(self, monkeypatch, capsys, n):
+        # windows of 1009 on two workers: n = 3000 lies in a window that the
+        # parent fills and n = 4000 in one that the child fills, for the
+        # table build and the streamed pass alike; both raise the same error
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fill = dc.sieve._divisor_fill
+
+        def faulty(seg, lo, hi):
+            if lo <= n <= hi:
+                raise OverflowError("planted window fault")
+            fill(seg, lo, hi)
+
+        monkeypatch.setattr(dc.sieve, "_divisor_fill", faulty)
+        argv = ["compare", "--kind", "dd", "--x", "100,10000", "--v", "1"]
+        for call in (
+            lambda: dc.build_divisor_table(20_000),
+            lambda: dc.stream_pair_sums([(10_000, 1)]),
+            lambda: main(argv),
+        ):
+            with pytest.raises(OverflowError, match="^planted window fault$"):
+                call()
+            _assert_no_child_left()
+        assert capsys.readouterr().out == ""
 
     def test_children_reaped_when_parent_windows_raise(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
