@@ -7,7 +7,11 @@ form) for a range of shifts as CSV.
 
 import argparse
 
-from divcorr.constants import asymptotic_coefficients, compute_zeta_constants
+from divcorr.constants import (
+    compute_zeta_constants,
+    estermann_coefficients,
+    shifted_product_coefficients,
+)
 
 
 def main(argv=None) -> int:
@@ -18,8 +22,9 @@ def main(argv=None) -> int:
     zc = compute_zeta_constants()
     print("v,c1,c2,A1,A2")
     for v in range(1, args.vmax + 1):
-        c = asymptotic_coefficients(v, zc)
-        print(f"{c.v},{c.c1:.12f},{c.c2:.12f},{c.a1:.12f},{c.a2:.12f}")
+        c1, c2 = estermann_coefficients(v, zc)
+        a1, a2 = shifted_product_coefficients(v, zc)
+        print(f"{v},{c1:.12f},{c2:.12f},{a1:.12f},{a2:.12f}")
     return 0
 
 

@@ -25,11 +25,7 @@ from divcorr.arith import (
     von_mangoldt_k,
 )
 from divcorr.constants import (
-    AsymptoticCoefficients,
-    ConsistencyReport,
-    IdentityReport,
     ZetaConstants,
-    asymptotic_coefficients,
     binomial_log_identity,
     coefficient_consistency,
     compute_zeta_constants,

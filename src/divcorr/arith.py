@@ -26,12 +26,14 @@ from divcorr.errors import ContractError, EvaluationError, RangeError
 # ordered prime factorisation ((p1, e1), (p2, e2), ...) with p1 < p2 < ...;
 # the integer 1 carries the empty tuple
 Factorization = tuple[tuple[int, int], ...]
+_TRIAL_LIMIT = 1 << 40  # worst case below it: about 0.1 s on 2 vCPUs
 
 
 def trial_factorize(n: int) -> Factorization:
-    """Factor n by trial division; meant for small arguments, no table needed."""
-    if n <= 0:
-        raise RangeError(f"cannot factor n={n}")
+    """Factor n by trial division, no table needed; RangeError unless
+    1 <= n < 2^40, which bounds the divisions by 2^19."""
+    if not 0 < n < _TRIAL_LIMIT:
+        raise RangeError(f"cannot factor n={n}: trial division needs 1 <= n < 2**40")
     entries = []
     m = n
     p = 2

@@ -12,7 +12,11 @@ import dataclasses
 import json
 import sys
 
-from divcorr.constants import asymptotic_coefficients, compute_zeta_constants
+from divcorr.constants import (
+    compute_zeta_constants,
+    estermann_coefficients,
+    shifted_product_coefficients,
+)
 from divcorr.correlate import streamed_d_sums
 from divcorr.errors import ContractError, RangeError, ResourceError
 from divcorr.harness import KINDS, SUITES, RunConfig, emit, run_compare, run_verify
@@ -92,10 +96,10 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     zc = compute_zeta_constants()
     payload = dataclasses.asdict(zc)
     if args.v is not None:
-        coef = asymptotic_coefficients(args.v, zc)
+        c1, c2 = estermann_coefficients(args.v, zc)
+        a1, a2 = shifted_product_coefficients(args.v, zc)
         payload["coefficients"] = {
-            "v": coef.v, "c1": coef.c1, "c2": coef.c2,
-            "A1": coef.a1, "A2": coef.a2,
+            "v": args.v, "c1": c1, "c2": c2, "A1": a1, "A2": a2,
         }
     if args.json:
         print(json.dumps(payload, indent=2))

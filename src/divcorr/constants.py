@@ -5,8 +5,10 @@ Provides:
       Euler-Maclaurin tail corrections and certified error bounds;
     - the pair-form coefficients c1(v), c2(v) and product-form coefficients
       A1(v), A2(v) of the x (log^2 x + c1 log x + c2) expansions;
-    - numerical checks of the exact identities that tie the two coefficient
-      families together through Moebius sums over the divisors of v.
+    - the two sides, or the largest deviation, of the exact identities that
+      tie the two coefficient families together through Moebius sums over
+      the divisors of v; harness.run_verify sets the tolerances and gives
+      the verdicts.
 
 Note on normalisation: the Moebius combinations assembled in
 coefficient_consistency carry no 6/pi^2 prefactor.  That factor belongs to
@@ -46,7 +48,6 @@ _ZETA_CHUNK_BYTES = 48 * _ZETA_CHUNK
 # in float64 (tracemalloc: 16.0 for truncations 1e4-1e6)
 _ZETA_EM_TRUNCATION = 100_000
 _ZETA_EM_TERM_BYTES = 16
-_CONSISTENCY_TOLERANCE = 1e-9  # of every coefficient_consistency check
 
 
 @dataclass(frozen=True)
@@ -181,18 +182,6 @@ def zeta_em(s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    """Coefficients of x (log^2 x + . log x + .) for both sum shapes at shift v:
-    (c1, c2) for the pair form, (a1, a2) for the product form."""
-
-    v: int
-    c1: float
-    c2: float
-    a1: float
-    a2: float
-
-
 def _base_coefficients(zc: ZetaConstants) -> tuple[float, float]:
     """The shift-free parts of (c1, c2) and of (A1, A2): both pairs at v = 1."""
     zr1, zr2 = zc.zeta_prime_2 / zc.zeta2, zc.zeta_double_prime_2 / zc.zeta2
@@ -225,13 +214,6 @@ def shifted_product_coefficients(v: int, zc: ZetaConstants) -> tuple[float, floa
     a1 = base1 - 2.0 * lam
     a2 = base2 - base1 * lam + 2.0 * lam_log + lam2
     return a1, a2
-
-
-def asymptotic_coefficients(v: int, zc: ZetaConstants) -> AsymptoticCoefficients:
-    """Both coefficient pairs at shift v; at v = 1 they coincide."""
-    c1, c2 = estermann_coefficients(v, zc)
-    a1, a2 = shifted_product_coefficients(v, zc)
-    return AsymptoticCoefficients(v, c1, c2, a1, a2)
 
 
 def estermann_main_term(
@@ -302,37 +284,21 @@ def sigma_correlation_error_exponent(alpha: float) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# identity reports
+# identity checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """One numerically checked identity; failure is an outcome, not an error."""
-
-    name: str
-    v: int
-    order: int
-    lhs: float
-    rhs: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.lhs - self.rhs) <= self.tolerance
-
-
-def sigma_lambda_identity(v: int, k: int) -> IdentityReport:
-    """sum_{e|v} (mu(e)/e) sigma_{-1}^{(k)}(v/e)  ==  sum_{d|v} Lambda_k(d)/d."""
+def sigma_lambda_identity(v: int, k: int) -> tuple[float, float]:
+    """(lhs, rhs) of
+    sum_{e|v} (mu(e)/e) sigma_{-1}^{(k)}(v/e)  ==  sum_{d|v} Lambda_k(d)/d."""
     lhs = math.fsum(mu / e * sigma_log_k(v // e, k) for e, mu in mobius_divisors(v))
     rhs = math.fsum(von_mangoldt_k(d, k) / d for d in divisors(trial_factorize(v)))
-    tol = 1e-10 * (1.0 + max(abs(lhs), abs(rhs)))
-    return IdentityReport("sigma_lambda", v, k, lhs, rhs, tol)
+    return lhs, rhs
 
 
-def binomial_log_identity(v: int, n: int) -> IdentityReport:
-    """sum_{k<=n} C(n,k) sum_{e|v} (mu(e)/e) sigma_{-1}^{(k)}(v/e) (log e)^(n-k)
-    collapses to 1 for n = 0 and to 0 for every n >= 1."""
+def binomial_log_identity(v: int, n: int) -> float:
+    """sum_{k<=n} C(n,k) sum_{e|v} (mu(e)/e) sigma_{-1}^{(k)}(v/e) (log e)^(n-k),
+    which collapses to 1 for n = 0 and to 0 for every n >= 1."""
     terms = []
     for e, mu in mobius_divisors(v):
         le = math.log(e)
@@ -340,46 +306,20 @@ def binomial_log_identity(v: int, n: int) -> IdentityReport:
             terms.append(
                 math.comb(n, k) * mu / e * sigma_log_k(v // e, k) * le ** (n - k)
             )
-    lhs = math.fsum(terms)
-    rhs = 1.0 if n == 0 else 0.0
-    return IdentityReport("binomial", v, n, lhs, rhs, 1e-10)
+    return math.fsum(terms)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Moebius assembly of the product-form coefficients from the pair-form
-    ones, against their direct formulas, plus the log^2-collapse helper."""
-
-    v: int
-    a1_combined: float
-    a1_direct: float
-    a2_combined: float
-    a2_direct: float
-    helper_lhs: float
-    helper_rhs: float
-    tolerance: float
-
-    @property
-    def max_abs_diff(self) -> float:
-        return max(
-            abs(self.a1_combined - self.a1_direct),
-            abs(self.a2_combined - self.a2_direct),
-            abs(self.helper_lhs - self.helper_rhs),
-        )
-
-    @property
-    def passed(self) -> bool:
-        return self.max_abs_diff <= self.tolerance
-
-
-def coefficient_consistency(v: int, zc: ZetaConstants) -> ConsistencyReport:
-    """Check, to within 1e-9:
+def coefficient_consistency(v: int, zc: ZetaConstants) -> float:
+    """Largest absolute deviation between the two sides of
 
         sum_{e|v} (mu(e)/e) sigma_{-1}(v/e) (c1(v/e) - 2 log e)          == A1(v)
         sum_{e|v} (mu(e)/e) sigma_{-1}(v/e) (log^2 e - c1(v/e) log e
                                              + c2(v/e))                  == A2(v)
         sum_{e|v} (mu(e)/e) [sigma_{-1}(v/e) log^2 e
                              + sigma_{-1}^{(1)}(v/e) log e]  == -sum Lambda(e) log e / e
+
+    the Moebius assembly of the product-form coefficients from the pair-form
+    ones against their direct formulas, plus the log^2-collapse helper.
     """
     a1_terms: list[float] = []
     a2_terms: list[float] = []
@@ -397,13 +337,8 @@ def coefficient_consistency(v: int, zc: ZetaConstants) -> ConsistencyReport:
         von_mangoldt_k(e, 1) * math.log(e) / e
         for e in divisors(trial_factorize(v))
     )
-    return ConsistencyReport(
-        v=v,
-        a1_combined=math.fsum(a1_terms),
-        a1_direct=a1_direct,
-        a2_combined=math.fsum(a2_terms),
-        a2_direct=a2_direct,
-        helper_lhs=math.fsum(helper_terms),
-        helper_rhs=helper_rhs,
-        tolerance=_CONSISTENCY_TOLERANCE,
+    return max(
+        abs(math.fsum(a1_terms) - a1_direct),
+        abs(math.fsum(a2_terms) - a2_direct),
+        abs(math.fsum(helper_terms) - helper_rhs),
     )

@@ -24,12 +24,13 @@ class TestFactorize:
         assert dc.trial_factorize(12) == ((2, 2), (3, 1))
         assert dc.trial_factorize(97) == ((97, 1),)
         assert dc.trial_factorize(2 * 49999) == ((2, 1), (49999, 1))
+        # the largest prime below 2^40, the slowest argument allowed
+        assert dc.trial_factorize(2**40 - 87) == ((2**40 - 87, 1),)
 
     def test_out_of_range(self):
-        with pytest.raises(dc.RangeError):
-            dc.trial_factorize(0)
-        with pytest.raises(dc.RangeError):
-            dc.trial_factorize(-12)
+        for n in (0, -12, 2**40, 1_000_000_007 * 1_000_000_009):
+            with pytest.raises(dc.RangeError, match=f"cannot factor n={n}"):
+                dc.trial_factorize(n)
 
     @given(st.integers(min_value=1, max_value=250_000))
     def test_reconstructs_input(self, n):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -257,6 +259,23 @@ def test_constants_json(capsys):
     }
     assert payload["coefficients"]["v"] == 2
     assert payload["coefficients"]["A1"] == pytest.approx(1.89556, abs=1e-4)
+    assert main(["constants", "--v", "12", "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "d4ee3e99a825b1e731e5e8a1f5d5266896c7461e0e6040f5e9977983de0b513c"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["constants", "--v"], ["sum", "--kind", "dpoly", "--x", "10", "--v"]],
+    ids=["constants", "sum"],
+)
+def test_shift_too_large_to_factor(capsys, argv):
+    # 1000000007 * 1000000009: trial division would run to 1e9
+    start = time.perf_counter()
+    assert main([*argv, "1000000016000000063"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot factor") and err.count("\n") == 1
 
 
 def test_compare_csv(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import pytest
@@ -28,6 +27,7 @@ class TestRunConfig:
             dict(x_list=[100], v_list=[1], truncation=4),
             dict(x_list=[100], v_list=[1], kind="sigma_corr"),
             dict(x_list=[100], v_list=[1], kind="sigma_corr", alpha=0.5),
+            dict(x_list=[100], v_list=[1], kind="dd", alpha=3),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -261,24 +261,15 @@ def _plant(suite):
     if suite == "sigma_lambda":
         rep = h.sigma_lambda_identity
         return "sigma_lambda_identity", lambda v, k: (
-            dataclasses.replace(rep(v, k), lhs=2.5, rhs=0.5, tolerance=1.0)
-            if (v, k) == (6, 2)
-            else rep(v, k)
+            (2.5, 0.5) if (v, k) == (6, 2) else rep(v, k)
         )
     if suite == "binomial":
         rep = h.binomial_log_identity
         return "binomial_log_identity", lambda v, n: (
-            dataclasses.replace(rep(v, n), lhs=1.0)
-            if v in (4, 9) and n == 1
-            else rep(v, n)
+            1.0 if v in (4, 9) and n == 1 else rep(v, n)
         )
     rep = h.coefficient_consistency
-
-    def a1_off(v, zc):
-        r = rep(v, zc)
-        return r if v % 5 else dataclasses.replace(r, a1_combined=r.a1_direct + 0.5)
-
-    return "coefficient_consistency", a1_off
+    return "coefficient_consistency", lambda v, zc: rep(v, zc) if v % 5 else 0.5
 
 
 class TestFailureReports:
@@ -295,7 +286,7 @@ class TestFailureReports:
             ("lemma2", 240, 2, "v=2, n=7: 6 != 7"),
             ("induction", 1350, 21, "sigma_1 p=2 alpha=2 beta=2: 50 != 49"),
             ("genrec", 312, 14, "sigma_1 a=2 b=3: 12 != 13"),
-            ("sigma_lambda", 48, 1, "v=6: |2.5 - 0.5| > 1.0"),
+            ("sigma_lambda", 48, 1, "v=6: |2.5 - 0.5| > 3.5000000000000003e-10"),
             ("binomial", 48, 2, "v=4: |1.0 - 0.0| > 1e-10"),
             ("coeff_consistency", 12, 2, "v=5: max deviation 5.000e-01"),
         ],

@@ -1,6 +1,7 @@
 """Smoke tests: each script under scripts/ runs in a fresh interpreter,
-exits 0 and writes its CSV header."""
+exits 0 and writes its CSV header; pinned runs write the same bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,11 @@ import pytest
 from divcorr.harness import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
+# SHA-256 of the whole stdout of a run
+_PINNED = {
+    ("coefficient_table.py", ("--vmax", "30")):
+        "94d8a4ea9d4c06c7ccf4142f8dba0075c675f4225725e468cb590dfb45be5084",
+}
 
 
 def _run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -37,6 +43,7 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
             2,
         ),
         ("coefficient_table.py", ("--vmax", "5"), "v,c1,c2,A1,A2", 5),
+        ("coefficient_table.py", ("--vmax", "30"), "v,c1,c2,A1,A2", 30),
     ],
 )
 def test_script_writes_csv(script, args, header, rows):
@@ -46,3 +53,6 @@ def test_script_writes_csv(script, args, header, rows):
     assert lines[0] == header
     assert len(lines) == 1 + rows
     assert all(len(line.split(",")) == len(header.split(",")) for line in lines)
+    if (script, args) in _PINNED:
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == _PINNED[script, args]
