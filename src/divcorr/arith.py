@@ -5,7 +5,8 @@ Everything here works on one integer at a time, factored by trial division
 from divcorr.sieve, which builds on this bottom layer.  arith imports
 nothing from divcorr except its errors.  Exact Python integers throughout;
 floating point only enters for real-exponent power sums and the
-log-weighted divisor sums.
+log-weighted divisor sums, and numpy only for the int64 residues from which
+the tau table rebuilds its exact integers.
 
 Key objects:
     Factorization       ordered (prime, exponent) pairs, a plain tuple
@@ -20,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from divcorr.errors import ContractError, EvaluationError, RangeError
 
@@ -197,43 +200,92 @@ def ramanujan_tau_table(limit: int) -> list[int]:
 
     Coefficients of q prod_{m>=1} (1 - q^m)^24 = q J^8, where Jacobi's
     identity gives J = prod (1 - q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)
-    directly.  J^8 takes three truncated squarings, each one exact bigint
-    multiply over unbounded Python integers (signed Kronecker packing), so
-    no fixed-width overflow can occur.
+    directly, with about sqrt(2 limit) nonzero terms below degree limit.
+    J^8 is formed modulo each of the fewest primes below 2^31 whose product
+    M exceeds 2 S^8, S the sum of |coefficients| of that truncated J: every
+    coefficient of J^8 is at most S^8 in size, so its residue mod M, which
+    Garner's mixed-radix CRT rebuilds from the residues, fixes it once
+    centred in (-M/2, M/2).  Modulo p, J^8 takes seven sparse
+    multiplications by J in int64; no bound on tau itself is assumed.
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
     n = limit  # degree window for J^8
-    j = [0] * n
+    jacobi = []
     k = 0
     while k * (k + 1) // 2 < n:
-        j[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        jacobi.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
-    for _ in range(3):
-        j = _square_trunc(j, n)
-    return [0] + j
+    primes = _crt_primes(2 * sum(abs(c) for _, c in jacobi) ** 8)
+    digits = []
+    for p in primes:
+        power = np.zeros(n, dtype=np.int64)
+        for t, c in jacobi:
+            power[t] = c % p
+        for _ in range(7):
+            power = _times_jacobi(power, jacobi, p)
+        # Garner: the residue mod p becomes the next mixed-radix digit
+        for q, d in zip(primes, digits):
+            power = (power - d) * pow(q, -1, p) % p
+        digits.append(power)
+    # J^8 mod M = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), rebuilt from the top
+    acc = digits.pop().tolist()
+    while digits:
+        p = primes[len(digits) - 1]
+        acc = [d + p * a for d, a in zip(digits.pop().tolist(), acc)]
+    m = math.prod(primes)
+    half = m // 2
+    return [0] + [a - m if a > half else a for a in acc]
 
 
-def _square_trunc(a: list[int], n: int) -> list[int]:
-    """Exact square of an integer polynomial, truncated to degree < n.
+def _crt_primes(bound: int) -> list[int]:
+    """The largest primes below 2^31, in descending order, fewest whose
+    product exceeds bound."""
+    primes: list[int] = []
+    product = 1
+    candidate = (1 << 31) - 1
+    while product <= bound:
+        if _is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+        candidate -= 2
+    return primes
 
-    Every coefficient c is packed as the limb c + 2^(B-1), with B-bit limbs
-    wide enough that |c| and every convolution sum stay below 2^(B-1); the
-    packed integer minus the all-2^(B-1) offset is the signed polynomial at
-    2^B.  Squaring it natively, adding the offset back and keeping n limbs
-    leaves each limb s_k + 2^(B-1) in [0, 2^B), with no borrow across limbs.
-    """
-    bound = max(abs(c) for c in a) ** 2 * len(a)
-    limb = bound.bit_length() // 8 + 1  # bytes per limb
-    half = 1 << (8 * limb - 1)
-    offset = int.from_bytes((bytes(limb - 1) + b"\x80") * n, "little")
-    packed = int.from_bytes(
-        b"".join((c + half).to_bytes(limb, "little") for c in a), "little"
-    )
-    packed -= offset
-    square = (packed * packed + offset) & ((1 << (8 * limb * n)) - 1)
-    raw = square.to_bytes(limb * n, "little")
-    return [
-        int.from_bytes(raw[i : i + limb], "little") - half
-        for i in range(0, limb * n, limb)
-    ]
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7, which decides every odd
+    n > 7 below 3215031751 (Jaeschke, Math. Comp. 61, 1993)."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _times_jacobi(a: np.ndarray, jacobi: list[tuple[int, int]], p: int) -> np.ndarray:
+    """a J truncated to len(a) coefficients, reduced mod p < 2^31, for a
+    reduced mod p.  Each term adds c a shifted by t; the sum is reduced
+    before its |c| total passes 2^31, so every int64 entry stays below 2^62."""
+    n = len(a)
+    out = np.zeros_like(a)
+    scratch = np.empty_like(a)
+    load = 0
+    for t, c in jacobi:
+        if load + abs(c) > 1 << 31:
+            out %= p
+            load = 1
+        np.multiply(a[: n - t], c, out=scratch[: n - t])
+        out[t:] += scratch[: n - t]
+        load += abs(c)
+    out %= p
+    return out

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from typing import Callable
 
 import numpy as np
 
@@ -40,10 +38,13 @@ from divcorr.sieve import charge
 DEFAULT_TRUNCATION = 1_000_000
 _PRECISION_TARGET = 1e-12  # absolute error every zeta constant must certify
 # terms per chunk of the head sums of compute_zeta_constants, and the bytes
-# charged for one: a float64 array and the 32 B per term of its tolist()
-# list of floats (tracemalloc: 40.0 B per term for truncations 2^16-1e6)
-_ZETA_CHUNK = 1 << 16
-_ZETA_CHUNK_BYTES = 48 * _ZETA_CHUNK
+# charged for one: n, log n and the four terms with their integer parts,
+# float64 each (tracemalloc: 82.1 B per term for truncations 2^15-2e6)
+_ZETA_CHUNK = 1 << 15
+_ZETA_CHUNK_BYTES = 96 * _ZETA_CHUNK
+# the head sums are exact on the grid 2^-123: three levels of 2^41 each
+_GRID_STEP = 41
+_GRID_LEVELS = 3
 # terms of the head sum of zeta_em, and the bytes per term: n and n^(-s)
 # in float64 (tracemalloc: 16.0 for truncations 1e4-1e6)
 _ZETA_EM_TRUNCATION = 100_000
@@ -112,23 +113,14 @@ def compute_zeta_constants(truncation: int = DEFAULT_TRUNCATION) -> ZetaConstant
     tail corrections through the third derivative.  Raises ContractError when
     the truncation cannot certify every constant to 1e-12, and ResourceError
     when one chunk of the head sums would exceed the memory cap.
+
+    Each head sum is the exactly rounded sum of its float64 terms, the
+    float math.fsum gives for them: the terms are added exactly on a
+    2^-123 fixed-point grid and the total is rounded once (_head_sums).
     """
     m = truncation
     charge(_ZETA_CHUNK_BYTES)
-
-    def head(term: Callable[[np.ndarray], np.ndarray]) -> float:
-        # fsum is exactly rounded, so only per-term rounding remains, and
-        # feeding it chunk by chunk cannot change the sum
-        chunks = (
-            term(np.arange(lo, min(lo + _ZETA_CHUNK, m + 1), dtype=np.float64))
-            for lo in range(1, m + 1, _ZETA_CHUNK)
-        )
-        return math.fsum(chain.from_iterable(c.tolist() for c in chunks))
-
-    harmonic = head(lambda n: 1.0 / n)
-    s2 = head(lambda n: (1.0 / n) * (1.0 / n))
-    s2l = head(lambda n: np.log(n) * ((1.0 / n) * (1.0 / n)))
-    s2ll = head(lambda n: np.log(n) * np.log(n) * ((1.0 / n) * (1.0 / n)))
+    harmonic, s2, s2l, s2ll = _head_sums(m)
 
     lm = math.log(m)
     gamma = harmonic - lm - 0.5 / m + 1.0 / (12.0 * m**2) - 1.0 / (120.0 * m**4)
@@ -140,7 +132,7 @@ def compute_zeta_constants(truncation: int = DEFAULT_TRUNCATION) -> ZetaConstant
     zeta_prime_2 = -(s2l + tail1)
     zeta_double_prime_2 = s2ll + tail2
     # per-term relative rounding: 1u for 1/n, 3u for its square, plus ~4u per
-    # log factor; the fsum result itself rounds once more
+    # log factor; the rounded head sum itself rounds once more
     u = 2.0**-53
     bounds = {
         "gamma": 1.0 / (252.0 * m**6) + u * (2.0 * harmonic + lm + 4.0),
@@ -161,6 +153,58 @@ def compute_zeta_constants(truncation: int = DEFAULT_TRUNCATION) -> ZetaConstant
         abs_error_bound=bounds,
         truncation_point=m,
     )
+
+
+def _head_sums(m: int) -> list[float]:
+    """sum 1/n, sum 1/n^2, sum log n / n^2 and sum log^2 n / n^2 over n <= m,
+    each the exactly rounded sum of its float64 terms, the value math.fsum
+    returns for them.
+
+    The terms are 1/n, (1/n)(1/n), log n (1/n)^2 and (log n log n)(1/n)^2,
+    formed in float64 chunk by chunk.  Every such term up to n = 2^35 lies
+    in [0, 1] on the grid 2^-123, so _grid_sums adds them exactly as
+    integers, and one int / int division per head, which Python rounds
+    correctly, gives the float whatever the chunking.
+    """
+    heads = [0, 0, 0, 0]  # exact sums, in units of 2^-123
+    for lo in range(1, m + 1, _ZETA_CHUNK):
+        n = np.arange(lo, min(lo + _ZETA_CHUNK, m + 1), dtype=np.float64)
+        log = np.log(n)
+        terms = np.empty((4, len(n)))
+        inv, sq, sql, sqll = terms
+        np.divide(1.0, n, out=inv)
+        np.multiply(inv, inv, out=sq)
+        np.multiply(log, sq, out=sql)
+        np.multiply(log, log, out=sqll)
+        sqll *= sq
+        heads = [h + s for h, s in zip(heads, _grid_sums(terms))]
+    one = 1 << (_GRID_STEP * _GRID_LEVELS)
+    return [h / one for h in heads]
+
+
+def _grid_sums(terms: np.ndarray) -> list[int]:
+    """The exact sum of each row of a 2-D float64 array, in units of 2^-123,
+    for rows of fewer than 2^22 terms of magnitude at most 1; overwrites
+    terms.
+
+    Each level scales the remainders by 2^41, takes their integer parts with
+    floor and keeps the fractions; scaling, floor and subtraction are all
+    exact, and each level's integers sum in int64 without overflow.  Raises
+    ContractError when a term has bits below 2^-123.
+    """
+    totals = [0] * len(terms)
+    whole = np.empty_like(terms)
+    for _ in range(_GRID_LEVELS):
+        terms *= float(1 << _GRID_STEP)
+        np.floor(terms, out=whole)
+        terms -= whole
+        level = whole.sum(axis=1, dtype=np.int64).tolist()
+        totals = [(t << _GRID_STEP) + w for t, w in zip(totals, level)]
+    if terms.any():
+        raise ContractError(
+            f"a head term is finer than the 2^-{_GRID_STEP * _GRID_LEVELS} grid"
+        )
+    return totals
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -52,8 +52,8 @@ from divcorr.sieve import (
 )
 
 KINDS = ("dd", "dpoly", "sigma_corr")
-# bytes per entry at the peak of ramanujan_tau_table (measured 182-198 for
-# limits 1e2-1e4; the finished table holds 38-46)
+# bytes per entry at the peak of ramanujan_tau_table (measured 133-161 for
+# limits 1e2-1e5; the finished table holds 40-46)
 _TAU_ENTRY_BYTES = 200
 _CONSISTENCY_TOLERANCE = 1e-9  # largest coefficient_consistency deviation that passes
 SUITES = (
@@ -319,6 +319,7 @@ def _suite_genrec(amax: int) -> Iterator[_Outcome]:
     )
     spf = build_spf(amax * amax)
     tau = ramanujan_tau_table(tau_limit)
+    gcd_divisors = {g: divisors(trial_factorize(g)) for g in range(1, amax + 1)}
     specs = [
         (divisor_count_spec(), amax * amax),
         (sigma_spec(1), amax * amax),
@@ -338,7 +339,7 @@ def _suite_genrec(amax: int) -> Iterator[_Outcome]:
                 lhs = fval[a] * fval[b]
                 rhs = 0
                 ab = a * b
-                for e in divisors(trial_factorize(math.gcd(a, b))):
+                for e in gcd_divisors[math.gcd(a, b)]:
                     rhs += gval[e] * fval[ab // (e * e)]
                 if lhs != rhs:
                     bad.append(f"{spec.name} a={a} b={b}: {lhs} != {rhs}")

@@ -7,6 +7,8 @@ is checked against.
 
 import math
 
+import numpy as np
+
 
 def d_naive(n: int) -> int:
     count = 0
@@ -115,3 +117,16 @@ def tau_naive(limit: int) -> list[int]:
             for i in range(top, m - 1, -1):
                 coeffs[i] -= coeffs[i - m]
     return [0] + coeffs[:limit]
+
+
+def zeta_heads_fsum(m: int) -> tuple[float, float, float, float]:
+    """The four head sums of the zeta constants over n <= m, each term formed
+    in one float64 array and the whole list fed to math.fsum."""
+    n = np.arange(1, m + 1, dtype=np.float64)
+    terms = (
+        1.0 / n,
+        (1.0 / n) * (1.0 / n),
+        np.log(n) * ((1.0 / n) * (1.0 / n)),
+        np.log(n) * np.log(n) * ((1.0 / n) * (1.0 / n)),
+    )
+    return tuple(math.fsum(t.tolist()) for t in terms)

@@ -1,6 +1,7 @@
 import math
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,6 +174,11 @@ class TestMultiplicativeSpecs:
             dc.chebyshev_extend(2, 1, -1)
 
 
+@pytest.fixture(scope="module")
+def tau30k():
+    return dc.ramanujan_tau_table(30_000)
+
+
 class TestRamanujanTau:
     def test_small_values(self):
         tau = dc.ramanujan_tau_table(12)
@@ -185,11 +191,17 @@ class TestRamanujanTau:
     def test_against_naive_expansion(self):
         assert dc.ramanujan_tau_table(50) == tau_naive(50)
 
-    def test_ramanujan_congruence_mod_691(self):
-        # tau(n) = sigma_11(n) (mod 691), from the weight-12 Eisenstein series
-        tau = dc.ramanujan_tau_table(10_000)
-        for n in range(1, 10_001):
-            assert (tau[n] - sigma_naive(n, 11)) % 691 == 0, n
+    def test_ramanujan_congruence_mod_691(self, tau30k):
+        # tau(n) = sigma_11(n) (mod 691), from the weight-12 Eisenstein series;
+        # sigma_11 mod 691 summed over each divisor's multiples
+        limit = len(tau30k) - 1
+        sigma11 = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            power = pow(d, 11, 691)
+            for m in range(d, limit + 1, d):
+                sigma11[m] += power
+        for n in range(1, limit + 1):
+            assert (tau30k[n] - sigma11[n]) % 691 == 0, n
 
     def test_multiplicative_on_coprime_pairs(self):
         limit = 2000
@@ -199,17 +211,74 @@ class TestRamanujanTau:
                 if gcd(m, n) == 1:
                     assert tau[m * n] == tau[m] * tau[n], (m, n)
 
-    def test_hecke_recurrence(self):
-        limit = 3000
-        tau = dc.ramanujan_tau_table(limit)
+    def test_hecke_recurrence(self, tau30k):
         for p in (2, 3, 5):
             k = 1
-            while p ** (k + 1) <= limit:
+            while p ** (k + 1) < len(tau30k):
                 assert (
-                    tau[p ** (k + 1)]
-                    == tau[p] * tau[p**k] - p**11 * tau[p ** (k - 1)]
+                    tau30k[p ** (k + 1)]
+                    == tau30k[p] * tau30k[p**k] - p**11 * tau30k[p ** (k - 1)]
                 ), (p, k)
                 k += 1
+
+    def test_prefix_across_prime_count_changes(self, monkeypatch, tau30k):
+        # The table takes as many primes below 2^31 as its product needs to
+        # exceed 2 S^8, S = sum of |J coefficients| below the limit: K^2 for
+        # the K terms (-1)^k (2k+1) q^(k(k+1)/2) there, K growing at the
+        # limits k(k+1)/2 + 1.  On both sides of each limit where the count
+        # grows, the table must be a prefix of one built with more primes.
+        top = len(tau30k) - 1
+        starts = {k + 1: k * (k + 1) // 2 + 1 for k in range(1, 250)}
+        primes = dc.arith._crt_primes(2 * max(starts) ** 16)
+
+        def prime_count(terms):
+            return next(
+                c for c in range(1, len(primes) + 1)
+                if math.prod(primes[:c]) > 2 * terms**16
+            )
+
+        changes = [
+            n for terms, n in starts.items()
+            if n <= top and prime_count(terms) > prime_count(terms - 1)
+        ]
+        assert changes == [7, 106, 1432, 21322]  # 2, 3, 4 and 5 primes from here
+        crt_primes = dc.arith._crt_primes
+        used = []
+
+        def spy(bound):
+            out = crt_primes(bound)
+            used.append(len(out))
+            return out
+
+        monkeypatch.setattr(dc.arith, "_crt_primes", spy)
+        for n in changes:
+            for limit in (n - 1, n):
+                assert dc.ramanujan_tau_table(limit) == tau30k[: limit + 1], limit
+        assert used == [1, 2, 2, 3, 3, 4, 4, 5]
+
+    def test_times_jacobi_reduces_before_int64_overflow(self):
+        # coefficients near 2^31 against residues p - 1 would carry the
+        # unreduced sum past 2^63 from the third term on
+        p = 2**31 - 1
+        a = np.full(8, p - 1, dtype=np.int64)
+        terms = [(0, 2**31 - 1), (1, 2**31 - 3), (2, 2**31 - 5), (3, 7 - 2**31)]
+        expected = [
+            sum(c * (p - 1) for t, c in terms if t <= i) % p for i in range(len(a))
+        ]
+        assert dc.arith._times_jacobi(a, terms, p).tolist() == expected
+
+    def test_crt_primes_are_the_largest_below_2_31(self):
+        primes = dc.arith._crt_primes(2**300)
+        assert math.prod(primes) > 2**300 >= math.prod(primes[:-1])
+        expected = []
+        n = 2**31 - 1
+        while len(expected) < len(primes):
+            if smallest_prime_factor_naive(n) == n:
+                expected.append(n)
+            n -= 2
+        assert primes == expected
+        # a strong pseudoprime to the bases 2, 3 and 5 (2251 x 11251)
+        assert not dc.arith._is_prime(25326001)
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(dc.RangeError):

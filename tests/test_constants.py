@@ -2,9 +2,11 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import zeta_heads_fsum
 
 import divcorr as dc
 
@@ -81,6 +83,11 @@ class TestZetaConstants:
         assert charged == [dc.constants._ZETA_CHUNK_BYTES], charged
         assert peak <= charged[0], (peak, charged)
 
+    @pytest.mark.parametrize("m", [100, 2**15 - 1, 2**15, 2**15 + 1, 10**5])
+    def test_head_sums_equal_fsum(self, m):
+        # one chunk short of, at and just past a chunk boundary, and many
+        assert tuple(dc.constants._head_sums(m)) == zeta_heads_fsum(m)
+
     def test_rejects_impossible_precision(self):
         # 30 terms leave gamma's Euler-Maclaurin tail at 5.45e-12
         with pytest.raises(dc.ContractError, match="worse than the target 1.00e-12"):
@@ -115,6 +122,35 @@ class TestZetaConstants:
         assert peak <= 16 * 10**5 + 4096, peak
         assert again < 1 << 14, again
         assert dc.zeta_em.cache_info().currsize == 3  # zeta(4), zeta(2.5), zeta(5)
+
+
+# floats in [0, 1] on the 2^-123 grid: a 53-bit integer times 2^-e
+_grid_floats = st.builds(
+    lambda mant, e: mant * 2.0**-e, st.integers(0, 2**53), st.integers(53, 123)
+)
+
+
+class TestGridSums:
+    @given(st.lists(st.lists(_grid_floats, max_size=40), min_size=1, max_size=3))
+    @example([[1.0, 2**-53]])  # a tie: rounds to even, down to 1.0
+    @example([[1.0, 2**-53, 2**-80]])  # just past the tie: rounds up
+    @example([[2**-123] * 5, [1.0] * 3, []])
+    def test_exact_against_fsum(self, rows):
+        width = max(len(r) for r in rows)
+        # zero padding leaves every row sum as it is
+        terms = np.array([r + [0.0] * (width - len(r)) for r in rows]).reshape(
+            len(rows), width
+        )
+        sums = dc.constants._grid_sums(terms)
+        for row, total in zip(rows, sums):
+            assert Fraction(total, 2**123) == sum(map(Fraction, row))
+            assert total / 2**123 == math.fsum(row)
+
+    @pytest.mark.parametrize("term", [2.0**-124, 2.0**-72 + 2.0**-124, 3 * 2.0**-125])
+    def test_term_finer_than_grid_raises(self, term):
+        # 0.5 lies on the grid; each term has a bit below 2^-123
+        with pytest.raises(dc.ContractError, match="finer than the 2\\^-123 grid"):
+            dc.constants._grid_sums(np.array([[0.5, term]]))
 
 
 class TestCoefficients:
