@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,9 +104,13 @@ def sigma_pow(alpha: int | float, f: Factorization) -> int | float:
     return out
 
 
+@lru_cache(maxsize=1 << 12)
 def sigma_log_k(v: int, k: int) -> float:
     """sum over divisors d of v of (log d)^k / d, the k-fold log-weighted
-    variant of sigma_{-1}; k = 0 gives sigma_{-1}(v) = sigma_1(v)/v."""
+    variant of sigma_{-1}; k = 0 gives sigma_{-1}(v) = sigma_1(v)/v.
+
+    Cached, since the identity checks ask for the same (v, k) many times
+    over the divisors of each shift: v is factorised once per k."""
     if v < 1:
         raise RangeError(f"v={v} must be positive")
     f = trial_factorize(v)

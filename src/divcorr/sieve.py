@@ -11,23 +11,30 @@ the one fork site) take the windows round-robin and write one shared
 anonymous mapping, and the windows of a worker that raised are rerun in
 the caller, so the error keeps its class.  No knob selects this.
 time.process_time() of the caller leaves out the children's CPU time.
+_divisor_fill, the one fill of d, is multiplicative: a 2520 wheel tiles
+the factors of 2, 3, 5 and 7, each other prime p <= sqrt(hi) and each
+prime power past the wheel update d and the smooth part s of n on their
+multiples, and d doubles where s != n, so a window costs about two vector
+operations per prime <= sqrt(hi) rather than one per i <= sqrt(hi).
 shifted_windows is the one kernel of the d sums over a table: window by
 window it yields d(n) d(n+v), or d(n(n+v)) with the correction at the
 primes of v, from buffers it reuses or straight into an output array, so
 sum_dd, sum_dpoly and shifted_product_values need O(window) memory beyond
 the d-table.  stream_pair_sums serves many cells sum_{n<=y} d(n) d(n+w) in
 one pass, as a plain dict keyed by (y, w): each window is sieved by the
-same divisor fill as the table build, every shift is multiplied behind the
-same overflow guard, and the windows go to the same workers, so only
-O(window) memory is held.  build_mult_table gives f(n) as exact Python
+same divisor fill as the table build, a shift wider than a window in a
+piece of its own, every shift is multiplied behind the same overflow
+guard, and the windows go to the same workers, so only O(window) memory is
+held.  build_mult_table gives f(n) as exact Python
 ints in an object array, from vectorised passes over the whole SPF table.
 charge() is the one memory-cap check: callers charge their allocations
 before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
-(one per sieving prime in the builders, one per prime power of the shift in
-shifted_windows) hit cache instead of streaming the window from RAM.
+(a few per sieving prime in the builders, one per prime power of the shift
+in shifted_windows) mostly hit cache instead of streaming the window from
+RAM.
 """
 
 from __future__ import annotations
@@ -37,11 +44,11 @@ import os
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from divcorr.arith import MultiplicativeSpec, trial_factorize
+from divcorr.arith import MultiplicativeSpec, divisors, trial_factorize
 from divcorr.errors import ContractError, RangeError, ResourceError
 
 SEGMENT_SIZE = 1 << 19  # table entries per window
@@ -52,6 +59,8 @@ SEGMENT_SIZE = 1 << 19  # table entries per window
 MULT_ENTRY_BYTES = 96
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
+_WHEEL = 2520  # 2^3 3^2 5 7: the divisor fill's wheel
+_CHUNK = 1 << 15  # entries per step of the divisor fill's last pass
 
 
 def charge(nbytes: int) -> None:
@@ -93,6 +102,22 @@ def _base_primes(n: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0]
+
+
+def _wheel_patterns() -> tuple[np.ndarray, np.ndarray]:
+    """d(g) and g = gcd(r, _WHEEL) for r in [0, _WHEEL): n mod _WHEEL fixes
+    the part g of n that the wheel primes give up to the wheel's exponents."""
+    d = np.zeros(_WHEEL, dtype=np.uint32)
+    for t in divisors(trial_factorize(_WHEEL)):
+        d[::t] += 1  # t | r exactly when t | g
+    g = np.ones(_WHEEL, dtype=np.uint32)
+    for p, e in trial_factorize(_WHEEL):
+        for k in range(1, e + 1):
+            g[:: p**k] *= p
+    return d, g
+
+
+_WHEEL_D, _WHEEL_S = _wheel_patterns()
 
 
 def windows(first: int, last: int) -> Iterator[tuple[int, int]]:
@@ -198,21 +223,90 @@ def build_spf(limit: int) -> SpfTable:
     return SpfTable(limit, spf)
 
 
-def _divisor_fill(seg: np.ndarray, lo: int, hi: int) -> None:
-    """Add d(n) for n in [lo, hi] into seg[n - lo], a zeroed window: the one
-    divisor fill of the table build and the streamed pass.
+class _FillPlan(NamedTuple):
+    """What _divisor_fill needs beyond its window, built once per call."""
 
-    Every divisor pair (i, n/i) with i <= sqrt(n) contributes two counts
-    (one when i*i = n), added as strided slice updates, so a window costs
-    sqrt(hi) vector operations rather than a per-element loop.
+    powers: list[tuple[int, int, int]]  # (p^k, p, k) past the wheel, by p^k
+    qs: np.ndarray  # the p^k of powers, int64
+    smooth: np.ndarray  # scratch for the smooth parts, one window long
+    ramp: np.ndarray  # 0, 1, ... in the dtype of smooth, one chunk long
+
+
+def _fill_plan_bytes(top: int, size: int) -> int:
+    """The bytes that callers charge for _fill_plan(top, size): 8 per scratch
+    entry, and 48 per isqrt(top) plus 4 KiB for the prime powers
+    (tracemalloc peaks per isqrt(top): 70 at 1e4, 34 at 3e7, 24 at 1e9)."""
+    return 8 * size + 48 * isqrt(top) + 4096
+
+
+def _fill_plan(top: int, size: int) -> _FillPlan:
+    """The plan of _divisor_fill for windows of at most size entries that end
+    at most at top: every prime power p^k <= top with p <= sqrt(top) that the
+    wheel does not cover, and a smooth-part scratch of size entries, uint32
+    below 2^32 and uint64 from there."""
+    powers = []
+    for p in _base_primes(isqrt(top)).tolist():
+        q, k = p, 1
+        while q <= top:
+            if _WHEEL % q:
+                powers.append((q, p, k))
+            q, k = q * p, k + 1
+    powers.sort()
+    qs = np.array([q for q, _, _ in powers], dtype=np.int64)
+    dtype = np.uint32 if top < 1 << 32 else np.uint64
+    ramp = np.arange(min(size, _CHUNK), dtype=dtype)
+    return _FillPlan(powers, qs, np.empty(size, dtype=dtype), ramp)
+
+
+def _divisor_fill(seg: np.ndarray, lo: int, hi: int, plan: _FillPlan) -> None:
+    """Write d(n) for n in [lo, hi], 1 <= lo, into seg[n - lo], a window of
+    exactly hi - lo + 1 entries: the one divisor fill of the table build and
+    the streamed pass.
+
+    With r = isqrt(hi), every n in the window has at most one prime factor
+    above r, so d(n) = d(s) * (2 if s < n else 1), s the r-smooth part of n.
+    d(s) is built in seg and s in plan.smooth, multiplicatively:
+
+    - the wheel tiles d and s for the primes 2, 3, 5, 7 up to 2^3 3^2 5 7 =
+      2520, one broadcast assignment each;
+    - each other prime p doubles d and multiplies s by p on its multiples;
+    - each p^k past the wheel turns the factor k of d into k + 1 and
+      multiplies s by p on its multiples, the fill's only division.
+
+    A p^k no shorter than the window has at most one multiple there; those
+    are found in one vectorised pass and updated one entry at a time, so a
+    window costs about two vector operations per prime <= r.  Last, d is
+    doubled where s != n, in chunks of _CHUNK entries.
     """
-    for i in range(1, isqrt(hi) + 1):
-        sq = i * i
-        if lo <= sq <= hi:
-            seg[sq - lo] += 1
-        start = max(sq + i, (lo + i - 1) // i * i)
-        if start <= hi:
-            seg[start - lo :: i] += 2
+    m = hi - lo + 1
+    d, s = seg, plan.smooth[:m]
+    phase = lo % _WHEEL
+    rows, rest = divmod(m, _WHEEL)
+    for buf, pattern in ((d, _WHEEL_D), (s, _WHEEL_S)):
+        pattern = np.roll(pattern, -phase)
+        buf[: rows * _WHEEL].reshape(rows, _WHEEL)[:] = pattern
+        buf[rows * _WHEEL :] = pattern[:rest]
+    dense, cut = np.searchsorted(plan.qs, (m, hi), "right")
+    for q, p, k in plan.powers[:dense]:
+        start = (-lo) % q
+        sub = d[start::q]
+        if k == 1:
+            sub <<= 1
+        else:
+            sub //= k
+            sub *= k + 1
+        s[start::q] *= p
+    first = (-lo) % plan.qs[dense:cut]
+    for i in np.nonzero(first < m)[0].tolist():  # ascending p^k, as above
+        _, p, k = plan.powers[dense + i]
+        j = int(first[i])
+        d[j] = d[j] // k * (k + 1)
+        s[j] *= p
+    for a in range(0, m, _CHUNK):
+        b = min(a + _CHUNK, m)
+        sub = s[a:b]
+        sub -= plan.ramp[: b - a]  # s - (n - lo - a), modulo the dtype
+        d[a:b] <<= sub != lo + a
 
 
 def build_divisor_table(limit: int) -> DivisorTable:
@@ -226,13 +320,15 @@ def build_divisor_table(limit: int) -> DivisorTable:
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
-    charge((limit + 1) * 4)
+    size = min(SEGMENT_SIZE, limit)
+    charge((limit + 1) * 4 + _fill_plan_bytes(limit, size))
+    plan = _fill_plan(limit, size)
 
     def fill(d: np.ndarray, lo: int, hi: int) -> None:
-        _divisor_fill(d[lo : hi + 1], lo, hi)
+        lo = max(lo, 1)  # slot 0 stays 0
+        _divisor_fill(d[lo : hi + 1], lo, hi, plan)
 
     d = _fan_out(limit + 1, np.uint32, list(windows(0, limit)), fill)
-    d[0] = 0
     return DivisorTable(limit, d)
 
 
@@ -326,28 +422,47 @@ def _divisor_summatory(y: int) -> int:
     return 2 * sum(y // i for i in range(1, r + 1)) - r * r
 
 
+def _check_d_sum(value: int, y: int, after: int = 0) -> None:
+    """The self-test of the streamed pass: raise RuntimeError naming y unless
+    value is the sum of d(n) over after < n <= y by the hyperbola identity."""
+    want = _divisor_summatory(y) - _divisor_summatory(after)
+    if value != want:
+        raise RuntimeError(
+            f"divisor sieve self-test failed at y={y}: sum of d(n) over "
+            f"({after}, {y}] {value} != {want} by the hyperbola identity"
+        )
+
+
 def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
     """{(y, w): sum_{n<=y} d(n) d(n+w)} for every cell (y, w) with y >= 1,
     exact, in one pass over the windows of [1, max y] that keeps no d-table;
     cells with y = 0 get no entry.
 
     Each window [lo, hi] is sieved into one reused buffer by the divisor
-    fill of build_divisor_table, on [lo, hi + w] for the widest shift w
-    still needed there.  Each shift forms d(n) d(n+w) up to its largest y
-    only, in uint32 behind the overflow guard of shifted_windows, and sums
-    it in uint64 between the window's cuts: its start and every y + 1 inside
-    it (np.sum per segment casts in small buffers; np.add.reduceat would
-    cast the whole window to uint64 first).  Each segment sum is one slot of
-    a shared array; the windows go to the workers of _fan_out, and the parent
-    adds each shift's slots in window order as Python ints, so the sums are
-    exact and deterministic; a window that raises in a worker raises here.
+    fill of build_divisor_table, on [lo, hi + w] for the widest near shift w
+    still needed there, a near shift being one no wider than a window.  A
+    far shift sieves only its own piece [lo + w, n + w] into a second
+    buffer, so no buffer spans the gap.  Each shift forms d(n) d(n+w) up to
+    its largest y only, in uint32, and sums it in uint64 between the
+    window's cuts: its start and every y + 1 inside it (np.sum per segment
+    casts in small buffers; np.add.reduceat would cast the whole window to
+    uint64 first).  The overflow guard of shifted_windows runs on a far
+    shift, and on a near one only when the window's largest d(n) squared
+    reaches 2^32, so it raises exactly where it would on every shift.  Each
+    segment sum is one slot of a shared array; the windows go to the
+    workers of _fan_out, and the parent adds each shift's slots in window
+    order as Python ints, so the sums are exact and deterministic; a window
+    that raises in a worker raises here.
 
     The pass also sums d(n) up to every y, and up to the top y + w of any
-    cell, which the last window sieves to; it checks each against the
-    hyperbola identity sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2,
-    r = floor(sqrt y), and a mismatch raises RuntimeError naming y.  Charges
-    16 B per buffer entry and 8 B per slot; raises RangeError for a cell
-    with y < 0 or w < 1.
+    near cell, which the last window sieves to, and sums each far piece;
+    it checks each sum against the hyperbola identity
+    sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y), a
+    piece (a, y] as the difference of two, so no sieved d(n) goes
+    unchecked and a mismatch raises RuntimeError naming y.  Charges 16 B
+    per entry of a window plus the widest near shift, the fill's prime
+    powers up to the top n + w and 8 B per slot; raises RangeError for a
+    cell with y < 0 or w < 1.
     """
     marks: dict[int, set[int]] = {0: set()}  # shift -> its ys; 0 sums d(n)
     for y, w in cells:
@@ -358,10 +473,13 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
             marks[0].add(y)
     if not marks[0]:
         return {}
-    top, widest = max(marks[0]), max(marks)
-    # the last window sieves on to the top n + w any shift reads, and the d
-    # row sums that far too, so no sieved d(n) goes unchecked
-    marks[0].add(max(y + w for w in marks for y in marks[w]))
+    top = max(marks[0])
+    size = min(SEGMENT_SIZE, top)
+    near = max(w for w in marks if w <= size)
+    ends = {w: max(marks[w]) + w for w in marks}
+    # the last window sieves on to the top n + w any near shift reads, and
+    # the d row sums that far too, so no sieved d(n) goes unchecked
+    marks[0].add(max(ends[w] for w in marks if w <= size))
     # per shift: its last y, the starts of its segments and its first slot
     rows = []
     slot = 0
@@ -371,10 +489,13 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
         starts = np.array(sorted(cuts - {last + 1}), dtype=np.int64)
         rows.append((w, last, starts, slot))
         slot += len(starts)
-    size = min(SEGMENT_SIZE, top)
-    charge(16 * (size + widest) + 8 * slot)
-    dbuf = np.empty(size + widest, dtype=np.uint32)
-    pbuf = np.empty(size, dtype=np.uint32)
+    reach = max(ends.values())
+    # dbuf and far, 4 B per entry each; the plan; the slots
+    charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + 8 * slot)
+    dbuf = np.empty(size + near, dtype=np.uint32)
+    far = np.empty(size if max(marks) > size else 0, dtype=np.uint32)
+    plan = _fill_plan(reach, size + near)
+    pbuf = plan.smooth  # idle while the fill runs; then the products
 
     def fill(slots: np.ndarray, lo: int, hi: int) -> None:
         # each row still summing here, with the last n it sums in this window
@@ -383,15 +504,21 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
             for row in rows
             if row[1] >= lo
         ]
-        end = max(n + row[0] for row, n in live)
+        end = max(n + row[0] for row, n in live if row[0] <= size)
         dwin = dbuf[: end - lo + 1]
-        dwin.fill(0)
-        _divisor_fill(dwin, lo, end)
+        _divisor_fill(dwin, lo, end, plan)
+        guarded = int(dwin.max()) ** 2 >= 1 << 32
         for (w, _, starts, first), n in live:
             m = n - lo + 1
             terms = dwin[:m]
-            if w:
-                terms = _pair_products(terms, dwin[w : w + m], pbuf[:m])
+            if w > size:
+                right = far[:m]
+                _divisor_fill(right, lo + w, n + w, plan)
+                _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, lo + w - 1)
+                terms = _pair_products(terms, right, pbuf[:m])
+            elif w:
+                product = _pair_products if guarded else np.multiply
+                terms = product(terms, dwin[w : w + m], pbuf[:m])
             i, j = np.searchsorted(starts, (lo, n + 1))
             cuts = (starts[i:j] - lo).tolist() + [m]
             for k, (a, b) in enumerate(zip(cuts, cuts[1:]), first + i):
@@ -405,11 +532,8 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
             value = prefix[int(np.searchsorted(starts, y, "right")) - 1]
             if w:
                 sums[y, w] = value
-            elif value != _divisor_summatory(y):
-                raise RuntimeError(
-                    f"divisor sieve self-test failed at y={y}: sum of d(n) "
-                    f"{value} != {_divisor_summatory(y)} by the hyperbola identity"
-                )
+            else:
+                _check_d_sum(value, y)
     return sums
 
 

@@ -20,6 +20,21 @@ def d_naive(n: int) -> int:
     return count
 
 
+def divisor_window_strided(lo: int, hi: int) -> np.ndarray:
+    """d(n) for n in [lo, hi], 1 <= lo, as uint32: each divisor pair (i, n/i)
+    with i <= sqrt(n) adds two counts (one when i*i = n), one strided slice
+    add per i <= sqrt(hi)."""
+    seg = np.zeros(hi - lo + 1, dtype=np.uint32)
+    for i in range(1, math.isqrt(hi) + 1):
+        sq = i * i
+        if lo <= sq <= hi:
+            seg[sq - lo] += 1
+        start = max(sq + i, (lo + i - 1) // i * i)
+        if start <= hi:
+            seg[start - lo :: i] += 2
+    return seg
+
+
 def divisors_naive(n: int) -> list[int]:
     small = []
     large = []

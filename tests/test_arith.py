@@ -115,6 +115,24 @@ class TestPointwiseFunctions:
         expected = math.fsum(math.log(d) ** k / d for d in divisors_naive(v))
         assert dc.sigma_log_k(v, k) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
+    def test_sigma_log_k_factorises_each_v_once_per_k(self, monkeypatch):
+        # the identity suites ask for each (v, k) once per divisor e of a
+        # shift; repeats come from the cache
+        dc.sigma_log_k.cache_clear()
+        factor = dc.arith.trial_factorize
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(dc.arith, "trial_factorize", counting)
+        first = [dc.sigma_log_k(v, k) for v in (12, 30) for k in range(3)]
+        assert [dc.sigma_log_k(v, k) for v in (12, 30) for k in range(3)] == first
+        assert sorted(calls) == [12, 12, 12, 30, 30, 30]
+        with pytest.raises(dc.RangeError):
+            dc.sigma_log_k(0, 1)
+
     def test_von_mangoldt_examples(self):
         assert dc.von_mangoldt_k(8, 1) == pytest.approx(math.log(2), rel=1e-12)
         assert dc.von_mangoldt_k(6, 1) == pytest.approx(0.0, abs=1e-12)

@@ -127,8 +127,8 @@ def test_compare_dropped_divisor_raises(capsys, monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fill = sieve._divisor_fill
 
-    def dropping(seg, lo, hi):
-        fill(seg, lo, hi)
+    def dropping(seg, lo, hi, plan):
+        fill(seg, lo, hi, plan)
         if lo <= n <= hi:
             seg[n - lo] -= 1
 

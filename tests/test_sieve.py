@@ -13,6 +13,7 @@ import divcorr as dc
 from divcorr.cli import main
 from oracles import (
     d_naive,
+    divisor_window_strided,
     mobius_naive,
     shifted_product_divisor_count,
     sigma_naive,
@@ -58,6 +59,55 @@ class TestDivisorTable:
     def test_oracle_sample(self, n):
         table = _shared_table()
         assert table.values[n] == d_naive(n)
+
+
+def _fill(lo, hi, top=None):
+    """The divisor fill on [lo, hi], planned for windows ending at most at top."""
+    seg = np.empty(hi - lo + 1, dtype=np.uint32)
+    plan = dc.sieve._fill_plan(top or hi, hi - lo + 1)
+    dc.sieve._divisor_fill(seg, lo, hi, plan)
+    return seg
+
+
+class TestDivisorFill:
+    # the wheel's period is 2520; 3e7, 1e8 + 17 and 1e9 need the primes and
+    # prime powers past it up to sqrt(hi)
+    @pytest.mark.parametrize(
+        "lo", [1, 2, 144, 2519, 2520, 2521, 3 * 10**7, 10**8 + 17, 10**9]
+    )
+    def test_matches_strided_oracle(self, lo):
+        hi = lo + (1 << 16) - 1
+        seg = _fill(lo, hi)
+        assert seg.tobytes() == divisor_window_strided(lo, hi).tobytes()
+        for n in range(lo, hi + 1, 3277):
+            assert seg[n - lo] == d_naive(n), n
+
+    @pytest.mark.parametrize("lo", [1, 2, 1000, 2519, 2520, 5039, 10**6 + 1])
+    @pytest.mark.parametrize("length", [1, 2, 17, 2519, 2520, 2521])
+    def test_windows_around_the_wheel_period(self, lo, length):
+        hi = lo + length - 1
+        assert _fill(lo, hi).tobytes() == divisor_window_strided(lo, hi).tobytes()
+
+    def test_window_straddling_2_to_the_32(self):
+        # n past 2^32 has a smooth part past uint32; the plan widens it
+        lo, hi = (1 << 32) - 3000, (1 << 32) + 3000
+        assert dc.sieve._fill_plan(hi, 1).smooth.dtype == np.uint64
+        seg = _fill(lo, hi)
+        assert seg.tobytes() == divisor_window_strided(lo, hi).tobytes()
+        for n in (lo, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, hi):
+            assert seg[n - lo] == d_naive(n), n
+
+    @given(
+        lo=st.integers(min_value=1, max_value=10**7),
+        length=st.integers(min_value=1, max_value=6000),
+        spare=st.integers(min_value=0, max_value=10**7),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_windows(self, lo, length, spare):
+        # a plan for a larger top carries primes past sqrt(hi), as in a pass
+        hi = lo + length - 1
+        want = divisor_window_strided(lo, hi).tobytes()
+        assert _fill(lo, hi, hi + spare).tobytes() == want
 
 
 _TABLE_CACHE = {}
@@ -339,15 +389,17 @@ class TestStreamedPairSums:
 
     @pytest.mark.parametrize("y, w", [(1000, 1), (20_000, 30_030)])
     def test_dropped_divisor_past_the_last_y_raises(self, monkeypatch, y, w):
-        # d(n + w) for n <= y reaches past y; the last window sieves it, and
-        # the d row is checked at its top, y + w.  At y = 20000 that window
-        # is a child's, and y + w = 50030 lies in no other window
+        # d(n + w) for n <= y reaches past y.  For w = 1 the last window
+        # sieves it, and the d row is checked at its top, y + w.  w = 30030
+        # is wider than a window, so the last window's piece [lo + w, y + w]
+        # is sieved and checked on its own; that window is a child's, and
+        # y + w = 50030 lies in no other piece
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         fill = dc.sieve._divisor_fill
 
-        def dropping(seg, lo, hi):
-            fill(seg, lo, hi)
+        def dropping(seg, lo, hi, plan):
+            fill(seg, lo, hi, plan)
             if lo <= y + w <= hi:
                 seg[y + w - lo] -= 1
 
@@ -355,6 +407,51 @@ class TestStreamedPairSums:
         with pytest.raises(RuntimeError, match=f"self-test failed at y={y + w}:"):
             dc.stream_pair_sums([(y, w)])
         _assert_no_child_left()
+
+    @pytest.mark.parametrize("x, w", [(1000, 10**7), (10, (1 << 32) - 5)])
+    def test_far_shift_sieves_no_gap(self, x, w):
+        # the pass sieves [1, x] and [w + 1, w + x], not the gap between
+        # them (40 MB at w = 10^7); the second piece straddles 2^32.  The
+        # plan's prime powers up to sqrt(x + w) take most of the peak
+        tracemalloc.start()
+        try:
+            sums = dc.stream_pair_sums([(x, w)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        left = divisor_window_strided(1, x).astype(np.int64)
+        right = divisor_window_strided(w + 1, w + x).astype(np.int64)
+        assert sums == {(x, w): int(left @ right)}
+        assert peak < dc.sieve._fill_plan_bytes(x + w, x) + (1 << 16), peak
+
+    @pytest.mark.parametrize(
+        "big, error, guards",
+        [(1 << 16, OverflowError, [1000]), ((1 << 16) - 1, RuntimeError, [])],
+    )
+    def test_overflow_guard_runs_where_it_can_fire(
+        self, monkeypatch, big, error, guards
+    ):
+        # d(500) = d(501) = big: 2^16 squared wraps uint32, so the window
+        # calls the guard and it raises; 2^16 - 1 squared does not, so the
+        # guard is skipped and the planted values fail the self-test instead
+        fill = dc.sieve._divisor_fill
+        pair_products = dc.sieve._pair_products
+        called = []
+
+        def planted(seg, lo, hi, plan):
+            fill(seg, lo, hi, plan)
+            if lo <= 500 < hi:
+                seg[500 - lo : 502 - lo] = big
+
+        def spy(left, right, out):
+            called.append(len(left))
+            return pair_products(left, right, out)
+
+        monkeypatch.setattr(dc.sieve, "_divisor_fill", planted)
+        monkeypatch.setattr(dc.sieve, "_pair_products", spy)
+        with pytest.raises(error):
+            dc.stream_pair_sums([(1000, 1)])
+        assert called == guards
 
     def test_keeps_no_d_table(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
@@ -426,10 +523,10 @@ class TestWorkerFailure:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         fill = dc.sieve._divisor_fill
 
-        def faulty(seg, lo, hi):
+        def faulty(seg, lo, hi, plan):
             if lo <= n <= hi:
                 raise OverflowError("planted window fault")
-            fill(seg, lo, hi)
+            fill(seg, lo, hi, plan)
 
         monkeypatch.setattr(dc.sieve, "_divisor_fill", faulty)
         argv = ["compare", "--kind", "dd", "--x", "100,10000", "--v", "1"]
