@@ -12,17 +12,14 @@ comparison rows as CSV on stdout, plus a per-shift summary on stderr.
 import argparse
 import sys
 
+from divcorr.cli import int_list
 from divcorr.harness import RunConfig, emit, run_compare
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kind", choices=("dd", "dpoly"), default="dpoly")
-    parser.add_argument("--v", type=_int_list, default=[1, 2, 3, 4, 6])
+    parser.add_argument("--v", type=int_list, default=[1, 2, 3, 4, 6])
     parser.add_argument(
         "--decades", type=int, default=4, help="x runs over 1e4 .. 10^(3+decades)"
     )

@@ -18,7 +18,6 @@ from divcorr.arith import (
     mobius_divisors,
     ramanujan_tau_table,
     sigma_log_k,
-    sigma_pow,
     sigma_spec,
     tau_spec,
     trial_factorize,

@@ -4,9 +4,9 @@ Everything here works on one integer at a time, factored by trial division
 (shifts v, their divisors, prime powers); values of f over a range come
 from divcorr.sieve, which builds on this bottom layer.  arith imports
 nothing from divcorr except its errors.  Exact Python integers throughout;
-floating point only enters for real-exponent power sums and the
-log-weighted divisor sums, and numpy only for the int64 residues from which
-the tau table rebuilds its exact integers.
+floating point only enters for the log-weighted divisor sums, and numpy
+only for the int64 residues from which the tau table rebuilds its exact
+integers.
 
 Key objects:
     Factorization       ordered (prime, exponent) pairs, a plain tuple
@@ -83,27 +83,6 @@ def mobius_divisors(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def sigma_pow(alpha: int | float, f: Factorization) -> int | float:
-    """sigma_alpha(n) = sum of d^alpha over divisors d of n.
-
-    Exact integer for integer alpha >= 0, binary64 otherwise; evaluated as a
-    product of per-prime geometric sums either way.
-    """
-    if isinstance(alpha, int) and alpha >= 0:
-        if alpha == 0:
-            return math.prod(e + 1 for _, e in f)
-        out = 1
-        for p, e in f:
-            pa = p**alpha
-            out *= (pa ** (e + 1) - 1) // (pa - 1)
-        return out
-    out = 1.0
-    for p, e in f:
-        pa = float(p) ** alpha
-        out *= math.fsum(pa**j for j in range(e + 1))
-    return out
-
-
 @lru_cache(maxsize=1 << 12)
 def sigma_log_k(v: int, k: int) -> float:
     """sum over divisors d of v of (log d)^k / d, the k-fold log-weighted
@@ -113,17 +92,20 @@ def sigma_log_k(v: int, k: int) -> float:
     over the divisors of each shift: v is factorised once per k."""
     if v < 1:
         raise RangeError(f"v={v} must be positive")
-    f = trial_factorize(v)
+    divs = divisors(trial_factorize(v))
     if k == 0:
-        return int(sigma_pow(1, f)) / v
-    return math.fsum(math.log(d) ** k / d for d in divisors(f))
+        return sum(divs) / v
+    return math.fsum(math.log(d) ** k / d for d in divs)
 
 
+@lru_cache(maxsize=1 << 12)
 def von_mangoldt_k(n: int, k: int) -> float:
     """Lambda_k(n) = sum_{d|n} mu(d) (log(n/d))^k.
 
     Lambda_1 is the classical von Mangoldt function (log p on prime powers,
-    0 elsewhere); Lambda_0(n) = 1 exactly when n = 1.
+    0 elsewhere); Lambda_0(n) = 1 exactly when n = 1.  Cached like
+    sigma_log_k: the coefficient suites ask for it at every divisor of
+    every shift.
     """
     if n < 1:
         raise RangeError(f"n={n} must be positive")

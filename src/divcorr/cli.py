@@ -27,7 +27,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _int_list(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
+    """The ints of a comma list such as "1,2,6", for argparse's type=."""
     try:
         return [int(part) for part in text.split(",") if part]
     except ValueError as exc:
@@ -67,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compare", help="empirical sums against truncated main terms"
     )
-    p_cmp.add_argument("--x", type=_int_list, required=True, help="comma list")
-    p_cmp.add_argument("--v", type=_int_list, required=True, help="comma list")
+    p_cmp.add_argument("--x", type=int_list, required=True, help="comma list")
+    p_cmp.add_argument("--v", type=int_list, required=True, help="comma list")
     p_cmp.add_argument("--kind", choices=KINDS, required=True)
     p_cmp.add_argument("--alpha", type=int, default=None)
     p_cmp.add_argument("--truncation", type=int, choices=(1, 2, 3), default=3)

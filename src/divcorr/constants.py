@@ -28,7 +28,6 @@ from divcorr.arith import (
     divisors,
     mobius_divisors,
     sigma_log_k,
-    sigma_pow,
     trial_factorize,
     von_mangoldt_k,
 )
@@ -266,8 +265,7 @@ def estermann_main_term(
     """(6/pi^2) sigma_{-1}(v) x (log^2 x [+ c1 log x [+ c2]]), truncated to
     1, 2 or 3 terms for residual studies."""
     poly = _log_poly(x, estermann_coefficients(v, zc), terms)
-    s0 = int(sigma_pow(1, trial_factorize(v))) / v
-    return 6.0 / math.pi**2 * s0 * x * poly
+    return 6.0 / math.pi**2 * sigma_log_k(v, 0) * x * poly
 
 
 def shifted_product_main_term(

@@ -23,7 +23,7 @@ per n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,19 +68,20 @@ def _check_range(x: int, v: int) -> None:
         raise RangeError("x must be >= 0")
 
 
-def _lattice_sum(
-    v: int, g: Callable[[int], int], inverse: bool, term: Callable[[int], int | float]
-) -> int | float:
+def lattice_sum(
+    v: int, g: Callable[[int], int], inverse: bool, term: Callable[[int], Any]
+) -> Any:
     """sum_{e|v} w(e) term(e), w = g(e), or mu(e) g(e) when inverse.
 
-    This is the Lemma 1 transform for every spec; d is the g == 1 case.
+    This is the Lemma 1 transform for every spec and every term type (an
+    int, a float or an int64 array of prefix sums); d is the g == 1 case.
     Callers check the range of x and v first.
     """
     if inverse:
         weights = mobius_divisors(v)
     else:
         weights = [(e, 1) for e in divisors(trial_factorize(v))]
-    total: int | float = 0
+    total: Any = 0
     for e, mu in weights:
         total += mu * completely_mult_value(g, e) * term(e)
     return total
@@ -127,7 +128,7 @@ def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
     divisors of v:  sum_{e|v} sum_{n<=x/e} d(n(n+v/e)).  Equals sum_dd."""
     _check_range(x, v)
     g = divisor_count_spec().companion_g
-    value = _lattice_sum(v, g, False, lambda e: sum_dpoly(x // e, v // e, tables).value)
+    value = lattice_sum(v, g, False, lambda e: sum_dpoly(x // e, v // e, tables).value)
     return CorrelationSum("dd", x, v, value)
 
 
@@ -138,7 +139,7 @@ def sum_dpoly_from_dd(
     Equals sum_dpoly; streamed sums must serve every cell (x/e, v/e)."""
     _check_range(x, v)
     g = divisor_count_spec().companion_g
-    value = _lattice_sum(v, g, True, lambda e: sum_dd(x // e, v // e, tables).value)
+    value = lattice_sum(v, g, True, lambda e: sum_dd(x // e, v // e, tables).value)
     return CorrelationSum("dpoly", x, v, value)
 
 
@@ -276,6 +277,6 @@ def transform_correlation(
                 return _pair_sum(f, x // e, v // e)
             return _product_sum(spec, f, x // e, v // e)
 
-        total = _lattice_sum(v, spec.companion_g, inverse, term)
+        total = lattice_sum(v, spec.companion_g, inverse, term)
     kind = "fpoly" if inverse else "ff"
     return CorrelationSum(kind, x, v, total, spec_name=spec.name)

@@ -25,7 +25,6 @@ from divcorr.arith import (
     completely_mult_value,
     divisor_count_spec,
     divisors,
-    mobius_divisors,
     ramanujan_tau_table,
     sigma_spec,
     tau_spec,
@@ -40,7 +39,7 @@ from divcorr.constants import (
     sigma_correlation_main_term,
     sigma_lambda_identity,
 )
-from divcorr.correlate import streamed_d_sums, sum_shifted_product
+from divcorr.correlate import lattice_sum, streamed_d_sums, sum_shifted_product
 from divcorr.errors import ContractError
 from divcorr.sieve import (
     MULT_ENTRY_BYTES,
@@ -248,13 +247,10 @@ def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
         poly_cum[v] = np.cumsum(
             shifted_product_values(dtab, xmax, v), dtype=np.int64
         )
+    g = divisor_count_spec().companion_g
     for v in range(1, vmax + 1):
-        rhs_dd = np.zeros(xmax + 1, dtype=np.int64)
-        rhs_poly = np.zeros(xmax + 1, dtype=np.int64)
-        for e in divisors(trial_factorize(v)):
-            rhs_dd += poly_cum[v // e][idx // e]
-        for e, mu in mobius_divisors(v):
-            rhs_poly += mu * dd_cum[v // e][idx // e]
+        rhs_dd = lattice_sum(v, g, False, lambda e: poly_cum[v // e][idx // e])
+        rhs_poly = lattice_sum(v, g, True, lambda e: dd_cum[v // e][idx // e])
         yield _compare(dd_cum[v][1:], rhs_dd[1:], f"pair form v={v}, x=")
         yield _compare(poly_cum[v][1:], rhs_poly[1:], f"product form v={v}, x=")
 

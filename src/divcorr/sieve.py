@@ -23,9 +23,11 @@ sum_dd, sum_dpoly and shifted_product_values need O(window) memory beyond
 the d-table.  stream_pair_sums serves many cells sum_{n<=y} d(n) d(n+w) in
 one pass, as a plain dict keyed by (y, w): each window is sieved by the
 same divisor fill as the table build, a shift wider than a window in a
-piece of its own, every shift is multiplied behind the same overflow
-guard, and the windows go to the same workers, so only O(window) memory is
-held.  build_mult_table gives f(n) as exact Python
+piece of its own, and the windows go to the same workers, so only
+O(window) memory is held.  Every d(n) d(n+w) of both passes is formed by
+_pair_products, the one overflow guard: it reads the largest product only
+when a bound on the d(n), one per table call or per streamed window,
+squared reaches 2^32.  build_mult_table gives f(n) as exact Python
 ints in an object array, from vectorised passes over the whole SPF table.
 charge() is the one memory-cap check: callers charge their allocations
 before making them.
@@ -332,11 +334,14 @@ def build_divisor_table(limit: int) -> DivisorTable:
     return DivisorTable(limit, d)
 
 
-def _pair_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """left * right into out in uint32: the one overflow guard of the d
-    products raises OverflowError if max(left) * max(right), a bound on
-    every product, reaches 2^32."""
-    if int(left.max()) * int(right.max()) >= 1 << 32:
+def _pair_products(
+    left: np.ndarray, right: np.ndarray, out: np.ndarray, bound: int
+) -> np.ndarray:
+    """left * right into out in uint32, for entries of both at most bound:
+    the one overflow guard of the d products.  Only when bound^2 reaches
+    2^32 does it read max(left) * max(right), a bound on every product,
+    and raise OverflowError if that reaches 2^32."""
+    if bound * bound >= 1 << 32 and int(left.max()) * int(right.max()) >= 1 << 32:
         raise OverflowError("d(n) d(n+shift) exceeds uint32")
     return np.multiply(left, right, out=out)
 
@@ -365,8 +370,9 @@ def shifted_windows(
     a yielded window is valid until the next; the correction works in one
     reused scratch of three half-window rows (empty when nothing is
     corrected).  The call raises RangeError if the d-table is too short and
-    charges it with 16 B per window entry; a window raises OverflowError as
-    _pair_products does.
+    charges it with 16 B per window entry; it reads the largest d(n) of the
+    table up to limit + shift once, as the bound of _pair_products, so a
+    window raises OverflowError as _pair_products does.
     """
     need = limit + shift
     if dtab.limit < need:
@@ -374,13 +380,15 @@ def shifted_windows(
     size = min(SEGMENT_SIZE, limit)
     charge(dtab.values.nbytes + 16 * size)
     d = dtab.values
+    bound = int(d[1 : need + 1].max(initial=0))
     pdivs = [p for p, _ in trial_factorize(shift)] if product else []
     buf = np.empty(size if out is None else 0, dtype=np.uint32)
     scratch = np.empty((3, (size + 1) // 2 if pdivs else 0), dtype=np.uint32)
 
     def window(lo: int, hi: int) -> np.ndarray:
         dest = buf[: hi - lo + 1] if out is None else out[lo : hi + 1]
-        seg = _pair_products(d[lo : hi + 1], d[lo + shift : hi + shift + 1], dest)
+        left, right = d[lo : hi + 1], d[lo + shift : hi + shift + 1]
+        seg = _pair_products(left, right, dest, bound)
         for p in pdivs:
             first = lo + (-lo) % p  # first multiple of p in the window
             sub = seg[first - lo :: p]
@@ -446,13 +454,12 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
     its largest y only, in uint32, and sums it in uint64 between the
     window's cuts: its start and every y + 1 inside it (np.sum per segment
     casts in small buffers; np.add.reduceat would cast the whole window to
-    uint64 first).  The overflow guard of shifted_windows runs on a far
-    shift, and on a near one only when the window's largest d(n) squared
-    reaches 2^32, so it raises exactly where it would on every shift.  Each
-    segment sum is one slot of a shared array; the windows go to the
-    workers of _fan_out, and the parent adds each shift's slots in window
-    order as Python ints, so the sums are exact and deterministic; a window
-    that raises in a worker raises here.
+    uint64 first).  Every shift is multiplied by _pair_products, with the
+    window's largest d(n) as its bound, or for a far shift the larger of
+    that and the largest d of its piece.  Each segment sum is one slot of a
+    shared array; the windows go to the workers of _fan_out, and the parent
+    adds each shift's slots in window order as Python ints, so the sums are
+    exact and deterministic; a window that raises in a worker raises here.
 
     The pass also sums d(n) up to every y, and up to the top y + w of any
     near cell, which the last window sieves to, and sums each far piece;
@@ -507,18 +514,18 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
         end = max(n + row[0] for row, n in live if row[0] <= size)
         dwin = dbuf[: end - lo + 1]
         _divisor_fill(dwin, lo, end, plan)
-        guarded = int(dwin.max()) ** 2 >= 1 << 32
+        bound = int(dwin.max())
         for (w, _, starts, first), n in live:
             m = n - lo + 1
             terms = dwin[:m]
             if w > size:
                 right = far[:m]
                 _divisor_fill(right, lo + w, n + w, plan)
+                far_bound = max(bound, int(right.max()))
+                terms = _pair_products(terms, right, pbuf[:m], far_bound)
                 _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, lo + w - 1)
-                terms = _pair_products(terms, right, pbuf[:m])
             elif w:
-                product = _pair_products if guarded else np.multiply
-                terms = product(terms, dwin[w : w + m], pbuf[:m])
+                terms = _pair_products(terms, dwin[w : w + m], pbuf[:m], bound)
             i, j = np.searchsorted(starts, (lo, n + 1))
             cuts = (starts[i:j] - lo).tolist() + [m]
             for k, (a, b) in enumerate(zip(cuts, cuts[1:]), first + i):

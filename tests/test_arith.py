@@ -76,28 +76,10 @@ class TestPointwiseFunctions:
         assert sorted(dc.divisors(dc.trial_factorize(60))) == divisors_naive(60)
         assert dc.divisors(dc.trial_factorize(1)) == [1]
 
-    def test_sigma_pow_examples(self):
-        assert dc.sigma_pow(1, dc.trial_factorize(6)) == 12
-        assert dc.sigma_pow(0, dc.trial_factorize(48)) == 10
-        assert dc.sigma_pow(-1, dc.trial_factorize(2)) == 1.5
-
-    def test_sigma_pow_integer_alpha_is_exact_int(self):
-        value = dc.sigma_pow(2, dc.trial_factorize(720))
-        assert isinstance(value, int)
-        assert value == sigma_naive(720, 2)
-
-    @given(
-        st.integers(min_value=1, max_value=2000),
-        st.integers(min_value=0, max_value=3),
-    )
-    def test_sigma_pow_oracle(self, n, alpha):
-        assert dc.sigma_pow(alpha, dc.trial_factorize(n)) == sigma_naive(n, alpha)
-
-    @given(st.integers(min_value=1, max_value=500))
-    def test_sigma_pow_negative_one(self, n):
-        # sigma_{-1}(n) = sigma_1(n)/n
-        got = dc.sigma_pow(-1.0, dc.trial_factorize(n))
-        assert got == pytest.approx(sigma_naive(n, 1) / n, rel=1e-12)
+    def test_sigma_minus_one_oracle(self):
+        # sigma_{-1}(v) = sigma_1(v) / v, one correctly rounded division
+        for v in range(1, 2001):
+            assert dc.sigma_log_k(v, 0) == sigma_naive(v, 1) / v, v
 
     def test_sigma_log_k_examples(self):
         assert dc.sigma_log_k(1, 1) == 0.0
@@ -138,6 +120,22 @@ class TestPointwiseFunctions:
         assert dc.von_mangoldt_k(6, 1) == pytest.approx(0.0, abs=1e-12)
         expected = 2 * math.log(2) * math.log(3)
         assert dc.von_mangoldt_k(6, 2) == pytest.approx(expected, rel=1e-12)
+
+    def test_von_mangoldt_factorises_each_n_once_per_k(self, monkeypatch):
+        dc.von_mangoldt_k.cache_clear()
+        factor = dc.arith.trial_factorize
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(dc.arith, "trial_factorize", counting)
+        first = [dc.von_mangoldt_k(n, k) for n in (12, 30) for k in range(3)]
+        assert [dc.von_mangoldt_k(n, k) for n in (12, 30) for k in range(3)] == first
+        assert sorted(calls) == [12, 12, 12, 30, 30, 30]
+        with pytest.raises(dc.RangeError):
+            dc.von_mangoldt_k(0, 1)
 
     def test_von_mangoldt_k0_detects_one(self):
         assert dc.von_mangoldt_k(1, 0) == 1.0

@@ -56,3 +56,11 @@ def test_script_writes_csv(script, args, header, rows):
     if (script, args) in _PINNED:
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == _PINNED[script, args]
+
+
+def test_bad_list_is_a_usage_error():
+    # the script parses --v with the CLI's parser, so it fails the same way
+    proc = _run("residual_scaling.py", "--v", "1,x")
+    assert proc.returncode == 2
+    assert "not a comma-separated int list: '1,x'" in proc.stderr
+    assert not proc.stdout

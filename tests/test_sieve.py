@@ -145,6 +145,34 @@ def _spv(limit, shift):
     )
 
 
+def _plant_d(monkeypatch, planted_d):
+    """Make the divisor fill write d(n) = planted_d[n] for each n given."""
+    fill = dc.sieve._divisor_fill
+
+    def planted(seg, lo, hi, plan):
+        fill(seg, lo, hi, plan)
+        for n, big in planted_d.items():
+            if lo <= n <= hi:
+                seg[n - lo] = big
+
+    monkeypatch.setattr(dc.sieve, "_divisor_fill", planted)
+
+
+def _spy_guard(monkeypatch):
+    """The lengths of the windows whose products the overflow guard reads,
+    filled in as the sieve calls it: those whose bound squared reaches 2^32."""
+    pair_products = dc.sieve._pair_products
+    checked = []
+
+    def spy(left, right, out, bound):
+        if bound * bound >= 1 << 32:
+            checked.append(len(left))
+        return pair_products(left, right, out, bound)
+
+    monkeypatch.setattr(dc.sieve, "_pair_products", spy)
+    return checked
+
+
 class TestShiftedProductValues:
     def test_examples(self):
         assert list(_spv(4, 2)[1:]) == [2, 4, 4, 8]  # d(3), d(8), d(15), d(24)
@@ -184,6 +212,36 @@ class TestShiftedProductValues:
         big = dc.DivisorTable(10, np.full(11, 1 << 16, dtype=np.uint32))
         with pytest.raises(OverflowError):
             dc.shifted_product_values(big, 5, 1)
+
+    @pytest.mark.parametrize(
+        "name, run",
+        [
+            ("sum_dd", lambda dtab: dc.sum_dd(1000, 1, dtab).value),
+            ("sum_dpoly", lambda dtab: dc.sum_dpoly(1000, 1, dtab).value),
+            ("values", lambda dtab: dc.shifted_product_values(dtab, 1000, 1)),
+        ],
+    )
+    def test_overflow_guard_on_planted_pair(self, monkeypatch, name, run):
+        # d(500) = d(501) = 2^16 in one table: the table's bound lets the
+        # guard read the products of every window, and the window [257, 512]
+        # raises; at 2^16 - 1 no window reads them and no product wraps
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        values = dc.build_divisor_table(1001).values.copy()
+        values[500:502] = 1 << 16
+        checked = _spy_guard(monkeypatch)
+        with pytest.raises(OverflowError):
+            run(dc.DivisorTable(1001, values))
+        assert checked == [256, 256]
+        values[500:502] = (1 << 16) - 1
+        checked.clear()
+        got = run(dc.DivisorTable(1001, values))
+        assert checked == []
+        # d(n(n+1)) = d(n) d(n+1): n and n+1 are coprime
+        pair = values[1:1001].astype(np.int64) * values[2:1002]
+        if name == "values":
+            assert got[1:].tolist() == pair.tolist()
+        else:
+            assert got == int(pair.sum())
 
     def test_no_full_length_temporaries(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
@@ -426,32 +484,40 @@ class TestStreamedPairSums:
 
     @pytest.mark.parametrize(
         "big, error, guards",
-        [(1 << 16, OverflowError, [1000]), ((1 << 16) - 1, RuntimeError, [])],
+        [(1 << 16, OverflowError, [256]), ((1 << 16) - 1, RuntimeError, [])],
     )
     def test_overflow_guard_runs_where_it_can_fire(
         self, monkeypatch, big, error, guards
     ):
-        # d(500) = d(501) = big: 2^16 squared wraps uint32, so the window
-        # calls the guard and it raises; 2^16 - 1 squared does not, so the
-        # guard is skipped and the planted values fail the self-test instead
-        fill = dc.sieve._divisor_fill
-        pair_products = dc.sieve._pair_products
-        called = []
-
-        def planted(seg, lo, hi, plan):
-            fill(seg, lo, hi, plan)
-            if lo <= 500 < hi:
-                seg[500 - lo : 502 - lo] = big
-
-        def spy(left, right, out):
-            called.append(len(left))
-            return pair_products(left, right, out)
-
-        monkeypatch.setattr(dc.sieve, "_divisor_fill", planted)
-        monkeypatch.setattr(dc.sieve, "_pair_products", spy)
+        # d(500) = d(501) = big in the window [257, 512]: 2^16 squared wraps
+        # uint32, so that window's bound lets the guard read its products
+        # and it raises; 2^16 - 1 squared does not, so no window reads them
+        # and the planted values fail the self-test instead
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _plant_d(monkeypatch, {500: big, 501: big})
+        checked = _spy_guard(monkeypatch)
         with pytest.raises(error):
             dc.stream_pair_sums([(1000, 1)])
-        assert called == guards
+        assert checked == guards
+
+    @pytest.mark.parametrize(
+        "near, far, error, guards",
+        [
+            (1 << 16, 1 << 16, OverflowError, [1000]),
+            ((1 << 16) - 1, (1 << 16) - 1, RuntimeError, []),
+            # the bound is the far piece's when that is the larger
+            (1 << 15, 1 << 17, OverflowError, [1000]),
+        ],
+    )
+    def test_far_shift_overflow_guard(self, monkeypatch, near, far, error, guards):
+        # w = 5000 is wider than the one window [1, 1000], so d(5500) and
+        # d(5501) lie in the far piece: the guard runs before its self-test
+        _plant_d(monkeypatch, {500: near, 501: near, 5500: far, 5501: far})
+        checked = _spy_guard(monkeypatch)
+        with pytest.raises(error):
+            dc.stream_pair_sums([(1000, 5000)])
+        assert checked == guards
 
     def test_keeps_no_d_table(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
