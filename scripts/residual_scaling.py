@@ -2,9 +2,10 @@
 """Residual-scaling experiment.
 
 Subtract the three-term main term from the exact correlation sum and scale
-the residual by x^exponent; with an exponent a touch above 2/3 the scaled
-values should stay bounded as x climbs through the decades.  Emits the
-comparison rows as CSV on stdout, plus a per-shift summary on stderr.
+the residual by x^(2/3 + 0.05) (about x^0.717), a touch above the expected
+x^(2/3 + eps) error scale, so the scaled values should stay bounded as x
+climbs through the decades.  Emits the comparison rows as CSV on stdout,
+plus a per-shift summary on stderr.
 
     python scripts/residual_scaling.py --kind dpoly --v 1,2,3,4,6 --decades 4
 """
@@ -23,17 +24,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--decades", type=int, default=4, help="x runs over 1e4 .. 10^(3+decades)"
     )
-    parser.add_argument("--exponent", type=float, default=0.717)
     args = parser.parse_args(argv)
 
     x_list = [10 ** (3 + k) for k in range(1, args.decades + 1)]
-    config = RunConfig(
-        x_list=x_list,
-        v_list=args.v,
-        kind=args.kind,
-        residual_exponent=args.exponent,
-    )
-    rows = run_compare(config)
+    rows = run_compare(RunConfig(x_list=x_list, v_list=args.v, kind=args.kind))
     sys.stdout.buffer.write(emit(rows, "csv"))
 
     for v in args.v:

@@ -48,13 +48,12 @@ from divcorr.correlate import (
     sum_shifted_product,
     transform_correlation,
 )
-from divcorr.errors import ContractError, EvaluationError, RangeError, ResourceError
+from divcorr.errors import ContractError, RangeError, ResourceError
 from divcorr.harness import (
     ComparisonRow,
     RunConfig,
     SuiteResult,
     emit,
-    parse_rows,
     run_compare,
     run_verify,
 )

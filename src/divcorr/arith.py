@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from divcorr.errors import ContractError, EvaluationError, RangeError
+from divcorr.errors import ContractError, RangeError
 
 # ordered prime factorisation ((p1, e1), (p2, e2), ...) with p1 < p2 < ...;
 # the integer 1 carries the empty tuple
@@ -146,13 +146,14 @@ def sigma_spec(alpha: int) -> MultiplicativeSpec:
 
 
 def tau_spec(table: Sequence[int]) -> MultiplicativeSpec:
-    """Ramanujan tau backed by a precomputed table, companion g(p) = p^11."""
+    """Ramanujan tau backed by a precomputed table, companion g(p) = p^11;
+    its prime-power values raise RangeError past the end of the table."""
     limit = len(table) - 1
 
     def ppv(p: int, e: int) -> int:
         q = p**e
         if q > limit:
-            raise EvaluationError(
+            raise RangeError(
                 f"tau table of limit {limit} has no value at {p}^{e}"
             )
         return table[q]

@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--v", type=int_list, required=True, help="comma list")
     p_cmp.add_argument("--kind", choices=KINDS, required=True)
     p_cmp.add_argument("--alpha", type=int, default=None)
-    p_cmp.add_argument("--truncation", type=int, choices=(1, 2, 3), default=3)
     p_cmp.add_argument("--out", choices=("csv", "json"), default="csv")
     p_cmp.set_defaults(func=_cmd_compare)
     return parser
@@ -111,13 +110,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        x_list=args.x,
-        v_list=args.v,
-        kind=args.kind,
-        alpha=args.alpha,
-        truncation=args.truncation,
-    )
+    config = RunConfig(x_list=args.x, v_list=args.v, kind=args.kind, alpha=args.alpha)
     rows = run_compare(config)
     sys.stdout.buffer.write(emit(rows, args.out))
     sys.stdout.buffer.flush()

@@ -48,7 +48,6 @@ class CorrelationSum:
     x: int
     v: int
     value: int | float
-    spec_name: str | None = None
 
 
 def _exact_sum(terms: Iterable[np.ndarray]) -> int:
@@ -224,7 +223,7 @@ def sum_correlation(
     covering x + v, charged with the window temporaries of the sum."""
     _check_range(x, v)
     value = _pair_sum(_mult_table(spec, x, v, spf), x, v) if x else 0
-    return CorrelationSum("ff", x, v, value, spec_name=spec.name)
+    return CorrelationSum("ff", x, v, value)
 
 
 def sum_shifted_product(
@@ -244,7 +243,7 @@ def sum_shifted_product(
     """
     _check_range(x, v)
     value = _product_sum(spec, _mult_table(spec, x, v, spf), x, v) if x else 0
-    return CorrelationSum("fpoly", x, v, value, spec_name=spec.name)
+    return CorrelationSum("fpoly", x, v, value)
 
 
 DIRECTIONS = ("corr_from_poly", "poly_from_corr")
@@ -279,4 +278,4 @@ def transform_correlation(
 
         total = lattice_sum(v, spec.companion_g, inverse, term)
     kind = "fpoly" if inverse else "ff"
-    return CorrelationSum(kind, x, v, total, spec_name=spec.name)
+    return CorrelationSum(kind, x, v, total)

@@ -5,10 +5,6 @@ class RangeError(ValueError):
     """An argument falls outside the range a table or sieve can serve."""
 
 
-class EvaluationError(ValueError):
-    """A multiplicative spec has no value at a required prime power."""
-
-
 class ContractError(ValueError):
     """A call violates an operation's stated contract."""
 

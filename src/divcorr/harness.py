@@ -4,15 +4,16 @@ run_verify exercises the exact and floating identity suites at configurable
 bounds; run_compare produces one ComparisonRow per (x, v) pair, with the
 empirical sum kept in exact integer arithmetic end to end: dd and dpoly
 rows from correlate.streamed_d_sums with no d-table, sigma_corr rows and
-the verify suites from tables.  emit/parse_rows serialise rows to CSV or
-JSON deterministically (17 significant digits for binary64 fields,
-decimal strings for exact integers), so output is byte-identical.
+the verify suites from tables.  Each row's residual subtracts the
+three-term main term and is scaled by its kind's error scale from
+constants.  emit serialises rows to CSV or JSON deterministically (17
+significant digits for binary64 fields, decimal strings for exact
+integers), so output is byte-identical.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -31,11 +32,13 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.constants import (
+    D_SUM_ERROR_EXPONENT,
     binomial_log_identity,
     coefficient_consistency,
     compute_zeta_constants,
     estermann_main_term,
     shifted_product_main_term,
+    sigma_correlation_error_exponent,
     sigma_correlation_main_term,
     sigma_lambda_identity,
 )
@@ -74,8 +77,6 @@ class RunConfig:
     v_list: Sequence[int]
     kind: str = "dpoly"
     alpha: int | None = None
-    truncation: int = 3
-    residual_exponent: float = 2.0 / 3.0 + 0.05
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -84,10 +85,6 @@ class RunConfig:
             raise ContractError("all bounds must be >= 2")
         if not self.v_list or min(self.v_list) < 1:
             raise ContractError("all shifts must be >= 1")
-        if not 0.5 < self.residual_exponent < 1.0:
-            raise ContractError("residual_exponent must lie in (0.5, 1)")
-        if self.truncation not in (1, 2, 3):
-            raise ContractError("truncation must be 1, 2 or 3")
         if self.kind != "sigma_corr" and self.alpha is not None:
             raise ContractError("alpha applies only to kind sigma_corr")
         if self.kind == "sigma_corr":
@@ -109,7 +106,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One (x, v) cell: exact empirical sum, truncated main terms, residual."""
+    """One (x, v) cell: exact empirical sum, the main term truncated to 1, 2
+    and 3 terms, residual = empirical - main3, and the residual over its
+    kind's error scale."""
 
     kind: str
     x: int
@@ -123,7 +122,11 @@ class ComparisonRow:
 
 
 def run_compare(config: RunConfig) -> list[ComparisonRow]:
-    """One row per (v, x), v-major order; deterministic across runs."""
+    """One row per (v, x), v-major order; deterministic across runs.
+
+    dd and dpoly residuals are scaled by x^D_SUM_ERROR_EXPONENT, sigma_corr
+    residuals by x^omega log^c x from sigma_correlation_error_exponent.
+    """
     cells = [(x, v) for v in config.v_list for x in config.x_list]
     if config.kind == "sigma_corr":
         spf = build_spf(max(config.x_list) + max(config.v_list))
@@ -131,16 +134,20 @@ def run_compare(config: RunConfig) -> list[ComparisonRow]:
         sums = [sum_shifted_product(spec, x, v, spf).value for x, v in cells]
         alpha = config.alpha
         mains = [[sigma_correlation_main_term(x, v, alpha)] * 3 for x, v in cells]
+        omega, c = sigma_correlation_error_exponent(alpha)
+        scales = [x**omega * math.log(x) ** c for x, _ in cells]
     else:
         main = estermann_main_term if config.kind == "dd" else shifted_product_main_term
         zc = compute_zeta_constants()
         sums = streamed_d_sums(config.kind, cells)
         mains = [[main(x, v, zc, t) for t in (1, 2, 3)] for x, v in cells]
+        scales = [x**D_SUM_ERROR_EXPONENT for x, _ in cells]
     rows = []
-    for (x, v), emp, terms in zip(cells, sums, mains):
-        residual = emp - terms[config.truncation - 1]
-        scaled = residual / x**config.residual_exponent
-        rows.append(ComparisonRow(config.kind, x, v, emp, *terms, residual, scaled))
+    for (x, v), emp, terms, scale in zip(cells, sums, mains, scales):
+        residual = emp - terms[2]
+        rows.append(
+            ComparisonRow(config.kind, x, v, emp, *terms, residual, residual / scale)
+        )
     return rows
 
 
@@ -374,7 +381,7 @@ def _suite_coeff_consistency(vmax: int) -> Iterator[_Outcome]:
 # ---------------------------------------------------------------------------
 
 # field name -> type, in declaration order: the one field list behind the
-# CSV header, both writers and both readers
+# CSV header and both writers
 _FIELDS = get_type_hints(ComparisonRow)
 _QUOTED_IN_JSON = ("kind", "empirical")
 CSV_HEADER = ",".join(_FIELDS)
@@ -410,22 +417,3 @@ def emit(rows: Sequence[ComparisonRow], fmt: str) -> bytes:
         ]
         return ("[" + ", ".join(f"{{{i}}}" for i in items) + "]\n").encode("ascii")
     raise ContractError(f"unknown format {fmt!r}")
-
-
-def parse_rows(data: bytes, fmt: str) -> list[ComparisonRow]:
-    """Inverse of emit: parse_rows(emit(rows, fmt), fmt) == rows."""
-    if fmt == "csv":
-        lines = data.decode("ascii").splitlines()
-        if not lines or lines[0] != CSV_HEADER:
-            raise ContractError("missing CSV header")
-        records = [line.split(",") for line in lines[1:]]
-    elif fmt == "json":
-        records = [
-            [obj[name] for name in _FIELDS] for obj in json.loads(data.decode("ascii"))
-        ]
-    else:
-        raise ContractError(f"unknown format {fmt!r}")
-    return [
-        ComparisonRow(*(kind(cell) for kind, cell in zip(_FIELDS.values(), record)))
-        for record in records
-    ]

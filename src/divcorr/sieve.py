@@ -560,7 +560,7 @@ def build_mult_table(
     Returns an object-dtype array of limit+1 entries with f[0] = 0 and
     f[1] = 1.  Charges MULT_ENTRY_BYTES per entry against the memory cap
     before allocating; raises RangeError unless 1 <= limit <= spf.limit,
-    and passes on whatever the spec raises (EvaluationError for a tau table
+    and passes on whatever the spec raises (RangeError for a tau table
     that stops short of a prime power).
     """
     if limit < 1:

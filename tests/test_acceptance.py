@@ -87,7 +87,6 @@ def test_criterion_4_shifted_product_empirics():
         x_list=[10**4, 10**5, 10**6, 10**7],
         v_list=shifts,
         kind="dpoly",
-        residual_exponent=0.717,
     )
     rows = dc.run_compare(config)
     elapsed = time.monotonic() - t0
@@ -109,7 +108,9 @@ def test_criterion_4_shifted_product_empirics():
             problems.append(f"v={v}: main-term ordering violated {gaps}")
         # bounded scaled residuals: no later decade may exceed twice the
         # bound established by the decades before it
-        scaled = [abs(r.residual_scaled) for r in sorted(per_v, key=lambda r: r.x)]
+        scaled = [
+            abs(r.residual) / r.x**0.717 for r in sorted(per_v, key=lambda r: r.x)
+        ]
         bound = scaled[0]
         for value in scaled[1:]:
             if value > 2.0 * bound:

@@ -153,7 +153,7 @@ class TestMultiplicativeSpecs:
     def test_tau_spec_out_of_table(self):
         spec = dc.tau_spec(dc.ramanujan_tau_table(10))
         assert spec.prime_power_value(3, 2) == -113643  # tau(9)
-        with pytest.raises(dc.EvaluationError):
+        with pytest.raises(dc.RangeError, match="no value at 11\\^1"):
             spec.prime_power_value(11, 1)
 
     def test_sigma_spec_rejects_bad_alpha(self):

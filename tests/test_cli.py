@@ -302,6 +302,14 @@ def test_compare_sigma_needs_alpha(capsys):
     assert code == 2  # usage error
 
 
+def test_compare_sigma_corr_bytes(capsys):
+    # residuals over the sigma_1 error scale x^2 log^2 x
+    argv = ["compare", "--kind", "sigma_corr", "--alpha", "1"]
+    assert main([*argv, "--x", "1000,100000", "--v", "1,6"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "cba5c44ec221f9ecc94c5380292535c6bdd7d8df9371b51ef0340a828b6cec62"
+
+
 def test_compare_sigma_large_alpha(capsys, monkeypatch):
     # x^(2 alpha + 1) first leaves the float range at alpha = 77 for x = 100
     argv = ["compare", "--x", "100", "--v", "1", "--kind", "sigma_corr"]

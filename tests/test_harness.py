@@ -1,4 +1,7 @@
+import json
+import math
 import tracemalloc
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,7 @@ from oracles import sum_dd_naive, sum_dpoly_naive
 class TestRunConfig:
     def test_defaults(self):
         config = dc.RunConfig(x_list=[100], v_list=[1])
-        assert config.truncation == 3
-        assert config.residual_exponent == pytest.approx(2 / 3 + 0.05)
+        assert (config.kind, config.alpha) == ("dpoly", None)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -22,12 +24,13 @@ class TestRunConfig:
             dict(x_list=[], v_list=[1]),
             dict(x_list=[100], v_list=[0]),
             dict(x_list=[100], v_list=[1], kind="nope"),
-            dict(x_list=[100], v_list=[1], residual_exponent=0.4),
-            dict(x_list=[100], v_list=[1], residual_exponent=1.0),
-            dict(x_list=[100], v_list=[1], truncation=4),
             dict(x_list=[100], v_list=[1], kind="sigma_corr"),
             dict(x_list=[100], v_list=[1], kind="sigma_corr", alpha=0.5),
             dict(x_list=[100], v_list=[1], kind="dd", alpha=3),
+            dict(x_list=[100], v_list=[]),
+            dict(x_list=[100], v_list=[1], kind="sigma_corr", alpha=0),
+            # x (x(x+1))^alpha zeta(2) exceeds the largest float
+            dict(x_list=[10**6], v_list=[1], kind="sigma_corr", alpha=26),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -54,15 +57,6 @@ class TestRunCompare:
         (row,) = dc.run_compare(config)
         assert row.empirical == sum_dd_naive(60, 4)
         assert row.main3 == dc.estermann_main_term(60, 4, zc, 3)
-
-    def test_truncation_moves_residual(self):
-        base = dc.RunConfig(x_list=[500], v_list=[1], kind="dpoly")
-        (r3,) = dc.run_compare(base)
-        two = dc.RunConfig(x_list=[500], v_list=[1], kind="dpoly", truncation=2)
-        (r2,) = dc.run_compare(two)
-        assert r3.residual == r3.empirical - r3.main3
-        assert r2.residual == r2.empirical - r2.main2
-        assert r2.main3 == r3.main3
 
     @pytest.mark.parametrize("kind", ["dd", "dpoly"])
     def test_cells_read_through_correlate_sum_dd(self, monkeypatch, kind):
@@ -95,6 +89,19 @@ class TestRunCompare:
             dc.sigma_spec(1), 100, 1, spf
         ).value
         assert row.main1 == row.main2 == row.main3
+        assert row.residual == row.empirical - row.main3
+        # the sigma_1 error scale x^2 log^2 x
+        assert row.residual_scaled == row.residual / (100**2.0 * math.log(100) ** 2)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_sigma_corr_residual_scaled_stays_bounded(self, alpha):
+        # scaled by x^omega log^c x, no later decade exceeds twice x = 1e3
+        xs = [10**3, 10**4, 10**5]
+        config = dc.RunConfig(x_list=xs, v_list=[1, 6], kind="sigma_corr", alpha=alpha)
+        rows = dc.run_compare(config)
+        for v in (1, 6):
+            scaled = [abs(r.residual_scaled) for r in rows if r.v == v]
+            assert all(s <= 2.0 * scaled[0] for s in scaled[1:]), (alpha, v, scaled)
 
     def test_third_term_tightens_fit_at_1e3(self):
         config = dc.RunConfig(x_list=[1000], v_list=[1], kind="dd")
@@ -164,7 +171,21 @@ class TestEmit:
     @given(st.lists(ROWS, max_size=8), st.sampled_from(["csv", "json"]))
     @settings(deadline=None)
     def test_round_trip(self, rows, fmt):
-        assert dc.parse_rows(dc.emit(rows, fmt), fmt) == rows
+        # every field reads back exactly: binary64 at 17 digits, the exact
+        # integer from its decimal string
+        data = dc.emit(rows, fmt).decode("ascii")
+        fields = get_type_hints(dc.ComparisonRow)
+        if fmt == "csv":
+            lines = data.splitlines()
+            assert lines[0] == CSV_HEADER
+            records = [line.split(",") for line in lines[1:]]
+        else:
+            records = [[obj[name] for name in fields] for obj in json.loads(data)]
+        parsed = [
+            dc.ComparisonRow(*(kind(cell) for kind, cell in zip(fields.values(), r)))
+            for r in records
+        ]
+        assert parsed == rows
 
     def test_unknown_format(self):
         with pytest.raises(dc.ContractError):
