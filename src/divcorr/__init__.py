@@ -39,6 +39,7 @@ from divcorr.constants import (
 )
 from divcorr.correlate import (
     CorrelationSum,
+    product_sums,
     streamed_d_sums,
     sum_correlation,
     sum_dd,

@@ -14,10 +14,10 @@ into exact ints, in uint64 per window and O(window) memory; sum_dd also
 reads the dict of exact cells of sieve.stream_pair_sums, which keeps no
 d-table; streamed_d_sums, the route of every d sum the CLI prints, reads
 only those.  The f sums walk sieve.windows over one exact object-dtype
-f-table from sieve.build_mult_table over an SpfTable covering x + v, which
-also serves every inner sum of a transform; the product form splits each
-n(n+v) into coprime parts at the primes of v, so it needs no factorisation
-per n.
+f-table from sieve.build_mult_table covering x + v, which also serves
+every inner sum of a transform, and product_sums serves many product-form
+cells from one table; the product form splits each n(n+v) into coprime
+parts at the primes of v, so it needs no factorisation per n.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import DivisorTable, SpfTable, build_mult_table
+from divcorr.sieve import DivisorTable, build_mult_table
 
 
 @dataclass(frozen=True)
@@ -168,13 +168,11 @@ def streamed_d_sums(kind: str, cells: Sequence[tuple[int, int]]) -> list[int]:
 _TERM_BYTES = 128
 
 
-def _mult_table(
-    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
-) -> np.ndarray:
+def _mult_table(spec: MultiplicativeSpec, x: int, v: int) -> np.ndarray:
     """f(0..x+v), charged together with one window of the sum over it."""
     window = min(sieve.SEGMENT_SIZE, x)
     sieve.charge(sieve.MULT_ENTRY_BYTES * (x + v + 1) + _TERM_BYTES * window)
-    return build_mult_table(spec, spf, x + v)
+    return build_mult_table(spec, x + v)
 
 
 def _pair_sum(f: np.ndarray, x: int, v: int) -> int | float:
@@ -216,33 +214,47 @@ def _product_sum(
 
 
 def sum_correlation(
-    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
+    spec: MultiplicativeSpec, x: int, v: int, spf: object = None
 ) -> CorrelationSum:
     """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
-    empty sum.  f comes from one build_mult_table over an SPF table
-    covering x + v, charged with the window temporaries of the sum."""
+    empty sum.  f comes from one build_mult_table covering x + v, charged
+    with the window temporaries of the sum.  spf is not read."""
     _check_range(x, v)
-    value = _pair_sum(_mult_table(spec, x, v, spf), x, v) if x else 0
+    value = _pair_sum(_mult_table(spec, x, v), x, v) if x else 0
     return CorrelationSum("ff", x, v, value)
 
 
-def sum_shifted_product(
-    spec: MultiplicativeSpec, x: int, v: int, spf: SpfTable
-) -> CorrelationSum:
-    """Exact product-form sum of f(n(n+v)) over n <= x; x = 0 gives the
-    empty sum.
+def product_sums(
+    spec: MultiplicativeSpec, cells: Sequence[tuple[int, int]]
+) -> list[int | float]:
+    """Exact product-form sums sum_{n<=x} f(n(n+v)) at the cells (x, v), in
+    order; RangeError for a bad cell before anything is built.  One
+    build_mult_table to max x + max v serves every cell; none is built when
+    every x is 0 (the empty sums).
 
     A prime shared by n and n+v divides v, so with L = n and R = n+v
     stripped of their powers p^a, p^b of each p | v,
 
         f(n(n+v)) = f(L) f(R) prod_{p | v} f(p^(a+b))
 
-    over coprime factors; f(L) and f(R) are read from one build_mult_table
-    over an SPF table covering x + v, and the stripping touches only the
-    multiples of each p | v, window by window.
+    over coprime factors; f(L) and f(R) are read from the table, and the
+    stripping touches only the multiples of each p | v, window by window.
     """
-    _check_range(x, v)
-    value = _product_sum(spec, _mult_table(spec, x, v, spf), x, v) if x else 0
+    for x, v in cells:
+        _check_range(x, v)
+    top = max((x for x, _ in cells), default=0)
+    if not top:
+        return [0] * len(cells)
+    f = _mult_table(spec, top, max(v for _, v in cells))
+    return [_product_sum(spec, f, x, v) for x, v in cells]
+
+
+def sum_shifted_product(
+    spec: MultiplicativeSpec, x: int, v: int, spf: object = None
+) -> CorrelationSum:
+    """Exact product-form sum of f(n(n+v)) over n <= x, the one cell of
+    product_sums; x = 0 gives the empty sum.  spf is not read."""
+    (value,) = product_sums(spec, [(x, v)])
     return CorrelationSum("fpoly", x, v, value)
 
 
@@ -250,7 +262,7 @@ DIRECTIONS = ("corr_from_poly", "poly_from_corr")
 
 
 def transform_correlation(
-    spec: MultiplicativeSpec, x: int, v: int, direction: str, spf: SpfTable
+    spec: MultiplicativeSpec, x: int, v: int, direction: str, spf: object = None
 ) -> CorrelationSum:
     """Divisor-lattice transform between the two sum shapes.
 
@@ -259,7 +271,7 @@ def transform_correlation(
 
     The two directions are mutually inverse; each must reproduce the direct
     sum of the other shape.  Every inner sum reads the one f-table over
-    x + v; x = 0 gives the empty sum without building it.
+    x + v; x = 0 gives the empty sum without building it.  spf is not read.
     """
     if spec.companion_g is None:
         raise ContractError(f"spec {spec.name!r} has no companion g")
@@ -269,7 +281,7 @@ def transform_correlation(
     inverse = direction == "poly_from_corr"
     total: int | float = 0
     if x:
-        f = _mult_table(spec, x, v, spf)
+        f = _mult_table(spec, x, v)
 
         def term(e: int) -> int | float:
             if inverse:

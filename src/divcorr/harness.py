@@ -3,8 +3,8 @@
 run_verify exercises the exact and floating identity suites at configurable
 bounds; run_compare produces one ComparisonRow per (x, v) pair, with the
 empirical sum kept in exact integer arithmetic end to end: dd and dpoly
-rows from correlate.streamed_d_sums with no d-table, sigma_corr rows and
-the verify suites from tables.  Each row's residual subtracts the
+rows from correlate.streamed_d_sums with no d-table, sigma_corr rows from
+correlate.product_sums on one f-table.  Each row's residual subtracts the
 three-term main term and is scaled by its kind's error scale from
 constants.  emit serialises rows to CSV or JSON deterministically (17
 significant digits for binary64 fields, decimal strings for exact
@@ -42,13 +42,12 @@ from divcorr.constants import (
     sigma_correlation_main_term,
     sigma_lambda_identity,
 )
-from divcorr.correlate import lattice_sum, streamed_d_sums, sum_shifted_product
+from divcorr.correlate import lattice_sum, product_sums, streamed_d_sums
 from divcorr.errors import ContractError
 from divcorr.sieve import (
     MULT_ENTRY_BYTES,
     build_divisor_table,
     build_mult_table,
-    build_spf,
     charge,
     shifted_product_values,
 )
@@ -129,10 +128,8 @@ def run_compare(config: RunConfig) -> list[ComparisonRow]:
     """
     cells = [(x, v) for v in config.v_list for x in config.x_list]
     if config.kind == "sigma_corr":
-        spf = build_spf(max(config.x_list) + max(config.v_list))
-        spec = sigma_spec(config.alpha)
-        sums = [sum_shifted_product(spec, x, v, spf).value for x, v in cells]
         alpha = config.alpha
+        sums = product_sums(sigma_spec(alpha), cells)
         mains = [[sigma_correlation_main_term(x, v, alpha)] * 3 for x, v in cells]
         omega, c = sigma_correlation_error_exponent(alpha)
         scales = [x**omega * math.log(x) ** c for x, _ in cells]
@@ -312,15 +309,12 @@ def _suite_induction(pmax: int, alpha_max: int) -> Iterator[_Outcome]:
 def _suite_genrec(amax: int) -> Iterator[_Outcome]:
     # gcd-weighted convolution identity f(a) f(b) == sum g(e) f(ab/e^2) for
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
-    # on pairs with ab inside the tau table; the SPF table, the tau table,
-    # the f-table in use and the next one being built are charged before
-    # anything is built
+    # on pairs with ab inside the tau table; the tau table, the f-table in
+    # use and the next one being built are charged before anything is built
     tau_limit = min(10_000, amax * amax)
     charge(
-        (4 + 2 * MULT_ENTRY_BYTES) * (amax * amax + 1)
-        + _TAU_ENTRY_BYTES * (tau_limit + 1)
+        2 * MULT_ENTRY_BYTES * (amax * amax + 1) + _TAU_ENTRY_BYTES * (tau_limit + 1)
     )
-    spf = build_spf(amax * amax)
     tau = ramanujan_tau_table(tau_limit)
     gcd_divisors = {g: divisors(trial_factorize(g)) for g in range(1, amax + 1)}
     specs = [
@@ -330,7 +324,7 @@ def _suite_genrec(amax: int) -> Iterator[_Outcome]:
         (tau_spec(tau), tau_limit),
     ]
     for spec, prod_limit in specs:
-        fval = build_mult_table(spec, spf, prod_limit).tolist()
+        fval = build_mult_table(spec, prod_limit).tolist()
         gval = {
             e: completely_mult_value(spec.companion_g, e)
             for e in range(1, amax + 1)

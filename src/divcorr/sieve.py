@@ -1,11 +1,11 @@
-"""Sieved tables over [1, N]: smallest prime factor and d(n), the windowed
-d(n) d(n+v) kernel over a d-table, the streamed pair sums that need no
-d-table, and the exact values f(n) of any multiplicative spec formed from
-the SPF table.
+"""Sieved tables over [1, N]: d(n), the windowed d(n) d(n+v) kernel over a
+d-table, the streamed pair sums that need no d-table, and the exact values
+f(n) of any multiplicative spec; build_spf keeps a smallest-prime-factor
+table, one plain sieve over the whole array, for callers outside the package.
 
-windows() is the one walk in windows of SEGMENT_SIZE entries.  The SPF and
-d builders fill their tables window by window, byte-identical to a
-monolithic build; tables are immutable and safe to share.  A table of more
+windows() is the one walk in windows of SEGMENT_SIZE entries.  The d
+builder fills its table window by window, byte-identical to a monolithic
+build; tables are immutable and safe to share.  A table of more
 than one window is filled on all usable CPUs: forked workers (_fan_out,
 the one fork site) take the windows round-robin and write one shared
 anonymous mapping, and the windows of a worker that raised are rerun in
@@ -28,9 +28,9 @@ O(window) memory is held.  Every d(n) d(n+w) of both passes is formed by
 _pair_products, the one overflow guard: it reads the largest product only
 when a bound on the d(n), one per table call or per streamed window,
 squared reaches 2^32.  build_mult_table gives f(n) as exact Python
-ints in an object array, from vectorised passes over the whole SPF table.
-charge() is the one memory-cap check: callers charge their allocations
-before making them.
+ints in an object array by the smooth-part rule of the divisor fill, with
+no SPF table.  charge() is the one memory-cap check: callers charge their
+allocations before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -55,14 +55,15 @@ from divcorr.errors import ContractError, RangeError, ResourceError
 
 SEGMENT_SIZE = 1 << 19  # table entries per window
 # bytes per entry charged by build_mult_table: the object array's pointer
-# (8), one int object (28-36 for values below 2^90) and the int64 / int8
-# index temporaries of the build (about 40); tracemalloc peaks at 2e5
-# entries are 53 (d) to 81 (sigma_3, tau)
+# (8), one int object (28-40 below 2^120; none for Python's shared small
+# ints) and the fill's chunk temporaries; tracemalloc peaks at 2e5 entries
+# are 21 (d), 52 (sigma_1), 58 (sigma_3) and 61 (tau)
 MULT_ENTRY_BYTES = 96
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
 _WHEEL = 2520  # 2^3 3^2 5 7: the divisor fill's wheel
 _CHUNK = 1 << 15  # entries per step of the divisor fill's last pass
+_MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 
 
 def charge(nbytes: int) -> None:
@@ -192,7 +193,7 @@ def _fan_out(
 
 
 def build_spf(limit: int) -> SpfTable:
-    """Smallest-prime-factor table over [1, limit].
+    """Smallest-prime-factor table over [1, limit], sieved as one array.
 
     Args:
         limit: inclusive upper bound, must satisfy 1 <= limit < 2^31.
@@ -204,24 +205,14 @@ def build_spf(limit: int) -> SpfTable:
         raise RangeError("limit must be >= 1")
     if limit >= 1 << 31:
         raise RangeError("limit must fit in int32")
-    charge((limit + 1) * 4 + isqrt(limit) * 2)
-    primes = [int(p) for p in _base_primes(isqrt(limit))]
-
-    def fill(spf: np.ndarray, lo: int, hi: int) -> None:
-        seg = spf[lo : hi + 1]
-        for p in primes:
-            if p * p > hi:
-                break
-            start = max(p * p, (lo + p - 1) // p * p)
-            if start > hi:
-                continue
-            sl = seg[start - lo :: p]
-            sl[sl == 0] = p
-        # untouched entries are prime; this also leaves spf[0] = 0, spf[1] = 1
-        unmarked = np.nonzero(seg == 0)[0]
-        seg[unmarked] = unmarked + lo
-
-    spf = _fan_out(limit + 1, np.int32, list(windows(0, limit)), fill)
+    charge(13 * (limit + 1))  # int32 table, bool mask, int64 index per prime
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in _base_primes(isqrt(limit)).tolist():
+        sl = spf[p * p :: p]
+        sl[sl == 0] = p
+    # untouched entries are prime; this also leaves spf[0] = 0, spf[1] = 1
+    unmarked = np.nonzero(spf == 0)[0]
+    spf[unmarked] = unmarked
     return SpfTable(limit, spf)
 
 
@@ -544,56 +535,54 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
     return sums
 
 
-def build_mult_table(
-    spec: MultiplicativeSpec, spf: SpfTable, limit: int
-) -> np.ndarray:
+def build_mult_table(spec: MultiplicativeSpec, limit: int) -> np.ndarray:
     """f(0..limit) for a multiplicative spec, as exact Python numbers.
 
-    Each n >= 2 splits as n = p^e * rest with p = spf[n]; vectorised passes
-    over the SPF table give p^e and rest, spec.prime_power_value runs once
-    per prime power p^e <= limit (the n with rest = 1), and every other
-    f(n) = f(rest) f(p^e) is filled by one gather pass per omega(n) level
-    (omega(n) <= 9 below 2^31), once f(rest) is known.  Only
+    As in _divisor_fill, with r = isqrt(limit) each n <= limit is s or s P,
+    s its r-smooth part and P > r prime, so f(n) = f(s) or f(s) f(P).  In
+    each chunk of _MULT_CHUNK entries, every p <= r counts its exponent e
+    into an int8 row and multiplies p into the int64 s on the multiples of
+    p, p^2, ..., then multiplies f(p^e) into the multiples of p; last, n = P
+    gets f(P) and n = s P > P reads f(P) from the table.  So
+    spec.prime_power_value runs once per prime power p^k <= limit.  Only
     multiplications are used, so the values are exact for any integer spec,
     including one with f(p^k) = 0.
 
     Returns an object-dtype array of limit+1 entries with f[0] = 0 and
     f[1] = 1.  Charges MULT_ENTRY_BYTES per entry against the memory cap
-    before allocating; raises RangeError unless 1 <= limit <= spf.limit,
-    and passes on whatever the spec raises (RangeError for a tau table
-    that stops short of a prime power).
+    before allocating; raises RangeError unless limit >= 1, and passes on
+    whatever the spec raises (RangeError for a tau table that stops short
+    of a prime power).
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
-    if spf.limit < limit:
-        raise RangeError(f"spf table limit {spf.limit} < {limit}")
     charge(MULT_ENTRY_BYTES * (limit + 1))
-    # position i holds n = i + 2
-    p = spf.spf[2 : limit + 1].astype(np.int64)
-    rest = np.arange(2, limit + 1, dtype=np.int64) // p
-    pk = p.copy()  # p^e
-    e = np.ones(len(p), dtype=np.int8)
-    idx = np.nonzero(rest % p == 0)[0]
-    while len(idx):
-        rest[idx] //= p[idx]
-        pk[idx] *= p[idx]
-        e[idx] += 1
-        idx = idx[rest[idx] % p[idx] == 0]
-    f = np.zeros(limit + 1, dtype=object)
-    f[1] = 1
-    pp = np.nonzero(rest == 1)[0]
-    f[pp + 2] = np.array(
-        [spec.prime_power_value(q, k) for q, k in zip(p[pp].tolist(), e[pp].tolist())],
-        dtype=object,
-    )
-    done = np.zeros(limit + 1, dtype=bool)
-    done[1] = True
-    done[pp + 2] = True
-    todo = np.nonzero(rest > 1)[0]
-    while len(todo):  # each round fills the next omega level
-        ready = done[rest[todo]]
-        at = todo[ready]
-        f[at + 2] = f[rest[at]] * f[pk[at]]
-        done[at + 2] = True
-        todo = todo[~ready]
+    fpk = {}  # p -> [f(1), f(p), f(p^2), ...] up to the last p^k <= limit
+    for p in _base_primes(isqrt(limit)).tolist():
+        values, q = [1], p
+        while q <= limit:
+            values.append(spec.prime_power_value(p, len(values)))
+            q *= p
+        fpk[p] = np.array(values, dtype=object)
+    f = np.ones(limit + 1, dtype=object)
+    f[0] = 0
+    for lo in range(1, limit + 1, _MULT_CHUNK):
+        hi = min(lo + _MULT_CHUNK - 1, limit)
+        seg = f[lo : hi + 1]
+        e = np.zeros(len(seg), dtype=np.int8)
+        s = np.ones(len(seg), dtype=np.int64)
+        for p, values in fpk.items():
+            for q in (p**k for k in range(1, len(values))):
+                at = (-lo) % q
+                e[at::q] += 1
+                s[at::q] *= p
+            start = (-lo) % p
+            seg[start::p] *= values[e[start::p]]
+            e[start::p] = 0
+        rest = np.arange(lo, hi + 1, dtype=np.int64) // s
+        at = np.nonzero((rest > 1) & (s == 1))[0]  # n = P
+        fp = [spec.prime_power_value(q, 1) for q in (at + lo).tolist()]
+        seg[at] = np.array(fp, dtype=object)
+        at = np.nonzero((rest > 1) & (s > 1))[0]  # n = s P
+        seg[at] *= f[rest[at]]
     return f

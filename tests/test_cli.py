@@ -310,6 +310,28 @@ def test_compare_sigma_corr_bytes(capsys):
     assert digest == "cba5c44ec221f9ecc94c5380292535c6bdd7d8df9371b51ef0340a828b6cec62"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--kind", "sigma_corr", "--alpha", "1", "--x", "1000,100000"]
+        + ["--v", "1,6"],
+        ["verify", "--suite", "genrec"],
+    ],
+)
+def test_f_sums_build_no_spf_table(capsys, monkeypatch, argv):
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def no_spf(limit):
+        raise RuntimeError(f"built an SPF table to {limit}")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "divcorr" and hasattr(module, "build_spf"):
+            monkeypatch.setattr(module, "build_spf", no_spf)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_compare_sigma_large_alpha(capsys, monkeypatch):
     # x^(2 alpha + 1) first leaves the float range at alpha = 77 for x = 100
     argv = ["compare", "--x", "100", "--v", "1", "--kind", "sigma_corr"]
@@ -318,10 +340,10 @@ def test_compare_sigma_large_alpha(capsys, monkeypatch):
     floats = ("main1", "main2", "main3", "residual", "residual_scaled")
     assert all(math.isfinite(row[key]) for key in floats)
 
-    def no_table(limit):
-        raise AssertionError(f"sieved {limit} before validating")
+    def no_table(spec, cells):
+        raise AssertionError(f"built an f-table for {cells} before validating")
 
-    monkeypatch.setattr(harness, "build_spf", no_table)
+    monkeypatch.setattr(harness, "product_sums", no_table)
     assert main([*argv, "--alpha", "77"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sigma_corr with alpha=77") and err.count("\n") == 1

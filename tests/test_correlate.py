@@ -123,13 +123,13 @@ class TestDivisorTransforms:
 class TestSpecSums:
     def test_sigma_pair_sum_example(self):
         spec = dc.sigma_spec(1)
-        got = dc.sum_correlation(spec, 4, 2, SPF)
+        got = dc.sum_correlation(spec, 4, 2)
         assert got.value == 133  # 1*4 + 3*7 + 4*6 + 7*12
         assert got.kind == "ff"
 
     def test_sigma_product_sum_example(self):
         spec = dc.sigma_spec(1)
-        assert dc.sum_shifted_product(spec, 4, 2, SPF).value == 103
+        assert dc.sum_shifted_product(spec, 4, 2).value == 103
 
     @given(
         st.integers(min_value=0, max_value=150),
@@ -148,8 +148,8 @@ class TestSpecSums:
         def f(n):
             return sigma_naive(n, alpha)
 
-        assert dc.sum_correlation(spec, x, v, SPF).value == sum_ff_naive(f, x, v)
-        assert dc.sum_shifted_product(spec, x, v, SPF).value == sum_fpoly_naive(
+        assert dc.sum_correlation(spec, x, v).value == sum_ff_naive(f, x, v)
+        assert dc.sum_shifted_product(spec, x, v).value == sum_fpoly_naive(
             f, x, v
         )
 
@@ -157,37 +157,66 @@ class TestSpecSums:
         spec = dc.sigma_spec(1)
         for fn in (dc.sum_correlation, dc.sum_shifted_product):
             with pytest.raises(dc.RangeError, match="x must be >= 0"):
-                fn(spec, -1, 2, SPF)
+                fn(spec, -1, 2)
             with pytest.raises(dc.RangeError):
-                fn(spec, 10, 0, SPF)  # v = 0 excluded
-            with pytest.raises(dc.RangeError):
-                fn(spec, SPF.limit, 1, SPF)  # SPF table too small
-            assert fn(spec, 0, 2, SPF).value == 0  # the empty sum
+                fn(spec, 10, 0)  # v = 0 excluded
+            assert fn(spec, 0, 2).value == 0  # the empty sum
+
+    def test_product_sums_build_one_table(self, monkeypatch):
+        limits = []
+        build = dc.correlate.build_mult_table
+
+        def counted(spec, limit):
+            limits.append(limit)
+            return build(spec, limit)
+
+        monkeypatch.setattr(dc.correlate, "build_mult_table", counted)
+        spec = dc.sigma_spec(2)
+        cells = [(50, 6), (0, 30), (200, 1), (7, 12)]
+        want = [sum_fpoly_naive(lambda n: sigma_naive(n, 2), x, v) for x, v in cells]
+        assert dc.product_sums(spec, cells) == want
+        assert limits == [230]  # max x + max v
+        limits.clear()
+        assert dc.product_sums(spec, [(0, 3), (0, 1)]) == [0, 0]
+        with pytest.raises(dc.RangeError, match="shift v must be >= 1"):
+            dc.product_sums(spec, [(10, 1), (10, 0)])
+        assert limits == []  # nothing built for empty sums or a bad cell
+
+    def test_spf_argument_is_not_read(self):
+        # a two-entry SPF table is far too short for every sum below
+        spf = dc.build_spf(2)
+        for spec in (dc.divisor_count_spec(), dc.sigma_spec(1)):
+            for x, v in ((1000, 12), (50, 6)):
+                for fn in (dc.sum_correlation, dc.sum_shifted_product):
+                    assert fn(spec, x, v, spf) == fn(spec, x, v)
+                for direction in dc.correlate.DIRECTIONS:
+                    got = dc.transform_correlation(spec, x, v, direction, spf)
+                    assert got == dc.transform_correlation(spec, x, v, direction)
 
     def test_prime_power_outside_tau_table(self):
         # n = 6, v = 2: 6 * 8 = 2^4 * 3 needs tau(16) from a table to 8
         spec = dc.tau_spec(dc.ramanujan_tau_table(8))
         with pytest.raises(dc.RangeError, match="no value at 2\\^4"):
-            dc.sum_shifted_product(spec, 6, 2, SPF)
+            dc.sum_shifted_product(spec, 6, 2)
         tau = tau_naive(35)  # n(n+2) <= 35 for n <= 5
-        assert dc.sum_shifted_product(spec, 5, 2, SPF).value == sum_fpoly_naive(
+        assert dc.sum_shifted_product(spec, 5, 2).value == sum_fpoly_naive(
             tau.__getitem__, 5, 2
         )
 
     @given(st.integers(min_value=1, max_value=300))
     def test_monotone_in_x_for_positive_summands(self, x):
         for kind_sum in (dc.sum_correlation, dc.sum_shifted_product):
-            a = kind_sum(dc.divisor_count_spec(), x, 3, SPF).value
-            b = kind_sum(dc.divisor_count_spec(), x + 1, 3, SPF).value
+            a = kind_sum(dc.divisor_count_spec(), x, 3).value
+            b = kind_sum(dc.divisor_count_spec(), x + 1, 3).value
             assert b >= a
 
 
 class TestSpecTransforms:
     def test_transform_matches_direct_sigma(self):
         spec = dc.sigma_spec(1)
-        got = dc.transform_correlation(spec, 4, 2, "corr_from_poly", SPF)
+        got = dc.transform_correlation(spec, 4, 2, "corr_from_poly")
         assert got.value == 133  # 103 + 2*15
-        got = dc.transform_correlation(spec, 4, 2, "poly_from_corr", SPF)
+        got = dc.transform_correlation(spec, 4, 2, "poly_from_corr")
         assert got.value == 103
 
     @given(
@@ -198,19 +227,19 @@ class TestSpecTransforms:
     def test_g_equal_one_reduces_to_divisor_transform(self, x, v):
         spec = dc.divisor_count_spec()
         assert (
-            dc.transform_correlation(spec, x, v, "corr_from_poly", SPF).value
+            dc.transform_correlation(spec, x, v, "corr_from_poly").value
             == dc.sum_dd_from_dpoly(x, v, DTAB).value
         )
         assert (
-            dc.transform_correlation(spec, x, v, "poly_from_corr", SPF).value
+            dc.transform_correlation(spec, x, v, "poly_from_corr").value
             == dc.sum_dpoly_from_dd(x, v, DTAB).value
         )
 
     def test_tau_transform(self):
         spec = dc.tau_spec(dc.ramanujan_tau_table(1000))
-        direct = dc.sum_correlation(spec, 20, 2, SPF).value
+        direct = dc.sum_correlation(spec, 20, 2).value
         assert (
-            dc.transform_correlation(spec, 20, 2, "corr_from_poly", SPF).value
+            dc.transform_correlation(spec, 20, 2, "corr_from_poly").value
             == direct
         )
 
@@ -221,10 +250,10 @@ class TestSpecTransforms:
         for e in dc.divisors(dc.trial_factorize(v)):
             ge = dc.completely_mult_value(spec.companion_g, e)
             inner = dc.transform_correlation(
-                spec, x // e, v // e, "poly_from_corr", SPF
+                spec, x // e, v // e, "poly_from_corr"
             ).value
             total += ge * inner
-        assert total == dc.sum_correlation(spec, x, v, SPF).value
+        assert total == dc.sum_correlation(spec, x, v).value
 
     @given(
         st.integers(min_value=1, max_value=1000),
@@ -244,27 +273,25 @@ class TestSpecTransforms:
         limits = []
         build = dc.correlate.build_mult_table
 
-        def counted(spec, spf, limit):
+        def counted(spec, limit):
             limits.append(limit)
-            return build(spec, spf, limit)
+            return build(spec, limit)
 
         monkeypatch.setattr(dc.correlate, "build_mult_table", counted)
         spec = dc.sigma_spec(1)
         for direction in dc.correlate.DIRECTIONS:
             limits.clear()
-            dc.transform_correlation(spec, 1000, 12, direction, SPF)
+            dc.transform_correlation(spec, 1000, 12, direction)
             assert limits == [1012], direction  # one table over x + v
             limits.clear()
-            assert dc.transform_correlation(spec, 0, 12, direction, SPF).value == 0
+            assert dc.transform_correlation(spec, 0, 12, direction).value == 0
             assert limits == []  # the empty sum builds nothing
             with pytest.raises(dc.RangeError, match="x must be >= 0"):
-                dc.transform_correlation(spec, -1, 12, direction, SPF)
+                dc.transform_correlation(spec, -1, 12, direction)
 
     def test_requires_companion_and_direction(self):
         bare = dc.MultiplicativeSpec("bare", lambda p, e: e + 1)
         with pytest.raises(dc.ContractError):
-            dc.transform_correlation(bare, 10, 2, "corr_from_poly", SPF)
+            dc.transform_correlation(bare, 10, 2, "corr_from_poly")
         with pytest.raises(dc.ContractError):
-            dc.transform_correlation(
-                dc.sigma_spec(1), 10, 2, "sideways", SPF
-            )
+            dc.transform_correlation(dc.sigma_spec(1), 10, 2, "sideways")

@@ -84,14 +84,29 @@ class TestRunCompare:
             x_list=[100], v_list=[1], kind="sigma_corr", alpha=1
         )
         (row,) = dc.run_compare(config)
-        spf = dc.build_spf(101)
-        assert row.empirical == dc.sum_shifted_product(
-            dc.sigma_spec(1), 100, 1, spf
-        ).value
+        assert row.empirical == dc.sum_shifted_product(dc.sigma_spec(1), 100, 1).value
         assert row.main1 == row.main2 == row.main3
         assert row.residual == row.empirical - row.main3
         # the sigma_1 error scale x^2 log^2 x
         assert row.residual_scaled == row.residual / (100**2.0 * math.log(100) ** 2)
+
+    def test_sigma_corr_builds_one_f_table(self, monkeypatch):
+        limits = []
+        build = dc.correlate.build_mult_table
+
+        def counted(spec, limit):
+            limits.append(limit)
+            return build(spec, limit)
+
+        monkeypatch.setattr(dc.correlate, "build_mult_table", counted)
+        config = dc.RunConfig(
+            x_list=[100, 1000, 300], v_list=[1, 6], kind="sigma_corr", alpha=1
+        )
+        rows = dc.run_compare(config)
+        assert limits == [1006]  # one table to max x + max v for all six cells
+        spec = dc.sigma_spec(1)
+        for row in rows:
+            assert row.empirical == dc.sum_shifted_product(spec, row.x, row.v).value
 
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_sigma_corr_residual_scaled_stays_bounded(self, alpha):
@@ -221,7 +236,7 @@ class TestRunVerify:
         assert peak < 1 << 20  # refused before the d-table or any array
 
     def test_genrec_tables_charged_before_allocation(self, monkeypatch):
-        # vmax 2000 asks for an SPF table and f-tables over 4e6 entries
+        # vmax 2000 asks for f-tables over 4e6 entries
         monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
         tracemalloc.start()
         try:
@@ -230,7 +245,7 @@ class TestRunVerify:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20  # refused before the SPF table or any f-table
+        assert peak < 1 << 20  # refused before any f-table
 
     def test_genrec_peak_within_charge(self, monkeypatch):
         charged = []
@@ -272,8 +287,8 @@ def _plant(suite):
     if suite == "genrec":
         table = h.build_mult_table
 
-        def off_at_6(spec, spf, limit):
-            out = table(spec, spf, limit)
+        def off_at_6(spec, limit):
+            out = table(spec, limit)
             if spec.name == "sigma_1":
                 out[6] += 1
             return out

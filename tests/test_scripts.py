@@ -64,3 +64,31 @@ def test_bad_list_is_a_usage_error():
     assert proc.returncode == 2
     assert "not a comma-separated int list: '1,x'" in proc.stderr
     assert not proc.stdout
+
+
+def test_code_lines(tmp_path):
+    # a module docstring, a comment line and a function docstring are not
+    # code; both lines of a string that is not a docstring are: five code
+    # lines out of eleven
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        '    """Docstring."""\n'
+        '    s = """two\n'
+        '    lines"""\n'
+        "    return s  # trailing comment\n"
+        "\n"
+        "x = 1\n"
+    )
+    proc = _run("code_lines.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "wc -l: 11\ncode lines: 5\n"
+    proc = _run("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    src = sorted((ROOT / "src" / "divcorr").glob("*.py"))
+    total = sum(path.read_text().count("\n") for path in src)
+    wc, code = proc.stdout.splitlines()
+    assert wc == f"wc -l: {total}"
+    assert 0 < int(code.removeprefix("code lines: ")) < total

@@ -256,15 +256,23 @@ class TestShiftedProductValues:
         assert peak <= 4 * (limit + 1) + 16 * dc.sieve.SEGMENT_SIZE, peak
 
 
+MU = dc.MultiplicativeSpec("mu", lambda p, e: -1 if e == 1 else 0)
+# f-table specs and their naive oracles; mu has f(p^k) = 0 for k >= 2
+_MULT_ORACLES = (
+    (dc.divisor_count_spec(), d_naive),
+    (dc.sigma_spec(1), sigma_naive),
+    (MU, mobius_naive),
+)
+
+
 class TestMultTable:
     def test_matches_oracles(self):
-        spf = dc.build_spf(3000)
         for spec, f in (
             (dc.divisor_count_spec(), d_naive),
             (dc.sigma_spec(1), sigma_naive),
             (dc.sigma_spec(2), lambda n: sigma_naive(n, 2)),
         ):
-            table = dc.build_mult_table(spec, spf, 3000)
+            table = dc.build_mult_table(spec, 3000)
             assert table.dtype == object and len(table) == 3001
             values = table.tolist()
             assert values[0] == 0
@@ -276,35 +284,82 @@ class TestMultTable:
         # comes from multiplicativity (test_arith checks the table itself
         # against the naive q-expansion)
         tau = dc.ramanujan_tau_table(10_000)
-        table = dc.build_mult_table(dc.tau_spec(tau), dc.build_spf(10_000), 10_000)
+        table = dc.build_mult_table(dc.tau_spec(tau), 10_000)
         assert table.tolist() == tau
 
     def test_zero_prime_power_values(self):
-        mu = dc.MultiplicativeSpec("mu", lambda p, e: -1 if e == 1 else 0)
-        table = dc.build_mult_table(mu, dc.build_spf(3000), 3000)
+        table = dc.build_mult_table(MU, 3000)
         assert table[1:].tolist() == [mobius_naive(n) for n in range(1, 3001)]
 
+    def test_matches_oracles_at_every_limit_to_300(self):
+        for spec, f in _MULT_ORACLES:
+            want = [0] + [f(n) for n in range(1, 301)]
+            for limit in range(1, 301):
+                table = dc.build_mult_table(spec, limit)
+                assert table.tolist() == want[: limit + 1], (spec.name, limit)
+
+    @pytest.mark.parametrize(
+        "limit",
+        [
+            # the chunk edges of the fill
+            (1 << 16) - 1,
+            1 << 16,
+            (1 << 16) + 1,
+            (1 << 17) + 1,
+            # r = isqrt(limit) gains the prime 251 at 251^2
+            251**2 - 1,
+            251**2,
+            251**2 + 1,
+        ],
+    )
+    def test_matches_oracles_at_edges(self, limit):
+        # the entries within 300 of a chunk edge or of the limit against the
+        # naive oracles, and every d(n) against the divisor table
+        near = set(range(limit - 300, limit + 1))
+        for edge in range(1 << 16, limit + 1, 1 << 16):
+            near |= set(range(edge - 300, min(edge + 300, limit + 1)))
+        for spec, f in _MULT_ORACLES:
+            table = dc.build_mult_table(spec, limit)
+            assert len(table) == limit + 1
+            assert {n: table[n] for n in near} == {n: f(n) for n in near}, spec.name
+            if spec.name == "d":
+                assert table.tolist() == dc.build_divisor_table(limit).values.tolist()
+
     def test_range_errors(self):
-        spf = dc.build_spf(100)
         spec = dc.divisor_count_spec()
         with pytest.raises(dc.RangeError):
-            dc.build_mult_table(spec, spf, 0)
-        with pytest.raises(dc.RangeError):
-            dc.build_mult_table(spec, spf, 101)
-        assert dc.build_mult_table(spec, spf, 1).tolist() == [0, 1]
+            dc.build_mult_table(spec, 0)
+        assert dc.build_mult_table(spec, 1).tolist() == [0, 1]
 
     def test_charged_before_allocation(self, monkeypatch):
-        spf = dc.build_spf(10**5)
         monkeypatch.setenv("DIVCORR_MEMCAP", str(dc.sieve.MULT_ENTRY_BYTES * 1000))
-        dc.build_mult_table(dc.sigma_spec(1), spf, 998)  # fits
+        dc.build_mult_table(dc.sigma_spec(1), 998)  # fits
         tracemalloc.start()
         try:
             with pytest.raises(dc.ResourceError):
-                dc.build_mult_table(dc.sigma_spec(1), spf, 10**5)
+                dc.build_mult_table(dc.sigma_spec(1), 10**5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 16
+
+    def test_peak_within_charge(self):
+        limit = 200_000
+        specs = (
+            dc.divisor_count_spec(),
+            dc.sigma_spec(1),
+            dc.sigma_spec(3),
+            dc.tau_spec(dc.ramanujan_tau_table(limit)),
+        )
+        for spec in specs:
+            tracemalloc.start()
+            try:
+                table = dc.build_mult_table(spec, limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del table
+            assert peak <= dc.sieve.MULT_ENTRY_BYTES * (limit + 1), (spec.name, peak)
 
 
 class TestSegmentedConstruction:
@@ -321,13 +376,11 @@ class TestSegmentedConstruction:
         def build(segment_size):
             monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
             dtab = dc.build_divisor_table(n)
-            spf = dc.build_spf(n)
             return (
-                spf.spf.tobytes(),
                 dtab.values.tobytes(),
                 *(dc.shifted_product_values(dtab, n - v, v).tobytes() for v in shifts),
                 *(f(n - v, v, dtab).value for f in sums for v in shifts),
-                *(f(sigma, n - v, v, spf).value for f in spec_sums for v in shifts),
+                *(f(sigma, n - v, v).value for f in spec_sums for v in shifts),
             )
 
         mono = build(n + 1)
@@ -346,7 +399,6 @@ class TestSegmentedConstruction:
                 dtab = dc.build_divisor_table(x + v)
                 return (
                     dtab.values.tobytes(),
-                    dc.build_spf(x + v).spf.tobytes(),
                     dc.shifted_product_values(dtab, x, v).tobytes(),
                     dc.sum_dd(x, v, dtab).value,
                     dc.sum_dpoly(x, v, dtab).value,
@@ -373,16 +425,15 @@ class TestSegmentedConstruction:
 
         def build(cpus):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            return dc.build_divisor_table(n).values, dc.build_spf(n).spf
+            return dc.build_divisor_table(n).values
 
-        d1, spf1 = build(1)
+        d1 = build(1)
         assert forks == []
-        d3, spf3 = build(3)
-        assert len(forks) == 4  # two children per table
+        d3 = build(3)
+        assert len(forks) == 2  # two children for the table
         assert d3.tobytes() == d1.tobytes()
-        assert spf3.tobytes() == spf1.tobytes()
         assert d3[1:].tolist() == [d_naive(k) for k in range(1, n + 1)]
-        assert spf3[2:].tolist() == [
+        assert dc.build_spf(n).spf[2:].tolist() == [
             smallest_prime_factor_naive(k) for k in range(2, n + 1)
         ]
 
@@ -559,10 +610,9 @@ class TestWorkerFailure:
     )
     def test_failed_child_raises_and_is_reaped(self, monkeypatch, how, status):
         _failing_children(monkeypatch, how)
-        for build in (dc.build_divisor_table, dc.build_spf):
-            with pytest.raises(dc.ResourceError, match=status):
-                build(20_000)
-            _assert_no_child_left()
+        with pytest.raises(dc.ResourceError, match=status):
+            dc.build_divisor_table(20_000)
+        _assert_no_child_left()
 
     def test_fork_failure_raises_and_reaps_started_children(self, monkeypatch):
         _failing_children(monkeypatch, "exit")
