@@ -13,11 +13,12 @@ The d sums fold the windows of sieve.shifted_windows over a DivisorTable
 into exact ints, in uint64 per window and O(window) memory; sum_dd also
 reads the dict of exact cells of sieve.stream_pair_sums, which keeps no
 d-table; streamed_d_sums, the route of every d sum the CLI prints, reads
-only those.  The f sums walk sieve.windows over one exact object-dtype
-f-table from sieve.build_mult_table covering x + v, which also serves
-every inner sum of a transform, and product_sums serves many product-form
-cells from one table; the product form splits each n(n+v) into coprime
-parts at the primes of v, so it needs no factorisation per n.
+only those.  Every f sum is one _f_sums walk: one exact object-dtype
+f-table from sieve.build_mult_table to max x + max v serves all cells of
+a call (the cells of product_sums, the inner sums of a transform), and
+each distinct v is walked once over sieve.windows, its running sum read at
+each x; the product form splits n(n+v) into coprime parts at the primes
+of v, so it needs no factorisation per n.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import DivisorTable, build_mult_table
+from divcorr.sieve import MULT_ENTRY_BYTES, DivisorTable, build_mult_table
 
 
 @dataclass(frozen=True)
@@ -162,91 +163,95 @@ def streamed_d_sums(kind: str, cells: Sequence[tuple[int, int]]) -> list[int]:
     return [sum_fn(x, v, sums).value for x, v in cells]
 
 
-# bytes per term of one window of the f-sums: int64 L and R, the weight,
-# the gathered and product ints and the index temporaries (measured 70-110
-# for values below 2^128)
+# bytes per term of one window of the f-sum walk: the term ints and their
+# array, and when n and n+v are stripped, int64 L and R, the gathered f and
+# f(p^(a+b)) at the multiples of p; tracemalloc peaks per entry of 2^19-entry
+# windows: 40, 56, 64 unstripped and 84, 95, 107 stripped (sigma_1, sigma_3,
+# tau-sized ints)
 _TERM_BYTES = 128
 
 
 def _mult_table(spec: MultiplicativeSpec, x: int, v: int) -> np.ndarray:
     """f(0..x+v), charged together with one window of the sum over it."""
-    window = min(sieve.SEGMENT_SIZE, x)
-    sieve.charge(sieve.MULT_ENTRY_BYTES * (x + v + 1) + _TERM_BYTES * window)
+    sieve.charge(MULT_ENTRY_BYTES * (x + v + 1) + _TERM_BYTES * min(x, sieve.SEGMENT_SIZE))
     return build_mult_table(spec, x + v)
 
 
-def _pair_sum(f: np.ndarray, x: int, v: int) -> int | float:
-    """sum_{n<=x} f(n) f(n+v) over an f-table covering x + v."""
-    value: int | float = 0
-    for lo, hi in sieve.windows(1, x):
-        value += sum(f[lo : hi + 1] * f[lo + v : hi + v + 1])
-    return value
+def _terms(
+    spec: MultiplicativeSpec, f: np.ndarray, lo: int, hi: int, v: int, product: bool
+) -> np.ndarray:
+    """f(n) f(n+v) for n in [lo, hi] over an f-table covering hi + v, or
+    f(n(n+v)) when product, by the strip rule: a prime shared by n and n+v
+    divides v, so with L = n and R = n+v stripped of their powers p^a, p^b
+    of each p | v, f(n(n+v)) = f(L) f(R) prod f(p^(a+b)) over coprime
+    factors, and f(p^(a+b)) goes into the multiples of p only."""
+    if not product or v == 1:
+        return f[lo : hi + 1] * f[lo + v : hi + v + 1]
+    left = np.arange(lo, hi + 1, dtype=np.int64)
+    right = left + v
+    factors = []  # per p: the first multiple of p, p, and f(p^(a+b)) at each
+    for p, _ in trial_factorize(v):
+        first = (-lo) % p
+        k = np.zeros(len(left[first::p]), dtype=np.int64)  # a + b
+        for side in (left[first::p], right[first::p]):
+            j = np.arange(len(side))
+            while len(j):
+                side[j] //= p
+                k[j] += 1
+                j = j[side[j] % p == 0]
+        ks, kat = np.unique(k, return_inverse=True)
+        fpk = [spec.prime_power_value(p, m) for m in ks.tolist()]
+        factors.append((first, p, np.array(fpk, dtype=object)[kat]))
+    terms = f[left] * f[right]
+    for first, p, fpk_at in factors:
+        terms[first::p] *= fpk_at
+    return terms
 
 
-def _product_sum(
-    spec: MultiplicativeSpec, f: np.ndarray, x: int, v: int
-) -> int | float:
-    """sum_{n<=x} f(n(n+v)) over an f-table covering x + v."""
-    value: int | float = 0
-    pdivs = [p for p, _ in trial_factorize(v)]
-    for lo, hi in sieve.windows(1, x):
-        left = np.arange(lo, hi + 1, dtype=np.int64)
-        right = left + v
-        weight = np.ones(len(left), dtype=object)  # prod f(p^(a+b))
-        for p in pdivs:
-            at = np.arange((-lo) % p, len(left), p)  # multiples of p
-            k = np.zeros(len(at), dtype=np.int64)  # a + b
-            for side in (left, right):
-                j = np.arange(len(at))
-                while len(j):
-                    side[at[j]] //= p
-                    k[j] += 1
-                    j = j[side[at[j]] % p == 0]
-            fpk = np.zeros(int(k.max(initial=0)) + 1, dtype=object)
-            for m in np.unique(k).tolist():
-                fpk[m] = spec.prime_power_value(p, m)
-            weight[at] *= fpk[k]
-        terms = f[left]
-        terms *= f[right]  # in place: one new int per term, not two
-        terms *= weight
-        value += sum(terms)
-    return value
+def _f_sums(
+    spec: MultiplicativeSpec, product: bool, cells: Sequence[tuple[int, int]]
+) -> list[int | float]:
+    """Exact f-sums at the cells (x, v), in order: sum_{n<=x} f(n(n+v)) when
+    product, else sum_{n<=x} f(n) f(n+v); RangeError for a bad cell before
+    anything is built.  One _mult_table to max x + max v serves every cell,
+    none when every x is 0.  Each distinct v is walked once, window by
+    window, over [1, max x of v], and its running sum is read at each x."""
+    ends: dict[int, set[int]] = {}  # v -> its x > 0
+    for x, v in cells:
+        _check_range(x, v)
+        if x:
+            ends.setdefault(v, set()).add(x)
+    sums = dict.fromkeys(cells, 0)
+    if ends:
+        f = _mult_table(spec, max(map(max, ends.values())), max(v for _, v in cells))
+    for v, xs in ends.items():
+        value: int | float = 0
+        for lo, hi in sieve.windows(1, max(xs)):
+            terms = _terms(spec, f, lo, hi, v, product)
+            cuts = sorted({lo, hi + 1} | {x + 1 for x in xs if lo <= x < hi})
+            for a, b in zip(cuts, cuts[1:]):
+                value += sum(terms[a - lo : b - lo])
+                sums[b - 1, v] = value  # read back only where b - 1 is an x
+            del terms  # one window of terms at a time
+    return [sums[cell] for cell in cells]
 
 
 def sum_correlation(
     spec: MultiplicativeSpec, x: int, v: int, spf: object = None
 ) -> CorrelationSum:
-    """Exact pair-form sum of f(n) f(n+v) over n <= x; x = 0 gives the
-    empty sum.  f comes from one build_mult_table covering x + v, charged
-    with the window temporaries of the sum.  spf is not read."""
-    _check_range(x, v)
-    value = _pair_sum(_mult_table(spec, x, v), x, v) if x else 0
-    return CorrelationSum("ff", x, v, value)
+    """Exact pair-form sum of f(n) f(n+v) over n <= x, the one cell of
+    _f_sums; x = 0 gives the empty sum.  spf is not read."""
+    return CorrelationSum("ff", x, v, _f_sums(spec, False, [(x, v)])[0])
 
 
 def product_sums(
     spec: MultiplicativeSpec, cells: Sequence[tuple[int, int]]
 ) -> list[int | float]:
     """Exact product-form sums sum_{n<=x} f(n(n+v)) at the cells (x, v), in
-    order; RangeError for a bad cell before anything is built.  One
-    build_mult_table to max x + max v serves every cell; none is built when
-    every x is 0 (the empty sums).
-
-    A prime shared by n and n+v divides v, so with L = n and R = n+v
-    stripped of their powers p^a, p^b of each p | v,
-
-        f(n(n+v)) = f(L) f(R) prod_{p | v} f(p^(a+b))
-
-    over coprime factors; f(L) and f(R) are read from the table, and the
-    stripping touches only the multiples of each p | v, window by window.
-    """
-    for x, v in cells:
-        _check_range(x, v)
-    top = max((x for x, _ in cells), default=0)
-    if not top:
-        return [0] * len(cells)
-    f = _mult_table(spec, top, max(v for _, v in cells))
-    return [_product_sum(spec, f, x, v) for x, v in cells]
+    order, from one _f_sums walk: RangeError for a bad cell before anything
+    is built, one f-table to max x + max v (none when every x is 0), and
+    each distinct v walked once, its running sum read at each of its x."""
+    return _f_sums(spec, True, cells)
 
 
 def sum_shifted_product(
@@ -254,8 +259,7 @@ def sum_shifted_product(
 ) -> CorrelationSum:
     """Exact product-form sum of f(n(n+v)) over n <= x, the one cell of
     product_sums; x = 0 gives the empty sum.  spf is not read."""
-    (value,) = product_sums(spec, [(x, v)])
-    return CorrelationSum("fpoly", x, v, value)
+    return CorrelationSum("fpoly", x, v, _f_sums(spec, True, [(x, v)])[0])
 
 
 DIRECTIONS = ("corr_from_poly", "poly_from_corr")
@@ -270,8 +274,9 @@ def transform_correlation(
     poly_from_corr:  sum_{e|v} mu(e) g(e) * [pair form at (x/e, v/e)]
 
     The two directions are mutually inverse; each must reproduce the direct
-    sum of the other shape.  Every inner sum reads the one f-table over
-    x + v; x = 0 gives the empty sum without building it.  spf is not read.
+    sum of the other shape.  The inner sums, all of one shape, are the cells
+    of one _f_sums call over one f-table to x + v; x = 0 gives the empty sum
+    without building it.  spf is not read.
     """
     if spec.companion_g is None:
         raise ContractError(f"spec {spec.name!r} has no companion g")
@@ -279,15 +284,7 @@ def transform_correlation(
         raise ContractError(f"direction must be one of {DIRECTIONS}")
     _check_range(x, v)
     inverse = direction == "poly_from_corr"
-    total: int | float = 0
-    if x:
-        f = _mult_table(spec, x, v)
-
-        def term(e: int) -> int | float:
-            if inverse:
-                return _pair_sum(f, x // e, v // e)
-            return _product_sum(spec, f, x // e, v // e)
-
-        total = lattice_sum(v, spec.companion_g, inverse, term)
-    kind = "fpoly" if inverse else "ff"
-    return CorrelationSum(kind, x, v, total)
+    es = [e for e, _ in mobius_divisors(v)] if inverse else divisors(trial_factorize(v))
+    inner = _f_sums(spec, not inverse, [(x // e, v // e) for e in es])
+    total = lattice_sum(v, spec.companion_g, inverse, dict(zip(es, inner)).__getitem__)
+    return CorrelationSum("fpoly" if inverse else "ff", x, v, total)

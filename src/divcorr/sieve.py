@@ -213,6 +213,7 @@ def build_spf(limit: int) -> SpfTable:
     # untouched entries are prime; this also leaves spf[0] = 0, spf[1] = 1
     unmarked = np.nonzero(spf == 0)[0]
     spf[unmarked] = unmarked
+    spf.flags.writeable = False
     return SpfTable(limit, spf)
 
 
@@ -322,6 +323,7 @@ def build_divisor_table(limit: int) -> DivisorTable:
         _divisor_fill(d[lo : hi + 1], lo, hi, plan)
 
     d = _fan_out(limit + 1, np.uint32, list(windows(0, limit)), fill)
+    d.flags.writeable = False
     return DivisorTable(limit, d)
 
 

@@ -1,3 +1,4 @@
+import mmap
 import os
 import signal
 import tracemalloc
@@ -436,6 +437,18 @@ class TestSegmentedConstruction:
         assert dc.build_spf(n).spf[2:].tolist() == [
             smallest_prime_factor_naive(k) for k in range(2, n + 1)
         ]
+
+    def test_tables_are_read_only(self, monkeypatch):
+        # one window in the caller's memory, then 2^20 entries in the shared
+        # mapping that two workers fill
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tables = [dc.build_divisor_table(10).values, dc.build_spf(10).spf]
+        tables.append(dc.build_divisor_table(1 << 20).values)
+        assert isinstance(tables[2].base.obj, mmap.mmap)
+        for values in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                values[1] = 7
+        assert tables[0][1] == tables[2][1] == tables[1][1] == 1
 
     def test_single_window_tables_never_fork(self, monkeypatch):
         def no_fork():
