@@ -11,11 +11,14 @@ the one fork site) take the windows round-robin and write one shared
 anonymous mapping, and the windows of a worker that raised are rerun in
 the caller, so the error keeps its class.  No knob selects this.
 time.process_time() of the caller leaves out the children's CPU time.
-_divisor_fill, the one fill of d, is multiplicative: a 2520 wheel tiles
-the factors of 2, 3, 5 and 7, each other prime p <= sqrt(hi) and each
-prime power past the wheel update d and the smooth part s of n on their
-multiples, and d doubles where s != n, so a window costs about two vector
-operations per prime <= sqrt(hi) rather than one per i <= sqrt(hi).
+_divisor_fill, the one fill of d, works in the log domain behind a 75600
+wheel: one packed uint32 word per entry counts the primes above 7 that
+divide n once and holds minus the rounded log2 of the smooth part s of n.
+Each such prime p <= sqrt(top) is one strided add to the words of its
+multiples, each prime power past the wheel also updates d, and a last pass
+compares each log with a threshold per dyadic chunk, so d doubles once per
+counted prime and once more where s < n.  A window thus costs about one
+vector operation per prime <= sqrt(hi), not one per i <= sqrt(hi).
 shifted_windows is the one kernel of the d sums over a table: window by
 window it yields d(n) d(n+v), or d(n(n+v)) with the correction at the
 primes of v, from buffers it reuses or straight into an output array, so
@@ -26,7 +29,7 @@ same divisor fill as the table build, a shift wider than a window in a
 piece of its own, and the windows go to the same workers, so only
 O(window) memory is held.  Every d(n) d(n+w) of both passes is formed by
 _pair_products, the one overflow guard: it reads the largest product only
-when a bound on the d(n), one per table call or per streamed window,
+when a bound on the d(n), one per table or per streamed window,
 squared reaches 2^32.  build_mult_table gives f(n) as exact Python
 ints in an object array by the smooth-part rule of the divisor fill, with
 no SPF table.  charge() is the one memory-cap check: callers charge their
@@ -34,7 +37,7 @@ allocations before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
-(a few per sieving prime in the builders, one per prime power of the shift
+(one per sieving prime in the builders, one per prime power of the shift
 in shifted_windows) mostly hit cache instead of streaming the window from
 RAM.
 """
@@ -44,8 +47,9 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, log2
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -61,8 +65,9 @@ SEGMENT_SIZE = 1 << 19  # table entries per window
 MULT_ENTRY_BYTES = 96
 DEFAULT_MEMORY_CAP = 2 << 30  # bytes
 MEMCAP_ENV = "DIVCORR_MEMCAP"
-_WHEEL = 2520  # 2^3 3^2 5 7: the divisor fill's wheel
-_CHUNK = 1 << 15  # entries per step of the divisor fill's last pass
+_WHEEL = 75600  # 2^4 3^3 5^2 7: the divisor fill's wheel
+_LOG_UNIT = 1024  # K, the divisor fill's log units per bit
+_OMEGA = 1 << 16  # one prime in the divisor fill's packed word
 _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 
 
@@ -94,6 +99,12 @@ class DivisorTable:
     limit: int
     values: np.ndarray
 
+    @cached_property
+    def bound(self) -> int:
+        """The largest d(n) of the table, read on first use and kept: the
+        bound of _pair_products for every call over the table."""
+        return int(self.values[1:].max(initial=0))
+
 
 def _base_primes(n: int) -> np.ndarray:
     """Primes <= n by a plain boolean sieve."""
@@ -107,20 +118,27 @@ def _base_primes(n: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def _log_units(p: int) -> int:
+    """round(K log2 p), the log of the prime p in the fill's units."""
+    return round(_LOG_UNIT * log2(p))
+
+
 def _wheel_patterns() -> tuple[np.ndarray, np.ndarray]:
-    """d(g) and g = gcd(r, _WHEEL) for r in [0, _WHEEL): n mod _WHEEL fixes
-    the part g of n that the wheel primes give up to the wheel's exponents."""
-    d = np.zeros(_WHEEL, dtype=np.uint32)
+    """d(g) as uint8 and minus the log of g as _divisor_fill sums it, as
+    int16, for g = gcd(r, _WHEEL) and r in [0, _WHEEL): n mod _WHEEL fixes
+    the part g of n that the wheel primes give up to the wheel's exponents.
+    Read as int32, the packed word of g is that log, since omega is 0."""
+    d = np.zeros(_WHEEL, dtype=np.uint8)
     for t in divisors(trial_factorize(_WHEEL)):
         d[::t] += 1  # t | r exactly when t | g
-    g = np.ones(_WHEEL, dtype=np.uint32)
+    log = np.zeros(_WHEEL, dtype=np.int16)
     for p, e in trial_factorize(_WHEEL):
         for k in range(1, e + 1):
-            g[:: p**k] *= p
-    return d, g
+            log[:: p**k] -= _log_units(p)
+    return d, log
 
 
-_WHEEL_D, _WHEEL_S = _wheel_patterns()
+_WHEEL_D, _WHEEL_LOG = _wheel_patterns()
 
 
 def windows(first: int, last: int) -> Iterator[tuple[int, int]]:
@@ -218,38 +236,68 @@ def build_spf(limit: int) -> SpfTable:
 
 
 class _FillPlan(NamedTuple):
-    """What _divisor_fill needs beyond its window, built once per call."""
+    """What _divisor_fill needs beyond its window, built once per call: each
+    prime power p^k past the wheel, by p and then by k, with the word it
+    adds and the factor old of d that it turns into new."""
 
-    powers: list[tuple[int, int, int]]  # (p^k, p, k) past the wheel, by p^k
-    qs: np.ndarray  # the p^k of powers, int64
-    smooth: np.ndarray  # scratch for the smooth parts, one window long
-    ramp: np.ndarray  # 0, 1, ... in the dtype of smooth, one chunk long
+    steps: np.ndarray  # p^k, int64
+    adds: np.ndarray  # added to the packed word modulo 2^32, uint32
+    olds: np.ndarray  # uint8
+    news: np.ndarray  # uint8
+    offset: int  # round(K/2 log2 P_min), P_min the least prime above max(r, 7)
+    words: np.ndarray  # the packed words, uint32, one window long
 
 
 def _fill_plan_bytes(top: int, size: int) -> int:
-    """The bytes that callers charge for _fill_plan(top, size): 8 per scratch
-    entry, and 48 per isqrt(top) plus 4 KiB for the prime powers
-    (tracemalloc peaks per isqrt(top): 70 at 1e4, 34 at 3e7, 24 at 1e9)."""
-    return 8 * size + 48 * isqrt(top) + 4096
+    """The bytes that callers charge for _fill_plan(top, size): 4 per word,
+    and 48 per isqrt(top) plus 4 KiB for the prime powers (tracemalloc
+    peaks per isqrt(top) of _fill_plan(top, 1): 74 at 1e4, 31 at 3e7, 25 at
+    1e9; of a plan and one full fill, less the words and the window: 98,
+    25 and 17)."""
+    return 4 * size + 48 * isqrt(top) + 4096
 
 
 def _fill_plan(top: int, size: int) -> _FillPlan:
     """The plan of _divisor_fill for windows of at most size entries that end
-    at most at top: every prime power p^k <= top with p <= sqrt(top) that the
-    wheel does not cover, and a smooth-part scratch of size entries, uint32
-    below 2^32 and uint64 from there."""
-    powers = []
-    for p in _base_primes(isqrt(top)).tolist():
-        q, k = p, 1
+    at most at top: every prime power p^k <= top with p <= r = isqrt(top)
+    that the wheel does not cover, and a word buffer of size entries."""
+    steps, adds, olds, news = [], [], [], []
+    r = isqrt(top)
+    for p in _base_primes(r).tolist():
+        units, q, k = _log_units(p), p, 1
         while q <= top:
-            if _WHEEL % q:
-                powers.append((q, p, k))
+            if _WHEEL % q:  # the wheel tiles the others
+                if _WHEEL % p == 0 or k > 2:
+                    add, old, new = 0, k, k + 1
+                elif k == 1:  # p > 7 counts in omega while its exponent is 1
+                    add, old, new = _OMEGA, 1, 1
+                else:
+                    add, old, new = -_OMEGA, 1, 3
+                steps.append(q)
+                adds.append((add - units) % (1 << 32))
+                olds.append(old)
+                news.append(new)
             q, k = q * p, k + 1
-    powers.sort()
-    qs = np.array([q for q, _, _ in powers], dtype=np.int64)
-    dtype = np.uint32 if top < 1 << 32 else np.uint64
-    ramp = np.arange(min(size, _CHUNK), dtype=dtype)
-    return _FillPlan(powers, qs, np.empty(size, dtype=dtype), ramp)
+    pmin = max(r, 7) + 1
+    while trial_factorize(pmin) != ((pmin, 1),):
+        pmin += 1
+    return _FillPlan(
+        np.array(steps, dtype=np.int64),
+        np.array(adds, dtype=np.uint32),
+        np.array(olds, dtype=np.uint8),
+        np.array(news, dtype=np.uint8),
+        round(_LOG_UNIT / 2 * log2(pmin)),
+        np.empty(size, dtype=np.uint32),
+    )
+
+
+def _tile(buf: np.ndarray, pattern: np.ndarray, phase: int) -> None:
+    """buf[i] = pattern[(phase + i) % _WHEEL], by slices of the pattern."""
+    head = min(len(buf), _WHEEL - phase)
+    buf[:head] = pattern[phase : phase + head]
+    rows, rest = divmod(len(buf) - head, _WHEEL)
+    buf[head : head + rows * _WHEEL].reshape(rows, _WHEEL)[:] = pattern
+    buf[head + rows * _WHEEL :] = pattern[:rest]
 
 
 def _divisor_fill(seg: np.ndarray, lo: int, hi: int, plan: _FillPlan) -> None:
@@ -257,50 +305,59 @@ def _divisor_fill(seg: np.ndarray, lo: int, hi: int, plan: _FillPlan) -> None:
     exactly hi - lo + 1 entries: the one divisor fill of the table build and
     the streamed pass.
 
-    With r = isqrt(hi), every n in the window has at most one prime factor
-    above r, so d(n) = d(s) * (2 if s < n else 1), s the r-smooth part of n.
-    d(s) is built in seg and s in plan.smooth, multiplicatively:
+    Every prime p <= r = isqrt(top), top the plan's, with p <= hi is sieved,
+    so each n in the window is s or s P, s its smooth part and P a prime
+    above max(r, 7), and d(n) = d(s), doubled when s < n.  The fill keeps
+    d in seg and one packed uint32 word per entry in plan.words: the high
+    16 bits count omega, the primes above 7 that divide n exactly once, and
+    the low 16 bits hold minus the log2 of s at K = 1024 units per bit, each
+    prime factor's log rounded on its own.  So:
 
-    - the wheel tiles d and s for the primes 2, 3, 5, 7 up to 2^3 3^2 5 7 =
-      2520, one broadcast assignment each;
-    - each other prime p doubles d and multiplies s by p on its multiples;
-    - each p^k past the wheel turns the factor k of d into k + 1 and
-      multiplies s by p on its multiples, the fill's only division.
+    - the wheel tiles d(g) and the word of g, g = gcd(n, 2^4 3^3 5^2 7);
+    - each prime p > 7 adds 2^16 - round(K log2 p) to its multiples, one
+      strided add per prime;
+    - each power p^k with k >= 2 adds -round(K log2 p) and turns the factor
+      k of d into k + 1; at p^2 with p > 7 it also takes p back out of omega
+      and multiplies d by 3, since the 2 of a single p is omega's.
 
-    A p^k no shorter than the window has at most one multiple there; those
-    are found in one vectorised pass and updated one entry at a time, so a
-    window costs about two vector operations per prime <= r.  Last, d is
-    doubled where s != n, in chunks of _CHUNK entries.
+    One vectorised pass finds the first multiple of each p^k and drops the
+    p^k with none in the window.  The word is now omega 2^16 - L modulo
+    2^32, L the accumulated log.  Last, on each chunk [n0, 2 n0) of the
+    window, n0 = 2^j, it adds 2^16 + T with T = K j - plan.offset =
+    K (log2 n0 - 1/2 log2 P_min), rounded, and shifts right by 16, which
+    leaves omega + [L <= T], and d <<= that: three vector operations.
+
+    The margin: L misses K log2 s by at most Omega(n)/2 <= 32 units.  When
+    s = n, L - T >= K/2 log2 P_min - 32; when s = n/P < 2 n0 / P_min,
+    T - L >= K/2 log2 P_min - K - 32.  P_min >= 11 leaves at least 700
+    units on both sides, and no n < 2^64 has omega + 1 >= 16.
     """
     m = hi - lo + 1
-    d, s = seg, plan.smooth[:m]
-    phase = lo % _WHEEL
-    rows, rest = divmod(m, _WHEEL)
-    for buf, pattern in ((d, _WHEEL_D), (s, _WHEEL_S)):
-        pattern = np.roll(pattern, -phase)
-        buf[: rows * _WHEEL].reshape(rows, _WHEEL)[:] = pattern
-        buf[rows * _WHEEL :] = pattern[:rest]
-    dense, cut = np.searchsorted(plan.qs, (m, hi), "right")
-    for q, p, k in plan.powers[:dense]:
-        start = (-lo) % q
-        sub = d[start::q]
-        if k == 1:
-            sub <<= 1
-        else:
-            sub //= k
-            sub *= k + 1
-        s[start::q] *= p
-    first = (-lo) % plan.qs[dense:cut]
-    for i in np.nonzero(first < m)[0].tolist():  # ascending p^k, as above
-        _, p, k = plan.powers[dense + i]
-        j = int(first[i])
-        d[j] = d[j] // k * (k + 1)
-        s[j] *= p
-    for a in range(0, m, _CHUNK):
-        b = min(a + _CHUNK, m)
-        sub = s[a:b]
-        sub -= plan.ramp[: b - a]  # s - (n - lo - a), modulo the dtype
-        d[a:b] <<= sub != lo + a
+    d, w = seg, plan.words[:m]
+    _tile(d, _WHEEL_D, lo % _WHEEL)
+    _tile(w.view(np.int32), _WHEEL_LOG, lo % _WHEEL)
+    first = (-lo) % plan.steps
+    rows = np.nonzero(first < m)[0]  # the p^k with a multiple in the window
+    for start, q, add, old, new in zip(
+        first[rows].tolist(),
+        plan.steps[rows].tolist(),
+        plan.adds[rows],  # uint32 scalars: no conversion per add
+        plan.olds[rows].tolist(),
+        plan.news[rows].tolist(),
+    ):  # each prime's k rises
+        sub = w[start::q]
+        sub += add
+        if new > 1:
+            sub = d[start::q]
+            if old > 1:
+                sub //= old
+            sub *= new
+    for j in range(lo.bit_length() - 1, hi.bit_length()):
+        a, b = max(lo, 1 << j) - lo, min(hi + 1, 2 << j) - lo
+        sub = w[a:b]
+        sub += _OMEGA + _LOG_UNIT * j - plan.offset
+        sub >>= 16
+        d[a:b] <<= sub
 
 
 def build_divisor_table(limit: int) -> DivisorTable:
@@ -363,9 +420,9 @@ def shifted_windows(
     a yielded window is valid until the next; the correction works in one
     reused scratch of three half-window rows (empty when nothing is
     corrected).  The call raises RangeError if the d-table is too short and
-    charges it with 16 B per window entry; it reads the largest d(n) of the
-    table up to limit + shift once, as the bound of _pair_products, so a
-    window raises OverflowError as _pair_products does.
+    charges it with 16 B per window entry; the table's bound, its largest
+    d(n), read once per table, is the bound of _pair_products, so a window
+    raises OverflowError as _pair_products does.
     """
     need = limit + shift
     if dtab.limit < need:
@@ -373,7 +430,6 @@ def shifted_windows(
     size = min(SEGMENT_SIZE, limit)
     charge(dtab.values.nbytes + 16 * size)
     d = dtab.values
-    bound = int(d[1 : need + 1].max(initial=0))
     pdivs = [p for p, _ in trial_factorize(shift)] if product else []
     buf = np.empty(size if out is None else 0, dtype=np.uint32)
     scratch = np.empty((3, (size + 1) // 2 if pdivs else 0), dtype=np.uint32)
@@ -381,7 +437,7 @@ def shifted_windows(
     def window(lo: int, hi: int) -> np.ndarray:
         dest = buf[: hi - lo + 1] if out is None else out[lo : hi + 1]
         left, right = d[lo : hi + 1], d[lo + shift : hi + shift + 1]
-        seg = _pair_products(left, right, dest, bound)
+        seg = _pair_products(left, right, dest, dtab.bound)
         for p in pdivs:
             first = lo + (-lo) % p  # first multiple of p in the window
             sub = seg[first - lo :: p]
@@ -459,7 +515,7 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
     it checks each sum against the hyperbola identity
     sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y), a
     piece (a, y] as the difference of two, so no sieved d(n) goes
-    unchecked and a mismatch raises RuntimeError naming y.  Charges 16 B
+    unchecked and a mismatch raises RuntimeError naming y.  Charges 12 B
     per entry of a window plus the widest near shift, the fill's prime
     powers up to the top n + w and 8 B per slot; raises RangeError for a
     cell with y < 0 or w < 1.
@@ -495,7 +551,7 @@ def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], 
     dbuf = np.empty(size + near, dtype=np.uint32)
     far = np.empty(size if max(marks) > size else 0, dtype=np.uint32)
     plan = _fill_plan(reach, size + near)
-    pbuf = plan.smooth  # idle while the fill runs; then the products
+    pbuf = plan.words  # idle while the fill runs; then the products
 
     def fill(slots: np.ndarray, lo: int, hi: int) -> None:
         # each row still summing here, with the last n it sums in this window

@@ -169,9 +169,9 @@ def test_verify_genrec_memory_cap_exit_code(capsys, monkeypatch):
 
 
 def test_sum_dpoly_memory_cap_exit_code(capsys, monkeypatch):
-    # the pass charges 16 B per entry of one 2^19 window plus the widest
-    # shift (8.4 MB)
-    monkeypatch.setenv("DIVCORR_MEMCAP", "8000000")
+    # the pass charges 12 B per entry of one 2^19 window plus the widest
+    # shift (6.3 MB)
+    monkeypatch.setenv("DIVCORR_MEMCAP", "6000000")
     assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -71,7 +71,7 @@ def _fill(lo, hi, top=None):
 
 
 class TestDivisorFill:
-    # the wheel's period is 2520; 3e7, 1e8 + 17 and 1e9 need the primes and
+    # the wheel's period is 75600; 3e7, 1e8 + 17 and 1e9 need the primes and
     # prime powers past it up to sqrt(hi)
     @pytest.mark.parametrize(
         "lo", [1, 2, 144, 2519, 2520, 2521, 3 * 10**7, 10**8 + 17, 10**9]
@@ -90,13 +90,49 @@ class TestDivisorFill:
         assert _fill(lo, hi).tobytes() == divisor_window_strided(lo, hi).tobytes()
 
     def test_window_straddling_2_to_the_32(self):
-        # n past 2^32 has a smooth part past uint32; the plan widens it
+        # n past 2^32 keeps its log, not its smooth part, in a uint32 word;
+        # 2^32 + 15 is the least prime past 2^32
         lo, hi = (1 << 32) - 3000, (1 << 32) + 3000
-        assert dc.sieve._fill_plan(hi, 1).smooth.dtype == np.uint64
         seg = _fill(lo, hi)
         assert seg.tobytes() == divisor_window_strided(lo, hi).tobytes()
-        for n in (lo, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, hi):
+        for n in (lo, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 32) + 15, hi):
             assert seg[n - lo] == d_naive(n), n
+
+    def test_every_start_to_300_around_the_wheel_period(self):
+        # windows shorter than the 75600 wheel slice its pattern, the others
+        # tile it, from every phase below 301
+        want = divisor_window_strided(1, 300 + 75600)
+        for length in (1, 2, 17, 75599, 75600, 75601):
+            for lo in range(1, 301):
+                hi = lo + length - 1
+                got = _fill(lo, hi).tobytes()
+                assert got == want[lo - 1 : hi].tobytes(), (lo, length)
+
+    def test_windows_across_the_chunk_doublings(self):
+        # the last pass takes a new threshold at each n0 = 2^j
+        for j in range(1, 35):
+            lo, hi = max(1, (1 << j) - 700), (1 << j) + 700
+            want = divisor_window_strided(lo, hi).tobytes()
+            assert _fill(lo, hi).tobytes() == want, j
+
+    @pytest.mark.parametrize("lo", [3 * 10**7, 10**9])
+    def test_logs_clear_their_thresholds_by_400_units(self, lo):
+        # moving every threshold 400 units either way changes no d(n) of a
+        # full window, so no entry's log lies within 400 units of its own
+        hi = lo + dc.sieve.SEGMENT_SIZE - 1
+        want = divisor_window_strided(lo, hi).tobytes()
+        plan = dc.sieve._fill_plan(hi, hi - lo + 1)
+        seg = np.empty(hi - lo + 1, dtype=np.uint32)
+        for shift in (-400, 0, 400):
+            moved = plan._replace(offset=plan.offset + shift)
+            dc.sieve._divisor_fill(seg, lo, hi, moved)
+            assert seg.tobytes() == want, shift
+
+    def test_wheel_patterns_within_240_kb(self):
+        # d(g) in uint8 and the log of g in int16 per residue mod 75600,
+        # 226,800 bytes, which every process holds from import on
+        sieve = dc.sieve
+        assert sieve._WHEEL_D.nbytes + sieve._WHEEL_LOG.nbytes <= 240_000
 
     @given(
         lo=st.integers(min_value=1, max_value=10**7),
@@ -200,6 +236,14 @@ class TestShiftedProductValues:
         if key not in _TABLE_CACHE:
             _TABLE_CACHE[key] = _spv(2000, v)
         assert _TABLE_CACHE[key][n] == d_naive(n * (n + v))
+
+    def test_table_bound_read_once(self):
+        # the largest d of the whole table, kept on it for every later call
+        dtab = dc.build_divisor_table(10_060)
+        assert "bound" not in vars(dtab)
+        dc.sum_dd(10_000, 60, dtab)
+        dc.sum_dpoly(5_000, 12, dtab)
+        assert vars(dtab)["bound"] == int(dtab.values.max()) == 64
 
     def test_table_too_small(self):
         small = dc.build_divisor_table(100)
