@@ -9,11 +9,12 @@ For any multiplicative f with Chebyshev companion g they determine each
 other through exact divisor sums over v; everything here is evaluated in
 the spec's exact value domain (Python integers for d, sigma_k, tau).
 
-The d sums fold the windows of sieve.shifted_windows over a DivisorTable
-into exact ints, in uint64 per window and O(window) memory; sum_dd also
-reads the dict of exact cells of sieve.stream_pair_sums, which keeps no
-d-table; streamed_d_sums, the route of every d sum the CLI prints, reads
-only those.  Every f sum is one _f_sums walk: one exact object-dtype
+Every d sum reads the dict of exact cells of sieve.stream_pair_sums, the
+one pass: over a DivisorTable, one pass per call serves every inner cell
+of the call, pair form or product form, in O(window) memory beyond the
+table; streamed_d_sums, the route of every d sum the CLI prints, makes one
+pass with no d-table and hands its dict to sum_dd and sum_dpoly_from_dd.
+Every f sum is one _f_sums walk: one exact object-dtype
 f-table from sieve.build_mult_table to max x + max v serves all cells of
 a call (the cells of product_sums, the inner sums of a transform), and
 each distinct v is walked once over sieve.windows, its running sum read at
@@ -24,7 +25,7 @@ of v, so it needs no factorisation per n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -51,13 +52,9 @@ class CorrelationSum:
     value: int | float
 
 
-def _exact_sum(terms: Iterable[np.ndarray]) -> int:
-    """The sum of every term of every window of terms.
-
-    Each window is reduced in uint64 and folded into an unbounded Python
-    int; a window of 2^19 terms below 2^32 stays far from uint64 overflow.
-    """
-    return sum(int(np.sum(window, dtype=np.uint64)) for window in terms)
+# where the d sums of a call come from: a d-table, or the dict of cells that
+# one sieve.stream_pair_sums pass served
+DSums = DivisorTable | dict[tuple[int, ...], int]
 
 
 def _check_range(x: int, v: int) -> None:
@@ -87,60 +84,69 @@ def lattice_sum(
     return total
 
 
-def sum_dd(
-    x: int, v: int, tables: DivisorTable | dict[tuple[int, int], int]
-) -> CorrelationSum:
+def _d_sum(tables: DSums, x: int, v: int, product: bool) -> int:
+    """The exact d sum at (x, v): sum_{n<=x} d(n(n+v)) when product, else
+    sum_{n<=x} d(n) d(n+v); x = 0 gives the empty sum.  A DivisorTable
+    serves it by one sieve.stream_pair_sums pass; the dict of a pass must
+    hold the cell, keyed as the pass keys it, or RangeError."""
+    _check_range(x, v)
+    key = (x, v, True) if product else (x, v)
+    if isinstance(tables, DivisorTable):
+        tables = sieve.stream_pair_sums([key], tables)
+    if x and key not in tables:
+        raise RangeError(f"no streamed sum for x={x}, v={v}")
+    return tables.get(key, 0)
+
+
+def _d_lattice(tables: DSums, x: int, v: int, inverse: bool) -> int:
+    """Lemma 1 for d over the inner sums at (x/e, v/e): the product form
+    over e | v, or when inverse the pair form over squarefree e | v.  A
+    DivisorTable serves every inner cell in one sieve.stream_pair_sums pass;
+    each is read through this module's sum_dpoly or sum_dd binding."""
+    _check_range(x, v)
+    if isinstance(tables, DivisorTable):
+        if inverse:
+            cells = [(x // e, v // e) for e, _ in mobius_divisors(v)]
+        else:
+            cells = [(x // e, v // e, True) for e in divisors(trial_factorize(v))]
+        tables = sieve.stream_pair_sums(cells, tables)
+    inner = sum_dd if inverse else sum_dpoly
+    g = divisor_count_spec().companion_g
+    return lattice_sum(v, g, inverse, lambda e: inner(x // e, v // e, tables).value)
+
+
+def sum_dd(x: int, v: int, tables: DSums) -> CorrelationSum:
     """Exact sum of d(n) d(n+v) over n <= x; x = 0 gives the empty sum.
 
-    From the dict of sieve.stream_pair_sums it is the streamed sum of the
-    cell (x, v), RangeError if that cell was not served.  From a
-    DivisorTable the terms come window by window from sieve.shifted_windows,
-    which raises OverflowError if a window's max d(n) * max d(n+v) reaches
-    2^32.
+    From a DivisorTable it is one pass of sieve.stream_pair_sums over the
+    table, which raises OverflowError if a window's max d(n) * max d(n+v)
+    reaches 2^32; from the dict of a pass it is the streamed sum of the cell
+    (x, v), RangeError if that cell was not served.
     """
-    _check_range(x, v)
-    if not x:
-        value = 0
-    elif isinstance(tables, dict):
-        if (x, v) not in tables:
-            raise RangeError(f"no streamed sum for x={x}, v={v}")
-        value = tables[x, v]
-    else:
-        value = _exact_sum(sieve.shifted_windows(tables, x, v, False))
-    return CorrelationSum("dd", x, v, value)
+    return CorrelationSum("dd", x, v, _d_sum(tables, x, v, False))
 
 
-def sum_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
+def sum_dpoly(x: int, v: int, tables: DSums) -> CorrelationSum:
     """Exact sum of d(n(n+v)) over n <= x; x = 0 gives the empty sum.
 
-    The d(n(n+v)) values come window by window from sieve.shifted_windows
-    over a DivisorTable covering x + v, in O(window) memory beyond it.
-    This is the direct sum; sum_dpoly_from_dd reaches the same value
-    through pair-form sums.
+    The product-form cell (x, v, True) of sieve.stream_pair_sums, from a
+    pass over a DivisorTable covering x + v, in O(window) memory beyond it,
+    or from the dict of a pass.  This is the direct sum; sum_dpoly_from_dd
+    reaches the same value through pair-form sums.
     """
-    _check_range(x, v)
-    value = _exact_sum(sieve.shifted_windows(tables, x, v, True)) if x else 0
-    return CorrelationSum("dpoly", x, v, value)
+    return CorrelationSum("dpoly", x, v, _d_sum(tables, x, v, True))
 
 
-def sum_dd_from_dpoly(x: int, v: int, tables: DivisorTable) -> CorrelationSum:
+def sum_dd_from_dpoly(x: int, v: int, tables: DSums) -> CorrelationSum:
     """Assemble sum_{n<=x} d(n) d(n+v) from product-form sums over the
     divisors of v:  sum_{e|v} sum_{n<=x/e} d(n(n+v/e)).  Equals sum_dd."""
-    _check_range(x, v)
-    g = divisor_count_spec().companion_g
-    value = lattice_sum(v, g, False, lambda e: sum_dpoly(x // e, v // e, tables).value)
-    return CorrelationSum("dd", x, v, value)
+    return CorrelationSum("dd", x, v, _d_lattice(tables, x, v, False))
 
 
-def sum_dpoly_from_dd(
-    x: int, v: int, tables: DivisorTable | dict[tuple[int, int], int]
-) -> CorrelationSum:
+def sum_dpoly_from_dd(x: int, v: int, tables: DSums) -> CorrelationSum:
     """Moebius-inverted companion:  sum_{e|v} mu(e) sum_{n<=x/e} d(n) d(n+v/e).
     Equals sum_dpoly; streamed sums must serve every cell (x/e, v/e)."""
-    _check_range(x, v)
-    g = divisor_count_spec().companion_g
-    value = lattice_sum(v, g, True, lambda e: sum_dd(x // e, v // e, tables).value)
-    return CorrelationSum("dpoly", x, v, value)
+    return CorrelationSum("dpoly", x, v, _d_lattice(tables, x, v, True))
 
 
 def streamed_d_sums(kind: str, cells: Sequence[tuple[int, int]]) -> list[int]:

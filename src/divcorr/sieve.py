@@ -1,7 +1,7 @@
-"""Sieved tables over [1, N]: d(n), the windowed d(n) d(n+v) kernel over a
-d-table, the streamed pair sums that need no d-table, and the exact values
-f(n) of any multiplicative spec; build_spf keeps a smallest-prime-factor
-table, one plain sieve over the whole array, for callers outside the package.
+"""Sieved tables over [1, N]: d(n), the one pass of the d sums, over a
+d-table or streamed with none, and the exact values f(n) of any
+multiplicative spec; build_spf keeps a smallest-prime-factor table, one
+plain sieve over the whole array, for callers outside the package.
 
 windows() is the one walk in windows of SEGMENT_SIZE entries.  The d
 builder fills its table window by window, byte-identical to a monolithic
@@ -19,18 +19,18 @@ multiples, each prime power past the wheel also updates d, and a last pass
 compares each log with a threshold per dyadic chunk, so d doubles once per
 counted prime and once more where s < n.  A window thus costs about one
 vector operation per prime <= sqrt(hi), not one per i <= sqrt(hi).
-shifted_windows is the one kernel of the d sums over a table: window by
-window it yields d(n) d(n+v), or d(n(n+v)) with the correction at the
-primes of v, from buffers it reuses or straight into an output array, so
-sum_dd, sum_dpoly and shifted_product_values need O(window) memory beyond
-the d-table.  stream_pair_sums serves many cells sum_{n<=y} d(n) d(n+w) in
-one pass, as a plain dict keyed by (y, w): each window is sieved by the
-same divisor fill as the table build, a shift wider than a window in a
-piece of its own, and the windows go to the same workers, so only
-O(window) memory is held.  Every d(n) d(n+w) of both passes is formed by
-_pair_products, the one overflow guard: it reads the largest product only
-when a bound on the d(n), one per table or per streamed window,
-squared reaches 2^32.  build_mult_table gives f(n) as exact Python
+stream_pair_sums is the one pass of the d sums: it serves many cells, the
+pair form sum_{n<=y} d(n) d(n+w) and the product form sum_{n<=y}
+d(n(n+w)), as a plain dict, one row per shift and shape.  Its windows go
+to the same workers, and it holds O(window) memory beyond its source: the
+slices of a d-table (sum_dd, sum_dpoly and the Lemma 1 transforms), or
+windows sieved by the divisor fill of the table build, a shift wider than
+a window in a piece of its own (the CLI's sums, with no d-table).  Every
+d(n) d(n+w) and every d(n(n+w)), those of shifted_product_values too, is
+formed by _pair_products, the one overflow guard: it reads the largest
+product only when a bound on the d(n), one per table or per streamed
+window, squared reaches 2^32, and corrects a product-form window at the
+primes of w.  build_mult_table gives f(n) as exact Python
 ints in an object array by the smooth-part rule of the divisor fill, with
 no SPF table.  charge() is the one memory-cap check: callers charge their
 allocations before making them.
@@ -38,7 +38,7 @@ allocations before making them.
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
 (one per sieving prime in the builders, one per prime power of the shift
-in shifted_windows) mostly hit cache instead of streaming the window from
+in the product form) mostly hit cache instead of streaming the window from
 RAM.
 """
 
@@ -249,12 +249,14 @@ class _FillPlan(NamedTuple):
 
 
 def _fill_plan_bytes(top: int, size: int) -> int:
-    """The bytes that callers charge for _fill_plan(top, size): 4 per word,
-    and 48 per isqrt(top) plus 4 KiB for the prime powers (tracemalloc
-    peaks per isqrt(top) of _fill_plan(top, 1): 74 at 1e4, 31 at 3e7, 25 at
-    1e9; of a plan and one full fill, less the words and the window: 98,
-    25 and 17)."""
-    return 4 * size + 48 * isqrt(top) + 4096
+    """The bytes that callers charge for _fill_plan(top, size) and one fill
+    of a window with it: 4 per word, 48 per isqrt(top) for the prime
+    powers, and 8 KiB for the plan's array headers and the fill's lists per
+    window, which dominate a small top.  tracemalloc peaks of a plan and one
+    full fill, less the words and the window: 4.2 KB at top 100, 9.4 KB at
+    1e4, 20 KB at 1e5, then per isqrt(top) 48 at 1e6, 31 at 3e7, 25 at
+    1e9."""
+    return 4 * size + 48 * isqrt(top) + 8192
 
 
 def _fill_plan(top: int, size: int) -> _FillPlan:
@@ -385,91 +387,72 @@ def build_divisor_table(limit: int) -> DivisorTable:
 
 
 def _pair_products(
-    left: np.ndarray, right: np.ndarray, out: np.ndarray, bound: int
+    left: np.ndarray,
+    right: np.ndarray,
+    out: np.ndarray,
+    bound: int,
+    lo: int = 1,
+    shift: int = 0,
+    primes: Iterable[int] = (),
 ) -> np.ndarray:
     """left * right into out in uint32, for entries of both at most bound:
-    the one overflow guard of the d products.  Only when bound^2 reaches
-    2^32 does it read max(left) * max(right), a bound on every product,
-    and raise OverflowError if that reaches 2^32."""
-    if bound * bound >= 1 << 32 and int(left.max()) * int(right.max()) >= 1 << 32:
-        raise OverflowError("d(n) d(n+shift) exceeds uint32")
-    return np.multiply(left, right, out=out)
+    the one overflow guard and the one former of the d products.  Only when
+    bound^2 reaches 2^32 does it read max(left) * max(right), a bound on
+    every product, and raise OverflowError if that reaches 2^32.
 
-
-def shifted_windows(
-    dtab: DivisorTable,
-    limit: int,
-    shift: int,
-    product: bool,
-    out: np.ndarray | None = None,
-) -> Iterator[np.ndarray]:
-    """d(n) d(n+shift), or d(n(n+shift)) when product, for n in each window
-    of windows(1, limit), from a d-table covering limit + shift.
-
-    A prime shared by n and n+shift divides the shift, and for such p,
-    p | n exactly when p | n+shift.  So with a = v_p(n), b = v_p(n+shift),
+    Given the primes of shift, with left[i] = d(n) and right[i] = d(n+shift)
+    for n = lo + i, it forms d(n(n+shift)) instead.  A prime shared by n and
+    n+shift divides the shift, and for such p, p | n exactly when
+    p | n+shift.  So with a = v_p(n), b = v_p(n+shift),
 
         d(n(n+shift)) = d(n) d(n+shift) * prod_{p | shift} (a+b+1) / ((a+1)(b+1))
 
-    where each factor is 1 unless p | n.  The product form corrects only the
-    multiples of each p | shift in the window: a and b come from strided
-    increments over p^2, p^3, ..., and (a+1)(b+1) divides the product exactly.
-
-    Every window is written into out[lo : hi+1] when out is given, else
-    into one uint32 buffer of min(SEGMENT_SIZE, limit) entries, reused, so
-    a yielded window is valid until the next; the correction works in one
-    reused scratch of three half-window rows (empty when nothing is
-    corrected).  The call raises RangeError if the d-table is too short and
-    charges it with 16 B per window entry; the table's bound, its largest
-    d(n), read once per table, is the bound of _pair_products, so a window
-    raises OverflowError as _pair_products does.
+    where each factor is 1 unless p | n, and never exceeds 1, so the guard
+    covers it.  Only the multiples of each p are corrected: a and b come from
+    strided increments over p^2, p^3, ..., in three rows of one entry per
+    multiple, and (a+1)(b+1) divides the product exactly.
     """
-    need = limit + shift
-    if dtab.limit < need:
-        raise RangeError(f"divisor table limit {dtab.limit} < {need}")
-    size = min(SEGMENT_SIZE, limit)
-    charge(dtab.values.nbytes + 16 * size)
-    d = dtab.values
-    pdivs = [p for p, _ in trial_factorize(shift)] if product else []
-    buf = np.empty(size if out is None else 0, dtype=np.uint32)
-    scratch = np.empty((3, (size + 1) // 2 if pdivs else 0), dtype=np.uint32)
-
-    def window(lo: int, hi: int) -> np.ndarray:
-        dest = buf[: hi - lo + 1] if out is None else out[lo : hi + 1]
-        left, right = d[lo : hi + 1], d[lo + shift : hi + shift + 1]
-        seg = _pair_products(left, right, dest, dtab.bound)
-        for p in pdivs:
-            first = lo + (-lo) % p  # first multiple of p in the window
-            sub = seg[first - lo :: p]
-            a1, b1, t = scratch[:, : len(sub)]  # a + 1, b + 1, temporary
-            scratch[:2, : len(sub)] = 2
-            pk = p * p
-            while pk <= hi + shift:
-                step = pk // p
-                a1[(-first) % pk // p :: step] += 1
-                b1[(-first - shift) % pk // p :: step] += 1
-                pk *= p
-            sub //= np.multiply(a1, b1, out=t)
-            a1 += b1
-            a1 -= 1  # a + b + 1
-            sub *= a1
-        return seg
-
-    return (window(lo, hi) for lo, hi in windows(1, limit))
+    if bound * bound >= 1 << 32 and int(left.max()) * int(right.max()) >= 1 << 32:
+        raise OverflowError("d(n) d(n+shift) exceeds uint32")
+    seg = np.multiply(left, right, out=out)
+    hi = lo + len(seg) - 1
+    for p in primes:
+        first = lo + (-lo) % p  # first multiple of p in the window
+        sub = seg[first - lo :: p]
+        a1 = np.full(len(sub), 2, dtype=np.uint32)  # a + 1
+        b1 = a1.copy()  # b + 1
+        pk = p * p
+        while pk <= hi + shift:
+            step = pk // p
+            a1[(-first) % pk // p :: step] += 1
+            b1[(-first - shift) % pk // p :: step] += 1
+            pk *= p
+        sub //= a1 * b1
+        a1 += b1
+        a1 -= 1  # a + b + 1
+        sub *= a1
+    return seg
 
 
 def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.ndarray:
-    """d(n(n+shift)) for n in [1, limit] from a d-table covering limit+shift:
-    the product-form windows of shifted_windows, formed in place.
+    """d(n(n+shift)) for n in [1, limit] from a d-table covering limit+shift,
+    formed window by window by _pair_products straight into the output.
 
-    Returns a uint32 array of limit+1 entries with slot 0 = 0; charges it
-    with the table and one window, then raises as shifted_windows does.
-    Memory beyond the output is O(window).
+    Returns a uint32 array of limit+1 entries with slot 0 = 0.  Raises
+    RangeError if the d-table is too short; charges the table, the output
+    and 6 B per window entry of correction rows, then raises OverflowError
+    as _pair_products does, with the table's bound.  Memory beyond the
+    output is O(window).
     """
-    charge(dtab.values.nbytes + (limit + 1) * 4 + 16 * min(SEGMENT_SIZE, limit))
+    if dtab.limit < limit + shift:
+        raise RangeError(f"divisor table limit {dtab.limit} < {limit + shift}")
+    charge(dtab.values.nbytes + (limit + 1) * 4 + 6 * min(SEGMENT_SIZE, limit))
     out = np.zeros(limit + 1, dtype=np.uint32)
-    for _ in shifted_windows(dtab, limit, shift, True, out):
-        pass
+    d = dtab.values
+    primes = [p for p, _ in trial_factorize(shift)]
+    for lo, hi in windows(1, limit):
+        left, right = d[lo : hi + 1], d[lo + shift : hi + shift + 1]
+        _pair_products(left, right, out[lo : hi + 1], dtab.bound, lo, shift, primes)
     return out
 
 
@@ -490,106 +473,139 @@ def _check_d_sum(value: int, y: int, after: int = 0) -> None:
         )
 
 
-def stream_pair_sums(cells: Iterable[tuple[int, int]]) -> dict[tuple[int, int], int]:
-    """{(y, w): sum_{n<=y} d(n) d(n+w)} for every cell (y, w) with y >= 1,
-    exact, in one pass over the windows of [1, max y] that keeps no d-table;
-    cells with y = 0 get no entry.
+def stream_pair_sums(
+    cells: Iterable[tuple[int, ...]], dtab: DivisorTable | None = None
+) -> dict[tuple[int, ...], int]:
+    """{cell: its exact sum} for every cell with y >= 1, in one pass over the
+    windows of [1, max y]: a cell (y, w) is the pair form
+    sum_{n<=y} d(n) d(n+w), and (y, w, True) the product form
+    sum_{n<=y} d(n(n+w)), each keyed as given (y, w) or (y, w, True); cells
+    with y = 0 get no entry.
 
-    Each window [lo, hi] is sieved into one reused buffer by the divisor
-    fill of build_divisor_table, on [lo, hi + w] for the widest near shift w
-    still needed there, a near shift being one no wider than a window.  A
-    far shift sieves only its own piece [lo + w, n + w] into a second
-    buffer, so no buffer spans the gap.  Each shift forms d(n) d(n+w) up to
-    its largest y only, in uint32, and sums it in uint64 between the
-    window's cuts: its start and every y + 1 inside it (np.sum per segment
-    casts in small buffers; np.add.reduceat would cast the whole window to
-    uint64 first).  Every shift is multiplied by _pair_products, with the
-    window's largest d(n) as its bound, or for a far shift the larger of
-    that and the largest d of its piece.  Each segment sum is one slot of a
+    The pass keeps one row per shift and shape.  A window's d values come
+    from dtab when it is given, as slices of the table, with the table's
+    bound for _pair_products; RangeError if it does not reach every y + w,
+    before anything is forked.  Without dtab no d-table is kept: each window
+    [lo, hi] is sieved into one reused buffer by the divisor fill of
+    build_divisor_table, on [lo, hi + w] for the widest near shift w still
+    needed there, a near shift being one no wider than a window.  A far
+    shift sieves only its own piece [lo + w, n + w] into a second buffer, so
+    no buffer spans the gap.  The bound is then the window's largest d(n),
+    or for a far shift the larger of that and the largest d of its piece.
+
+    Each row forms its terms up to its largest y only, through
+    _pair_products in uint32, and sums them between the window's cuts: its
+    start and every y + 1 inside it.  A row's terms are below b^2, b its
+    bound, so per segment one np.add.reduceat in uint32 sums blocks of at
+    most 2^32 // (b^2 + 1) terms, with no uint64 copy of the segment, and
+    np.sum adds the blocks in uint64.  Each segment sum is one slot of a
     shared array; the windows go to the workers of _fan_out, and the parent
-    adds each shift's slots in window order as Python ints, so the sums are
+    adds each row's slots in window order as Python ints, so the sums are
     exact and deterministic; a window that raises in a worker raises here.
 
-    The pass also sums d(n) up to every y, and up to the top y + w of any
-    near cell, which the last window sieves to, and sums each far piece;
+    A sieving pass also sums d(n) up to every y, and up to the top y + w of
+    any near cell, which the last window sieves to, and sums each far piece;
     it checks each sum against the hyperbola identity
     sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y), a
     piece (a, y] as the difference of two, so no sieved d(n) goes
-    unchecked and a mismatch raises RuntimeError naming y.  Charges 12 B
-    per entry of a window plus the widest near shift, the fill's prime
-    powers up to the top n + w and 8 B per slot; raises RangeError for a
-    cell with y < 0 or w < 1.
+    unchecked and a mismatch raises RuntimeError naming y.  It charges 12 B
+    per entry of a window plus the widest near shift and the fill's prime
+    powers up to the top n + w; a pass over dtab charges the table and 4 B
+    per window entry.  Both charge 6 B more per window entry when a cell is
+    of product form, and 8 B per slot.  RangeError for a cell with y < 0 or
+    w < 1.
     """
-    marks: dict[int, set[int]] = {0: set()}  # shift -> its ys; 0 sums d(n)
-    for y, w in cells:
+    marks: dict[tuple[int, bool], set[int]] = {}  # (shift, product) -> its ys
+    for y, w, *shape in cells:
         if y < 0 or w < 1:
             raise RangeError(f"cell x={y}, v={w} needs x >= 0 and v >= 1")
         if y:
-            marks.setdefault(w, set()).add(y)
-            marks[0].add(y)
-    if not marks[0]:
+            marks.setdefault((w, any(shape)), set()).add(y)
+    if not marks:
         return {}
-    top = max(marks[0])
+    ys = set().union(*marks.values())
+    top = max(ys)
     size = min(SEGMENT_SIZE, top)
-    near = max(w for w in marks if w <= size)
-    ends = {w: max(marks[w]) + w for w in marks}
-    # the last window sieves on to the top n + w any near shift reads, and
-    # the d row sums that far too, so no sieved d(n) goes unchecked
-    marks[0].add(max(ends[w] for w in marks if w <= size))
-    # per shift: its last y, the starts of its segments and its first slot
+    reach = max(max(s) + w for (w, _), s in marks.items())
+    if dtab is None:
+        near = max((w for w, _ in marks if w <= size), default=0)
+        # the d row, shift 0: the last window sieves on to the top n + w any
+        # near shift reads, and the d row sums that far too, so no sieved
+        # d(n) goes unchecked
+        ends = [max(s) + w for (w, _), s in marks.items() if w <= size]
+        marks[0, False] = ys | {max(ends + [top])}
+    elif dtab.limit < reach:
+        raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
+    # per row: its shift, the primes it corrects at, its last y, the starts
+    # of its segments and its first slot
     rows = []
     slot = 0
-    for w in sorted(marks):
-        last = max(marks[w])
-        cuts = {lo for lo, _ in windows(1, min(last, top))} | {y + 1 for y in marks[w]}
+    for (w, product), s in sorted(marks.items()):
+        last = max(s)
+        cuts = {lo for lo, _ in windows(1, min(last, top))} | {y + 1 for y in s}
         starts = np.array(sorted(cuts - {last + 1}), dtype=np.int64)
-        rows.append((w, last, starts, slot))
+        primes = [p for p, _ in trial_factorize(w)] if product else []
+        rows.append((w, primes, last, starts, slot))
         slot += len(starts)
-    reach = max(ends.values())
-    # dbuf and far, 4 B per entry each; the plan; the slots
-    charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + 8 * slot)
-    dbuf = np.empty(size + near, dtype=np.uint32)
-    far = np.empty(size if max(marks) > size else 0, dtype=np.uint32)
-    plan = _fill_plan(reach, size + near)
-    pbuf = plan.words  # idle while the fill runs; then the products
+    # _pair_products's correction rows, if a cell is of product form; the slots
+    rest = (6 * size if any(product for _, product in marks) else 0) + 8 * slot
+    if dtab is None:
+        # dbuf and far, 4 B per entry each; the plan
+        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
+        dbuf = np.empty(size + near, dtype=np.uint32)
+        far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
+        plan = _fill_plan(reach, size + near)
+        pbuf = plan.words  # idle while the fill runs; then the products
+    else:
+        charge(dtab.values.nbytes + 4 * size + rest)
+        pbuf = np.empty(size, dtype=np.uint32)
 
     def fill(slots: np.ndarray, lo: int, hi: int) -> None:
         # each row still summing here, with the last n it sums in this window
         live = [
-            (row, row[1] if hi == top else min(hi, row[1]))
+            (row, row[2] if hi == top else min(hi, row[2]))
             for row in rows
-            if row[1] >= lo
+            if row[2] >= lo
         ]
-        end = max(n + row[0] for row, n in live if row[0] <= size)
-        dwin = dbuf[: end - lo + 1]
-        _divisor_fill(dwin, lo, end, plan)
-        bound = int(dwin.max())
-        for (w, _, starts, first), n in live:
+        if dtab is None:
+            end = max(n + row[0] for row, n in live if row[0] <= size)
+            dwin = dbuf[: end - lo + 1]
+            _divisor_fill(dwin, lo, end, plan)
+            bound = int(dwin.max())
+        else:
+            dwin, bound = dtab.values[lo:], dtab.bound
+        for (w, primes, _, starts, first), n in live:
             m = n - lo + 1
-            terms = dwin[:m]
-            if w > size:
+            terms, b = dwin[:m], bound
+            if dtab is None and w > size:
                 right = far[:m]
                 _divisor_fill(right, lo + w, n + w, plan)
-                far_bound = max(bound, int(right.max()))
-                terms = _pair_products(terms, right, pbuf[:m], far_bound)
+                b = max(bound, int(right.max()))
+                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, primes)
                 _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, lo + w - 1)
             elif w:
-                terms = _pair_products(terms, dwin[w : w + m], pbuf[:m], bound)
+                right = dwin[w : w + m]
+                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, primes)
+            step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
             i, j = np.searchsorted(starts, (lo, n + 1))
             cuts = (starts[i:j] - lo).tolist() + [m]
-            for k, (a, b) in enumerate(zip(cuts, cuts[1:]), first + i):
-                slots[k] = np.sum(terms[a:b], dtype=np.uint64)
+            for k, (a, z) in enumerate(zip(cuts, cuts[1:]), first + i):
+                edges = np.arange(0, z - a, step)
+                blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
+                slots[k] = np.sum(blocks, dtype=np.uint64)
 
     slots = _fan_out(slot, np.uint64, list(windows(1, top)), fill)
     sums = {}
-    for w, last, starts, first in rows:
+    for ((w, product), s), (_, _, _, starts, first) in zip(sorted(marks.items()), rows):
         prefix = list(accumulate(slots[first : first + len(starts)].tolist()))
-        for y in sorted(marks[w]):
+        for y in sorted(s):
             value = prefix[int(np.searchsorted(starts, y, "right")) - 1]
-            if w:
-                sums[y, w] = value
-            else:
+            if not w:
                 _check_d_sum(value, y)
+            elif product:
+                sums[y, w, True] = value
+            else:
+                sums[y, w] = value
     return sums
 
 

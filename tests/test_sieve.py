@@ -19,6 +19,8 @@ from oracles import (
     shifted_product_divisor_count,
     sigma_naive,
     smallest_prime_factor_naive,
+    sum_dd_naive,
+    sum_dpoly_naive,
 )
 
 
@@ -128,6 +130,21 @@ class TestDivisorFill:
             dc.sieve._divisor_fill(seg, lo, hi, moved)
             assert seg.tobytes() == want, shift
 
+    @pytest.mark.parametrize("top", [100, 10**4, 10**5, 3 * 10**7])
+    def test_plan_and_fill_within_charge(self, top):
+        # a plan and one fill of its last full window, the window allocated
+        # before tracing; at small tops the fixed part is most of the peak
+        size = min(dc.sieve.SEGMENT_SIZE, top)
+        seg = np.empty(size, dtype=np.uint32)
+        tracemalloc.start()
+        try:
+            plan = dc.sieve._fill_plan(top, size)
+            dc.sieve._divisor_fill(seg, top - size + 1, top, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dc.sieve._fill_plan_bytes(top, size), (top, peak)
+
     def test_wheel_patterns_within_240_kb(self):
         # d(g) in uint8 and the log of g in int16 per residue mod 75600,
         # 226,800 bytes, which every process holds from import on
@@ -201,10 +218,10 @@ def _spy_guard(monkeypatch):
     pair_products = dc.sieve._pair_products
     checked = []
 
-    def spy(left, right, out, bound):
+    def spy(left, right, out, bound, *product):
         if bound * bound >= 1 << 32:
             checked.append(len(left))
-        return pair_products(left, right, out, bound)
+        return pair_products(left, right, out, bound, *product)
 
     monkeypatch.setattr(dc.sieve, "_pair_products", spy)
     return checked
@@ -269,8 +286,10 @@ class TestShiftedProductValues:
     def test_overflow_guard_on_planted_pair(self, monkeypatch, name, run):
         # d(500) = d(501) = 2^16 in one table: the table's bound lets the
         # guard read the products of every window, and the window [257, 512]
-        # raises; at 2^16 - 1 no window reads them and no product wraps
+        # raises; at 2^16 - 1 no window reads them and no product wraps.  One
+        # worker takes the windows in order, so the guard reads two
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         values = dc.build_divisor_table(1001).values.copy()
         values[500:502] = 1 << 16
         checked = _spy_guard(monkeypatch)
@@ -287,6 +306,23 @@ class TestShiftedProductValues:
             assert got[1:].tolist() == pair.tolist()
         else:
             assert got == int(pair.sum())
+
+    @pytest.mark.parametrize("fn", [dc.sum_dd, dc.sum_dpoly])
+    def test_overflow_guard_in_a_child_window(self, monkeypatch, fn):
+        # two workers over windows of 256: the child takes [257, 512], which
+        # holds the planted pair, and [769, 1000]; its OverflowError comes
+        # back when the parent reruns those windows after its own two
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        values = dc.build_divisor_table(1001).values.copy()
+        values[500:502] = 1 << 16
+        forks = _count_forks(monkeypatch)
+        checked = _spy_guard(monkeypatch)
+        with pytest.raises(OverflowError, match="exceeds uint32"):
+            fn(1000, 1, dc.DivisorTable(1001, values))
+        assert len(forks) == 1
+        assert checked == [256, 256, 256]
+        _assert_no_child_left()
 
     def test_no_full_length_temporaries(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
@@ -457,16 +493,7 @@ class TestSegmentedConstruction:
         # and two children
         n = 20_000
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = _count_forks(monkeypatch)
 
         def build(cpus):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -627,6 +654,34 @@ class TestStreamedPairSums:
             dc.stream_pair_sums([(1000, 5000)])
         assert checked == guards
 
+    def test_table_pass_matches_oracles(self, monkeypatch):
+        # one pass over a d-table in windows of 256 on two workers: pair and
+        # product cells together, y = 0, y on and beside window edges, a
+        # shift wider than a window and repeated cells, against brute force
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        dtab = dc.build_divisor_table(1000)
+        forks = _count_forks(monkeypatch)
+        cells = [
+            (y, w, *shape)
+            for y in (0, 255, 256, 257, 700)
+            for w in (1, 12, 300)
+            for shape in ((), (True,))
+        ]
+        sums = dc.stream_pair_sums(cells + [(257, 12), (257, 12, True)], dtab)
+        assert len(forks) == 1
+        naive = {(): sum_dd_naive, (True,): sum_dpoly_naive}
+        assert sums == {
+            (y, w, *shape): naive[tuple(shape)](y, w) for y, w, *shape in cells if y
+        }
+        # 700 + 301 lies past the table: refused before anything is forked
+        def no_fork():
+            raise AssertionError("a refused pass forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(dc.RangeError, match="divisor table limit 1000 < 1001"):
+            dc.stream_pair_sums([(700, 1), (700, 301, True)], dtab)
+
     def test_keeps_no_d_table(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -654,6 +709,21 @@ def _failing_children(monkeypatch, how):
     monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", failing_fork)
+
+
+def _count_forks(monkeypatch):
+    """The pids of the sieve workers forked from here on, filled in."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 def _assert_no_child_left():
