@@ -18,8 +18,10 @@ Every f sum is one _f_sums walk: one exact object-dtype
 f-table from sieve.build_mult_table to max x + max v serves all cells of
 a call (the cells of product_sums, the inner sums of a transform), and
 each distinct v is walked once over sieve.windows, its running sum read at
-each x; the product form splits n(n+v) into coprime parts at the primes
-of v, so it needs no factorisation per n.
+each x.  The module forms no term: sieve.stream_pair_sums forms the d
+products and sieve.f_terms the f terms of each window.  It picks the
+cells, walks them and applies Lemma 1, whose direction rule, the
+(e, weight) pairs over the divisors e of v, is written once in _lattice.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ def _check_range(x: int, v: int) -> None:
         raise RangeError("x must be >= 0")
 
 
+def _lattice(v: int, inverse: bool) -> list[tuple[int, int]]:
+    """The (e, weight) pairs of Lemma 1 at v, the one direction rule: every
+    e | v with weight 1, or when inverse the squarefree e | v with mu(e)."""
+    return mobius_divisors(v) if inverse else [(e, 1) for e in divisors(trial_factorize(v))]
+
+
 def lattice_sum(
     v: int, g: Callable[[int], int], inverse: bool, term: Callable[[int], Any]
 ) -> Any:
@@ -74,14 +82,8 @@ def lattice_sum(
     int, a float or an int64 array of prefix sums); d is the g == 1 case.
     Callers check the range of x and v first.
     """
-    if inverse:
-        weights = mobius_divisors(v)
-    else:
-        weights = [(e, 1) for e in divisors(trial_factorize(v))]
-    total: Any = 0
-    for e, mu in weights:
-        total += mu * completely_mult_value(g, e) * term(e)
-    return total
+    pairs = _lattice(v, inverse)
+    return sum(mu * completely_mult_value(g, e) * term(e) for e, mu in pairs)
 
 
 def _d_sum(tables: DSums, x: int, v: int, product: bool) -> int:
@@ -105,10 +107,8 @@ def _d_lattice(tables: DSums, x: int, v: int, inverse: bool) -> int:
     each is read through this module's sum_dpoly or sum_dd binding."""
     _check_range(x, v)
     if isinstance(tables, DivisorTable):
-        if inverse:
-            cells = [(x // e, v // e) for e, _ in mobius_divisors(v)]
-        else:
-            cells = [(x // e, v // e, True) for e in divisors(trial_factorize(v))]
+        shape = () if inverse else (True,)
+        cells = [(x // e, v // e, *shape) for e, _ in _lattice(v, inverse)]
         tables = sieve.stream_pair_sums(cells, tables)
     inner = sum_dd if inverse else sum_dpoly
     g = divisor_count_spec().companion_g
@@ -163,7 +163,7 @@ def streamed_d_sums(kind: str, cells: Sequence[tuple[int, int]]) -> list[int]:
     sums = sieve.stream_pair_sums(
         (x // e, v // e)
         for x, v in cells
-        for e, _ in ([(1, 1)] if kind == "dd" else mobius_divisors(v))
+        for e, _ in ([(1, 1)] if kind == "dd" else _lattice(v, True))
     )
     sum_fn = sum_dd if kind == "dd" else sum_dpoly_from_dd
     return [sum_fn(x, v, sums).value for x, v in cells]
@@ -181,37 +181,6 @@ def _mult_table(spec: MultiplicativeSpec, x: int, v: int) -> np.ndarray:
     """f(0..x+v), charged together with one window of the sum over it."""
     sieve.charge(MULT_ENTRY_BYTES * (x + v + 1) + _TERM_BYTES * min(x, sieve.SEGMENT_SIZE))
     return build_mult_table(spec, x + v)
-
-
-def _terms(
-    spec: MultiplicativeSpec, f: np.ndarray, lo: int, hi: int, v: int, product: bool
-) -> np.ndarray:
-    """f(n) f(n+v) for n in [lo, hi] over an f-table covering hi + v, or
-    f(n(n+v)) when product, by the strip rule: a prime shared by n and n+v
-    divides v, so with L = n and R = n+v stripped of their powers p^a, p^b
-    of each p | v, f(n(n+v)) = f(L) f(R) prod f(p^(a+b)) over coprime
-    factors, and f(p^(a+b)) goes into the multiples of p only."""
-    if not product or v == 1:
-        return f[lo : hi + 1] * f[lo + v : hi + v + 1]
-    left = np.arange(lo, hi + 1, dtype=np.int64)
-    right = left + v
-    factors = []  # per p: the first multiple of p, p, and f(p^(a+b)) at each
-    for p, _ in trial_factorize(v):
-        first = (-lo) % p
-        k = np.zeros(len(left[first::p]), dtype=np.int64)  # a + b
-        for side in (left[first::p], right[first::p]):
-            j = np.arange(len(side))
-            while len(j):
-                side[j] //= p
-                k[j] += 1
-                j = j[side[j] % p == 0]
-        ks, kat = np.unique(k, return_inverse=True)
-        fpk = [spec.prime_power_value(p, m) for m in ks.tolist()]
-        factors.append((first, p, np.array(fpk, dtype=object)[kat]))
-    terms = f[left] * f[right]
-    for first, p, fpk_at in factors:
-        terms[first::p] *= fpk_at
-    return terms
 
 
 def _f_sums(
@@ -233,7 +202,7 @@ def _f_sums(
     for v, xs in ends.items():
         value: int | float = 0
         for lo, hi in sieve.windows(1, max(xs)):
-            terms = _terms(spec, f, lo, hi, v, product)
+            terms = sieve.f_terms(spec, f, lo, hi, v, product)
             cuts = sorted({lo, hi + 1} | {x + 1 for x in xs if lo <= x < hi})
             for a, b in zip(cuts, cuts[1:]):
                 value += sum(terms[a - lo : b - lo])
@@ -290,7 +259,7 @@ def transform_correlation(
         raise ContractError(f"direction must be one of {DIRECTIONS}")
     _check_range(x, v)
     inverse = direction == "poly_from_corr"
-    es = [e for e, _ in mobius_divisors(v)] if inverse else divisors(trial_factorize(v))
+    es = [e for e, _ in _lattice(v, inverse)]
     inner = _f_sums(spec, not inverse, [(x // e, v // e) for e in es])
     total = lattice_sum(v, spec.companion_g, inverse, dict(zip(es, inner)).__getitem__)
     return CorrelationSum("fpoly" if inverse else "ff", x, v, total)

@@ -1,7 +1,8 @@
 """Sieved tables over [1, N]: d(n), the one pass of the d sums, over a
-d-table or streamed with none, and the exact values f(n) of any
-multiplicative spec; build_spf keeps a smallest-prime-factor table, one
-plain sieve over the whole array, for callers outside the package.
+d-table or streamed with none, the exact values f(n) of any multiplicative
+spec, and every term of a correlation sum; build_spf keeps a
+smallest-prime-factor table, one plain sieve over the whole array, for
+callers outside the package.
 
 windows() is the one walk in windows of SEGMENT_SIZE entries.  The d
 builder fills its table window by window, byte-identical to a monolithic
@@ -32,8 +33,12 @@ product only when a bound on the d(n), one per table or per streamed
 window, squared reaches 2^32, and corrects a product-form window at the
 primes of w.  build_mult_table gives f(n) as exact Python
 ints in an object array by the smooth-part rule of the divisor fill, with
-no SPF table.  charge() is the one memory-cap check: callers charge their
-allocations before making them.
+no SPF table, and f_terms forms every f(n) f(n+v) and f(n(n+v)) of a
+window from such a table.  The product forms split n(n+w) at the primes
+of w, and the f-table needs each n's exponents: all three read v_p(n) at
+the multiples of p in a window from _valuations, the one valuation walk.
+charge() is the one memory-cap check: callers charge their allocations
+before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -386,6 +391,18 @@ def build_divisor_table(limit: int) -> DivisorTable:
     return DivisorTable(limit, d)
 
 
+def _valuations(lo: int, hi: int, p: int, base: int = 0) -> tuple[int, np.ndarray]:
+    """The offset of the first multiple of p in [lo, hi], 1 <= lo, and a
+    uint32 row of base + v_p(n), one entry per multiple n of p in the
+    window: the one valuation walk, one strided add per power p^k <= hi."""
+    first = (-lo) % p
+    row = np.full(len(range(first, hi - lo + 1, p)), base + 1, dtype=np.uint32)
+    pk = p
+    while (pk := pk * p) <= hi:
+        row[(-lo - first) % pk // p :: pk // p] += 1
+    return first, row
+
+
 def _pair_products(
     left: np.ndarray,
     right: np.ndarray,
@@ -408,30 +425,51 @@ def _pair_products(
         d(n(n+shift)) = d(n) d(n+shift) * prod_{p | shift} (a+b+1) / ((a+1)(b+1))
 
     where each factor is 1 unless p | n, and never exceeds 1, so the guard
-    covers it.  Only the multiples of each p are corrected: a and b come from
-    strided increments over p^2, p^3, ..., in three rows of one entry per
-    multiple, and (a+1)(b+1) divides the product exactly.
+    covers it.  Only the multiples of each p are corrected: a + 1 and b + 1
+    are rows of _valuations, and (a+1)(b+1) divides the product exactly.
     """
     if bound * bound >= 1 << 32 and int(left.max()) * int(right.max()) >= 1 << 32:
         raise OverflowError("d(n) d(n+shift) exceeds uint32")
     seg = np.multiply(left, right, out=out)
     hi = lo + len(seg) - 1
     for p in primes:
-        first = lo + (-lo) % p  # first multiple of p in the window
-        sub = seg[first - lo :: p]
-        a1 = np.full(len(sub), 2, dtype=np.uint32)  # a + 1
-        b1 = a1.copy()  # b + 1
-        pk = p * p
-        while pk <= hi + shift:
-            step = pk // p
-            a1[(-first) % pk // p :: step] += 1
-            b1[(-first - shift) % pk // p :: step] += 1
-            pk *= p
+        first, a1 = _valuations(lo, hi, p, 1)  # a + 1
+        _, b1 = _valuations(lo + shift, hi + shift, p, 1)  # b + 1
+        sub = seg[first::p]
         sub //= a1 * b1
         a1 += b1
         a1 -= 1  # a + b + 1
         sub *= a1
     return seg
+
+
+def f_terms(
+    spec: MultiplicativeSpec, f: np.ndarray, lo: int, hi: int, v: int, product: bool
+) -> np.ndarray:
+    """f(n) f(n+v) for n in [lo, hi], 1 <= lo, over an f-table covering
+    hi + v, or f(n(n+v)) when product, as exact Python numbers in an object
+    array: the one former of the f terms.  The product form uses the strip
+    rule: a prime shared by n and n+v divides v, so with L = n and R = n+v
+    stripped of their powers p^a, p^b of each p | v, read from _valuations,
+    f(n(n+v)) = f(L) f(R) prod f(p^(a+b)) over coprime factors, and
+    f(p^(a+b)) goes into the multiples of p only."""
+    if not product or v == 1:
+        return f[lo : hi + 1] * f[lo + v : hi + v + 1]
+    left = np.arange(lo, hi + 1, dtype=np.int64)
+    right = left + v
+    factors = []  # per p: the first multiple of p, p, and f(p^(a+b)) at each
+    for p, _ in trial_factorize(v):
+        first, a = _valuations(lo, hi, p)
+        _, b = _valuations(lo + v, hi + v, p)
+        left[first::p] //= np.int64(p) ** a
+        right[first::p] //= np.int64(p) ** b
+        ks, kat = np.unique(a + b, return_inverse=True)
+        fpk = [spec.prime_power_value(p, k) for k in ks.tolist()]
+        factors.append((first, p, np.array(fpk, dtype=object)[kat]))
+    terms = f[left] * f[right]
+    for first, p, fpk_at in factors:
+        terms[first::p] *= fpk_at
+    return terms
 
 
 def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.ndarray:
@@ -457,19 +495,27 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
 
 
 def _divisor_summatory(y: int) -> int:
-    """sum_{n<=y} d(n) by the hyperbola identity, in O(sqrt y)."""
+    """sum_{n<=y} d(n) by the hyperbola identity, in O(sqrt y), exact for
+    0 <= y < 2^64: the quotients y // i are uint64, and their low and high
+    32-bit halves are summed apart, so neither sum wraps."""
     r = isqrt(y)
-    return 2 * sum(y // i for i in range(1, r + 1)) - r * r
+    q = np.uint64(y) // np.arange(1, r + 1, dtype=np.uint64)
+    low = int(np.sum(q & 0xFFFFFFFF, dtype=np.uint64))
+    high = int(np.sum(q >> 32, dtype=np.uint64))
+    return 2 * (low + (high << 32)) - r * r
 
 
-def _check_d_sum(value: int, y: int, after: int = 0) -> None:
+def _check_d_sum(value: int, y: int, after: int = 0, want: int | None = None) -> None:
     """The self-test of the streamed pass: raise RuntimeError naming y unless
-    value is the sum of d(n) over after < n <= y by the hyperbola identity."""
-    want = _divisor_summatory(y) - _divisor_summatory(after)
+    value is the sum of d(n) over after < n <= y: want, as the next window
+    sieved those d(n), or else by the hyperbola identity."""
+    how = "by the hyperbola identity" if want is None else "as sieved again"
+    if want is None:
+        want = _divisor_summatory(y) - _divisor_summatory(after)
     if value != want:
         raise RuntimeError(
             f"divisor sieve self-test failed at y={y}: sum of d(n) over "
-            f"({after}, {y}] {value} != {want} by the hyperbola identity"
+            f"({after}, {y}] {value} != {want} {how}"
         )
 
 
@@ -507,13 +553,16 @@ def stream_pair_sums(
     any near cell, which the last window sieves to, and sums each far piece;
     it checks each sum against the hyperbola identity
     sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y), a
-    piece (a, y] as the difference of two, so no sieved d(n) goes
-    unchecked and a mismatch raises RuntimeError naming y.  It charges 12 B
-    per entry of a window plus the widest near shift and the fill's prime
-    powers up to the top n + w; a pass over dtab charges the table and 4 B
-    per window entry.  Both charge 6 B more per window entry when a cell is
-    of product form, and 8 B per slot.  RangeError for a cell with y < 0 or
-    w < 1.
+    piece (a, y] as the difference of two.  A window but the last is
+    sieved past its end, to the last n + w a near row reads there; the
+    next window sieves that overhang again, and the pass compares the two
+    sums of it, one slot each.  So no sieved d(n) goes unchecked, and a
+    mismatch raises RuntimeError naming y, or the overhang's last n.  It
+    charges 12 B per entry of a window plus the widest near shift and the
+    fill's prime powers up to the top n + w; a pass over dtab charges the
+    table and 4 B per window entry.  Both charge 6 B more per window entry
+    when a cell is of product form, and 8 B per slot.  RangeError for a
+    cell with y < 0 or w < 1.
     """
     marks: dict[tuple[int, bool], set[int]] = {}  # (shift, product) -> its ys
     for y, w, *shape in cells:
@@ -547,6 +596,9 @@ def stream_pair_sums(
         primes = [p for p, _ in trial_factorize(w)] if product else []
         rows.append((w, primes, last, starts, slot))
         slot += len(starts)
+    bounds = list(windows(1, top))
+    guard = slot  # a sieving pass's two overhang slots per window
+    slot += 2 * len(bounds) if dtab is None else 0
     # _pair_products's correction rows, if a cell is of product form; the slots
     rest = (6 * size if any(product for _, product in marks) else 0) + 8 * slot
     if dtab is None:
@@ -560,21 +612,30 @@ def stream_pair_sums(
         charge(dtab.values.nbytes + 4 * size + rest)
         pbuf = np.empty(size, dtype=np.uint32)
 
+    def live(lo: int, hi: int) -> list:
+        # each row still summing in [lo, hi], with the last n it sums there
+        here = [row for row in rows if row[2] >= lo]
+        return [(row, row[2] if hi == top else min(hi, row[2])) for row in here]
+
+    def end(lo: int, hi: int) -> int:
+        # the last n whose d(n) a sieving pass fills in the window [lo, hi]
+        return max(n + row[0] for row, n in live(lo, hi) if row[0] <= size)
+
     def fill(slots: np.ndarray, lo: int, hi: int) -> None:
-        # each row still summing here, with the last n it sums in this window
-        live = [
-            (row, row[2] if hi == top else min(hi, row[2]))
-            for row in rows
-            if row[2] >= lo
-        ]
         if dtab is None:
-            end = max(n + row[0] for row, n in live if row[0] <= size)
-            dwin = dbuf[: end - lo + 1]
-            _divisor_fill(dwin, lo, end, plan)
+            dwin = dbuf[: end(lo, hi) - lo + 1]
+            _divisor_fill(dwin, lo, lo + len(dwin) - 1, plan)
             bound = int(dwin.max())
+            # the overhang past hi that near rows read, and the last window's
+            # overhang as sieved again here; the parent compares the two
+            k = guard + 2 * ((lo - 1) // SEGMENT_SIZE)
+            slots[k] = np.sum(dwin[hi - lo + 1 :], dtype=np.uint64)
+            if lo > 1:
+                head = dwin[: end(lo - SEGMENT_SIZE, lo - 1) - lo + 1]
+                slots[k - 1] = np.sum(head, dtype=np.uint64)
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
-        for (w, primes, _, starts, first), n in live:
+        for (w, primes, _, starts, first), n in live(lo, hi):
             m = n - lo + 1
             terms, b = dwin[:m], bound
             if dtab is None and w > size:
@@ -594,7 +655,10 @@ def stream_pair_sums(
                 blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
                 slots[k] = np.sum(blocks, dtype=np.uint64)
 
-    slots = _fan_out(slot, np.uint64, list(windows(1, top)), fill)
+    slots = _fan_out(slot, np.uint64, bounds, fill)
+    for k, (lo, hi) in enumerate(bounds[:-1] if dtab is None else []):
+        over, again = slots[guard + 2 * k : guard + 2 * k + 2].tolist()
+        _check_d_sum(over, end(lo, hi), hi, again)
     sums = {}
     for ((w, product), s), (_, _, _, starts, first) in zip(sorted(marks.items()), rows):
         prefix = list(accumulate(slots[first : first + len(starts)].tolist()))
@@ -614,10 +678,10 @@ def build_mult_table(spec: MultiplicativeSpec, limit: int) -> np.ndarray:
 
     As in _divisor_fill, with r = isqrt(limit) each n <= limit is s or s P,
     s its r-smooth part and P > r prime, so f(n) = f(s) or f(s) f(P).  In
-    each chunk of _MULT_CHUNK entries, every p <= r counts its exponent e
-    into an int8 row and multiplies p into the int64 s on the multiples of
-    p, p^2, ..., then multiplies f(p^e) into the multiples of p; last, n = P
-    gets f(P) and n = s P > P reads f(P) from the table.  So
+    each chunk of _MULT_CHUNK entries, every p <= r reads its exponent e at
+    each multiple of p from _valuations and multiplies p^e into the int64 s
+    and f(p^e) into the table there; last, n = P gets f(P) and n = s P > P
+    reads f(P) from the table.  So
     spec.prime_power_value runs once per prime power p^k <= limit.  Only
     multiplications are used, so the values are exact for any integer spec,
     including one with f(p^k) = 0.
@@ -643,16 +707,11 @@ def build_mult_table(spec: MultiplicativeSpec, limit: int) -> np.ndarray:
     for lo in range(1, limit + 1, _MULT_CHUNK):
         hi = min(lo + _MULT_CHUNK - 1, limit)
         seg = f[lo : hi + 1]
-        e = np.zeros(len(seg), dtype=np.int8)
         s = np.ones(len(seg), dtype=np.int64)
         for p, values in fpk.items():
-            for q in (p**k for k in range(1, len(values))):
-                at = (-lo) % q
-                e[at::q] += 1
-                s[at::q] *= p
-            start = (-lo) % p
-            seg[start::p] *= values[e[start::p]]
-            e[start::p] = 0
+            start, e = _valuations(lo, hi, p)
+            s[start::p] *= np.int64(p) ** e
+            seg[start::p] *= values[e]
         rest = np.arange(lo, hi + 1, dtype=np.int64) // s
         at = np.nonzero((rest > 1) & (s == 1))[0]  # n = P
         fp = [spec.prime_power_value(q, 1) for q in (at + lo).tolist()]

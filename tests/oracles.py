@@ -84,6 +84,29 @@ def von_mangoldt_naive(n: int) -> float:
     return math.log(p) if m == 1 else 0.0
 
 
+def valuation_naive(n: int, p: int) -> int:
+    """v_p(n) for n >= 1 by repeated division."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def prime_exponents_naive(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for n >= 1 by trial division."""
+    exponents: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+    return exponents
+
+
 def smallest_prime_factor_naive(n: int) -> int:
     if n < 2:
         return n

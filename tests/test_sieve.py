@@ -1,7 +1,10 @@
+import math
 import mmap
 import os
 import signal
 import tracemalloc
+from collections import Counter
+from itertools import count
 from math import isqrt
 from unittest import mock
 
@@ -16,11 +19,14 @@ from oracles import (
     d_naive,
     divisor_window_strided,
     mobius_naive,
+    prime_exponents_naive,
     shifted_product_divisor_count,
     sigma_naive,
     smallest_prime_factor_naive,
     sum_dd_naive,
     sum_dpoly_naive,
+    sum_fpoly_naive,
+    valuation_naive,
 )
 
 
@@ -185,6 +191,100 @@ def test_hyperbola_identity(x):
     r = isqrt(x)
     want = 2 * sum(x // i for i in range(1, r + 1)) - r * r
     assert int(_d_prefix_sums()[x]) == want
+
+
+@pytest.mark.parametrize(
+    "y",
+    [0, 1, 10**10]
+    + [k * k + dk for k in (2, 3, 1000, 65535, 65536, 10**5) for dk in (-1, 0, 1)],
+)
+def test_divisor_summatory_matches_python_form(y):
+    # the numpy form sums the low and high 32-bit halves of its uint64
+    # quotients apart; 65536^2 +- 1 is 2^32 +- 1
+    r = isqrt(y)
+    want = 2 * sum(y // i for i in range(1, r + 1)) - r * r
+    assert dc.sieve._divisor_summatory(y) == want
+
+
+class _NaiveTable:
+    """An f-table that computes f(n) by a naive oracle at the entries read,
+    for windows whose table would be too long to build."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __getitem__(self, at):
+        ns = range(at.start, at.stop) if isinstance(at, slice) else at.tolist()
+        return np.array([self.f(n) for n in ns], dtype=object)
+
+
+class TestValuationWalk:
+    # windows that start at p^k - 1, p^k and p^k + 1 for the primes p of the
+    # shifts, with k in {1, 2, v_p(shift), v_p(shift) + 1}
+    SHIFTS = (8, 9, 60, 1 << 20, 3**12)
+    # f(p^e) of d and sigma_1, written out
+    PRIME_POWERS = (
+        (dc.divisor_count_spec(), d_naive, lambda p, e: e + 1),
+        (dc.sigma_spec(1), sigma_naive, lambda p, e: (p ** (e + 1) - 1) // (p - 1)),
+    )
+
+    @staticmethod
+    def _starts(v):
+        for p in prime_exponents_naive(v):
+            for k in sorted({1, 2, valuation_naive(v, p), valuation_naive(v, p) + 1}):
+                yield from ((p, p**k - 1), (p, p**k), (p, p**k + 1))
+
+    @staticmethod
+    def _merged(n, v):
+        # the prime exponents of n(n+v), from n and n+v factored apart
+        return Counter(prime_exponents_naive(n)) + Counter(prime_exponents_naive(n + v))
+
+    @staticmethod
+    def _check_valuations(lo, hi, p):
+        for base in (0, 1):
+            first, row = dc.sieve._valuations(lo, hi, p, base)
+            want = [base + valuation_naive(n, p) for n in range(lo, hi + 1) if n % p == 0]
+            assert row.dtype == np.uint32 and row.tolist() == want, (lo, hi, p)
+            assert first == next(n for n in count(lo) if n % p == 0) - lo
+
+    @pytest.mark.parametrize("v", SHIFTS)
+    def test_valuations_match_repeated_division(self, v):
+        for p, lo in self._starts(v):
+            for length in (1, p - 1, p, 3 * p + 2, 300):
+                self._check_valuations(lo, lo + length - 1, p)
+
+    def test_valuations_across_2_to_the_32(self):
+        for p in (2, 3, 5, 7, 65537):
+            self._check_valuations((1 << 32) - 300, (1 << 32) + 300, p)
+
+    @pytest.mark.parametrize("v", SHIFTS)
+    def test_f_terms_match_oracles(self, v):
+        # each product-form term against f of the merged factorisations of
+        # n and n+v; for the small shifts each window's sum against
+        # sum_fpoly_naive too, and the pair form against f(n) f(n+v)
+        for p, lo in self._starts(v):
+            hi = lo + 24
+            ns = range(lo, hi + 1)
+            for spec, f, fpk in self.PRIME_POWERS:
+                table = _NaiveTable(f)
+                terms = dc.sieve.f_terms(spec, table, lo, hi, v, True).tolist()
+                merged = [self._merged(n, v) for n in ns]
+                want = [math.prod(fpk(q, e) for q, e in m.items()) for m in merged]
+                assert terms == want, (spec.name, v, lo)
+                if v < 100:
+                    window = sum_fpoly_naive(f, hi, v) - sum_fpoly_naive(f, lo - 1, v)
+                    assert sum(terms) == window, (spec.name, v, lo)
+                pairs = dc.sieve.f_terms(spec, table, lo, hi, v, False).tolist()
+                assert pairs == [f(n) * f(n + v) for n in ns]
+
+    @pytest.mark.parametrize("v", [1 << 20, 3**12])
+    def test_f_terms_across_2_to_the_32(self, v):
+        lo, hi = (1 << 32) - 3, (1 << 32) + 2
+        terms = dc.sieve.f_terms(
+            dc.divisor_count_spec(), _NaiveTable(d_naive), lo, hi, v, True
+        )
+        merged = [self._merged(n, v) for n in range(lo, hi + 1)]
+        assert terms.tolist() == [math.prod(e + 1 for e in m.values()) for m in merged]
 
 
 def _shared_table():
@@ -430,7 +530,10 @@ class TestMultTable:
             dc.divisor_count_spec(),
             dc.sigma_spec(1),
             dc.sigma_spec(3),
-            dc.tau_spec(dc.ramanujan_tau_table(limit)),
+            # by Deligne |tau(n)| <= d(n) n^(11/2) <= f(n) for f(p^e) =
+            # (e + 1) p^(6e), so every entry is an int at least as large as
+            # tau's, with no tau table to build
+            dc.MultiplicativeSpec("tau_bound", lambda p, e: (e + 1) * p ** (6 * e)),
         )
         for spec in specs:
             tracemalloc.start()
@@ -599,6 +702,35 @@ class TestStreamedPairSums:
         monkeypatch.setattr(dc.sieve, "_divisor_fill", dropping)
         with pytest.raises(RuntimeError, match=f"self-test failed at y={y + w}:"):
             dc.stream_pair_sums([(y, w)])
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "cpus, cells, fill_lo, n, y",
+        [
+            # the first window [1, 256] is sieved on to 257 for the shift 1
+            ({0}, [(1000, 1)], 1, 257, 257),
+            # the third, a child's, on to 780 for the shift 12
+            ({0, 1, 2}, [(1000, 1), (1000, 12)], 513, 770, 780),
+        ],
+    )
+    def test_fault_in_a_window_overhang_raises(
+        self, monkeypatch, cpus, cells, fill_lo, n, y
+    ):
+        # near rows read d(n) past the window's end from its overhang; the
+        # next window sieves those n again, and only that copy is summed by
+        # the d row, so a fault in the overhang alone must still raise
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        fill = dc.sieve._divisor_fill
+
+        def planted(seg, lo, hi, plan):
+            fill(seg, lo, hi, plan)
+            if lo == fill_lo:
+                seg[n - lo] += 1
+
+        monkeypatch.setattr(dc.sieve, "_divisor_fill", planted)
+        with pytest.raises(RuntimeError, match=f"self-test failed at y={y}:"):
+            dc.stream_pair_sums(cells)
         _assert_no_child_left()
 
     @pytest.mark.parametrize("x, w", [(1000, 10**7), (10, (1 << 32) - 5)])
