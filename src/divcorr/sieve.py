@@ -31,20 +31,24 @@ d(n) d(n+w) and every d(n(n+w)), those of shifted_product_values too, is
 formed by _pair_products, the one overflow guard: it reads the largest
 product only when a bound on the d(n), one per table or per streamed
 window, squared reaches 2^32, and corrects a product-form window at the
-primes of w.  build_mult_table gives f(n) as exact Python
-ints in an object array by the smooth-part rule of the divisor fill, with
-no SPF table, and f_terms forms every f(n) f(n+v) and f(n(n+v)) of a
-window from such a table.  The product forms split n(n+w) at the primes
-of w, and the f-table needs each n's exponents: all three read v_p(n) at
-the multiples of p in a window from _valuations, the one valuation walk.
+primes of w.  That correction is periodic in n modulo q = p^k, q at most
+_PATTERN_CAP: per prime p of w, one right shift and one wrapping uint32
+multiply by a pattern of one period, tiled over the multiples of p (exact
+division by an inverse modulo 2^32), and an exact //= and *= only at the
+multiples of q in n and in n+w.  build_mult_table gives f(n) as exact
+Python ints in an object array by the smooth-part rule of the divisor
+fill, with no SPF table, and f_terms forms every f(n) f(n+v) and
+f(n(n+v)) of a window from such a table.  The product forms split n(n+w)
+at the primes of w, and the f-table needs each n's exponents: all three
+read v_p(n) from _valuations, the one valuation walk, at the multiples of
+p or of a power of p in a window, and so do the correction's patterns.
 charge() is the one memory-cap check: callers charge their allocations
 before making them.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
-(one per sieving prime in the builders, one per prime power of the shift
-in the product form) mostly hit cache instead of streaming the window from
-RAM.
+(one per sieving prime in the builders, two per prime of the shift in the
+product form) mostly hit cache instead of streaming the window from RAM.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from math import isqrt, log2
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -74,6 +78,8 @@ _WHEEL = 75600  # 2^4 3^3 5^2 7: the divisor fill's wheel
 _LOG_UNIT = 1024  # K, the divisor fill's log units per bit
 _OMEGA = 1 << 16  # one prime in the divisor fill's packed word
 _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
+_PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
+_PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
 
 
 def charge(nbytes: int) -> None:
@@ -298,13 +304,17 @@ def _fill_plan(top: int, size: int) -> _FillPlan:
     )
 
 
-def _tile(buf: np.ndarray, pattern: np.ndarray, phase: int) -> None:
-    """buf[i] = pattern[(phase + i) % _WHEEL], by slices of the pattern."""
-    head = min(len(buf), _WHEEL - phase)
-    buf[:head] = pattern[phase : phase + head]
-    rows, rest = divmod(len(buf) - head, _WHEEL)
-    buf[head : head + rows * _WHEEL].reshape(rows, _WHEEL)[:] = pattern
-    buf[head + rows * _WHEEL :] = pattern[:rest]
+def _tiles(buf: np.ndarray, phase: int, *patterns: np.ndarray) -> Iterator[tuple]:
+    """(part, *pattern parts) over the 1-D view buf, so that buf[i] meets
+    pattern[(phase + i) % period]: a head, the whole periods as the rows of
+    a 2-D view of buf (a view, since buf has one stride), and a tail, each
+    one broadcast operation."""
+    period = len(patterns[0])
+    head = min(len(buf), period - phase)
+    rows, rest = divmod(len(buf) - head, period)
+    yield buf[:head], *(pat[phase : phase + head] for pat in patterns)
+    yield buf[head : head + rows * period].reshape(rows, period), *patterns
+    yield buf[head + rows * period :], *(pat[:rest] for pat in patterns)
 
 
 def _divisor_fill(seg: np.ndarray, lo: int, hi: int, plan: _FillPlan) -> None:
@@ -341,8 +351,10 @@ def _divisor_fill(seg: np.ndarray, lo: int, hi: int, plan: _FillPlan) -> None:
     """
     m = hi - lo + 1
     d, w = seg, plan.words[:m]
-    _tile(d, _WHEEL_D, lo % _WHEEL)
-    _tile(w.view(np.int32), _WHEEL_LOG, lo % _WHEEL)
+    for part, pattern in _tiles(d, lo % _WHEEL, _WHEEL_D):
+        part[...] = pattern
+    for part, pattern in _tiles(w.view(np.int32), lo % _WHEEL, _WHEEL_LOG):
+        part[...] = pattern
     first = (-lo) % plan.steps
     rows = np.nonzero(first < m)[0]  # the p^k with a multiple in the window
     for start, q, add, old, new in zip(
@@ -391,16 +403,73 @@ def build_divisor_table(limit: int) -> DivisorTable:
     return DivisorTable(limit, d)
 
 
-def _valuations(lo: int, hi: int, p: int, base: int = 0) -> tuple[int, np.ndarray]:
-    """The offset of the first multiple of p in [lo, hi], 1 <= lo, and a
-    uint32 row of base + v_p(n), one entry per multiple n of p in the
-    window: the one valuation walk, one strided add per power p^k <= hi."""
-    first = (-lo) % p
-    row = np.full(len(range(first, hi - lo + 1, p)), base + 1, dtype=np.uint32)
-    pk = p
-    while (pk := pk * p) <= hi:
-        row[(-lo - first) % pk // p :: pk // p] += 1
+def _valuations(
+    lo: int, hi: int, p: int, base: int = 0, k: int = 1
+) -> tuple[int, np.ndarray]:
+    """The offset of the first multiple of q = p^k in [lo, hi], 1 <= lo,
+    and a uint32 row of base + v_p(n), one entry per multiple n of q in the
+    window: the one valuation walk, one strided add per power p^j <= hi
+    past q."""
+    q = p**k
+    first = (-lo) % q
+    row = np.full(len(range(first, hi - lo + 1, q)), base + k, dtype=np.uint32)
+    pj = q
+    while (pj := pj * p) <= hi:
+        row[(-lo - first) % pj // q :: pj // q] += 1
     return first, row
+
+
+def _correction_codes() -> tuple[np.ndarray, np.ndarray]:
+    """For each a, b < _PATTERN_EXP, at a * _PATTERN_EXP + b: the right
+    shift s = v_2((a+1)(b+1)) as uint8, and the multiplier
+    Q = (a+b+1) / k' modulo 2^32 as uint32, k' the odd part of (a+1)(b+1).
+    Code 0, a = b = 0, is the identity: s = 0, Q = 1."""
+    shifts, factors = [], []
+    for a in range(_PATTERN_EXP):
+        for b in range(_PATTERN_EXP):
+            k = (a + 1) * (b + 1)
+            s = (k & -k).bit_length() - 1
+            shifts.append(s)
+            factors.append(pow(k >> s, -1, 1 << 32) * (a + b + 1) % (1 << 32))
+    return np.array(shifts, dtype=np.uint8), np.array(factors, dtype=np.uint32)
+
+
+_CODE_SHIFTS, _CODE_FACTORS = _correction_codes()
+
+
+def _correction_pattern(p: int, k: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts and multipliers of the product-form correction at p over
+    one period of the multiples n of p, p | shift: entry i is for
+    n = p i modulo q = p^k, and holds the code of a = v_p(n) and
+    b = v_p(n + shift), or the identity where q divides n or n + shift."""
+    a = _period_valuations(p, k)
+    j = -shift // p % len(a)  # q | n + shift
+    code = a * _PATTERN_EXP
+    code[j:] += a[: len(a) - j]  # b = v_p(p i + shift), read at i - j
+    code[:j] += a[len(a) - j :]
+    code[[0, j]] = 0
+    return _CODE_SHIFTS[code], _CODE_FACTORS[code]
+
+
+@cache
+def _period_valuations(p: int, k: int) -> np.ndarray:
+    """v_p(n) at n = q + p i for i below p^(k-1), q = p^k, read-only: the
+    row of _correction_pattern, kept per p and k."""
+    _, row = _valuations(p**k, 2 * p**k - 1, p)
+    row.flags.writeable = False
+    return row
+
+
+def _correction_bytes(size: int) -> int:
+    """The bytes that callers charge for the product-form correction of a
+    window of size entries by _pair_products: 16 per entry of the longest
+    pattern period, for the valuation rows, codes, shifts and multipliers
+    of one period, and 1/4 per window entry, for the rows of a prime above
+    the square root of _PATTERN_CAP, walked at its every multiple.
+    tracemalloc peaks of one call for the shifts 60 and 30030: 5.8 KB at
+    255 entries, 38 KB at 4096, 53 KB at 2^16 and 2^19; and 94 to 105 KB
+    at 2^19 for 67, 134 and 2010, the rows of 67."""
+    return 16 * _PATTERN_CAP + size // 4
 
 
 def _pair_products(
@@ -410,36 +479,68 @@ def _pair_products(
     bound: int,
     lo: int = 1,
     shift: int = 0,
-    primes: Iterable[int] = (),
+    factors: Iterable[tuple[int, int]] = (),
 ) -> np.ndarray:
     """left * right into out in uint32, for entries of both at most bound:
     the one overflow guard and the one former of the d products.  Only when
     bound^2 reaches 2^32 does it read max(left) * max(right), a bound on
     every product, and raise OverflowError if that reaches 2^32.
 
-    Given the primes of shift, with left[i] = d(n) and right[i] = d(n+shift)
-    for n = lo + i, it forms d(n(n+shift)) instead.  A prime shared by n and
-    n+shift divides the shift, and for such p, p | n exactly when
-    p | n+shift.  So with a = v_p(n), b = v_p(n+shift),
+    Given the factorisation, pairs (p, c), of shift, with left[i] = d(n)
+    and right[i] = d(n+shift) for n = lo + i, it forms d(n(n+shift))
+    instead.  A prime shared by n and n+shift divides the shift, and for
+    such p, p | n exactly when p | n+shift.  So with a = v_p(n) and
+    b = v_p(n+shift),
 
         d(n(n+shift)) = d(n) d(n+shift) * prod_{p | shift} (a+b+1) / ((a+1)(b+1))
 
-    where each factor is 1 unless p | n, and never exceeds 1, so the guard
-    covers it.  Only the multiples of each p are corrected: a + 1 and b + 1
-    are rows of _valuations, and (a+1)(b+1) divides the product exactly.
+    where each factor is 1 unless p | n.  The factors are applied in place,
+    one prime at a time, at the multiples of p only.  Exactness: before
+    the step at p an entry is x = t (a+1)(b+1) with t an integer, since
+    a+1 and b+1 are factors of d(n) and d(n+shift) and the earlier steps
+    changed only the factors of other primes.  The step writes
+    t (a+b+1) <= x, so no entry ever exceeds its first product, which the
+    guard keeps below 2^32.
+
+    Take q = p^k, the largest power of p at most _PATTERN_CAP and the
+    window, or p.  Where q divides neither n nor n+shift, a and b are those
+    of n mod q and both below k, so the step is periodic in n: one period
+    of _correction_pattern is tiled over the multiples of p by broadcast
+    operations, x >>= s then x *= Q in uint32, with s = v_2((a+1)(b+1)) and
+    Q = (a+b+1) / k' modulo 2^32, k' the odd part of (a+1)(b+1).  x >> s is
+    t k' exactly, and t k' Q is t (a+b+1) modulo 2^32, which the wrapping
+    multiply leaves as it is, since t (a+b+1) <= x < 2^32: exact division
+    by the inverse modulo 2^32 (Jebelean 1993).  The multiples of q in n
+    and in n+shift, which the pattern leaves alone, take x //= (a+1)(b+1)
+    and x *= a+b+1 from the rows of _valuations: if q | shift they are the
+    same n and both rows are read; otherwise the other side's exponent is
+    c = v_p(shift).
     """
     if bound * bound >= 1 << 32 and int(left.max()) * int(right.max()) >= 1 << 32:
         raise OverflowError("d(n) d(n+shift) exceeds uint32")
     seg = np.multiply(left, right, out=out)
     hi = lo + len(seg) - 1
-    for p in primes:
-        first, a1 = _valuations(lo, hi, p, 1)  # a + 1
-        _, b1 = _valuations(lo + shift, hi + shift, p, 1)  # b + 1
-        sub = seg[first::p]
-        sub //= a1 * b1
-        a1 += b1
-        a1 -= 1  # a + b + 1
-        sub *= a1
+    for p, c in factors:
+        k, q = 1, p
+        while q * p <= min(_PATTERN_CAP, len(seg)):
+            k, q = k + 1, q * p
+        if k > 1:
+            first = (-lo) % p
+            pattern = _correction_pattern(p, k, shift)
+            for part, s, f in _tiles(seg[first::p], (lo + first) % q // p, *pattern):
+                part >>= s
+                part *= f
+        first, a1 = _valuations(lo, hi, p, 1, k)  # a + 1 at the multiples of q
+        start, b1 = _valuations(lo + shift, hi + shift, p, 1, k)  # b + 1
+        if k <= c:  # q | n exactly when q | n+shift
+            fixes = [(first, a1, b1)]
+        else:
+            fixes = [(first, a1, c + 1), (start, b1, c + 1)]
+        for first, x, y in fixes:
+            sub = seg[first::q]
+            sub //= x * y
+            x += y - 1  # a + b + 1
+            sub *= x
     return seg
 
 
@@ -478,19 +579,20 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
 
     Returns a uint32 array of limit+1 entries with slot 0 = 0.  Raises
     RangeError if the d-table is too short; charges the table, the output
-    and 6 B per window entry of correction rows, then raises OverflowError
-    as _pair_products does, with the table's bound.  Memory beyond the
-    output is O(window).
+    and the product-form correction of a window (_correction_bytes), then
+    raises OverflowError as _pair_products does, with the table's bound.
+    Memory beyond the output is O(window).
     """
     if dtab.limit < limit + shift:
         raise RangeError(f"divisor table limit {dtab.limit} < {limit + shift}")
-    charge(dtab.values.nbytes + (limit + 1) * 4 + 6 * min(SEGMENT_SIZE, limit))
+    size = min(SEGMENT_SIZE, limit)
+    charge(dtab.values.nbytes + (limit + 1) * 4 + _correction_bytes(size))
     out = np.zeros(limit + 1, dtype=np.uint32)
     d = dtab.values
-    primes = [p for p, _ in trial_factorize(shift)]
+    factors = trial_factorize(shift)
     for lo, hi in windows(1, limit):
         left, right = d[lo : hi + 1], d[lo + shift : hi + shift + 1]
-        _pair_products(left, right, out[lo : hi + 1], dtab.bound, lo, shift, primes)
+        _pair_products(left, right, out[lo : hi + 1], dtab.bound, lo, shift, factors)
     return out
 
 
@@ -560,8 +662,9 @@ def stream_pair_sums(
     mismatch raises RuntimeError naming y, or the overhang's last n.  It
     charges 12 B per entry of a window plus the widest near shift and the
     fill's prime powers up to the top n + w; a pass over dtab charges the
-    table and 4 B per window entry.  Both charge 6 B more per window entry
-    when a cell is of product form, and 8 B per slot.  RangeError for a
+    table and 4 B per window entry.  Both charge the product-form correction
+    of a window (_correction_bytes) when a cell is of product form, and 8 B
+    per slot.  RangeError for a
     cell with y < 0 or w < 1.
     """
     marks: dict[tuple[int, bool], set[int]] = {}  # (shift, product) -> its ys
@@ -585,22 +688,23 @@ def stream_pair_sums(
         marks[0, False] = ys | {max(ends + [top])}
     elif dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
-    # per row: its shift, the primes it corrects at, its last y, the starts
-    # of its segments and its first slot
+    # per row: its shift, the factorisation it corrects at, its last y, the
+    # starts of its segments and its first slot
     rows = []
     slot = 0
     for (w, product), s in sorted(marks.items()):
         last = max(s)
         cuts = {lo for lo, _ in windows(1, min(last, top))} | {y + 1 for y in s}
         starts = np.array(sorted(cuts - {last + 1}), dtype=np.int64)
-        primes = [p for p, _ in trial_factorize(w)] if product else []
-        rows.append((w, primes, last, starts, slot))
+        factors = trial_factorize(w) if product else ()
+        rows.append((w, factors, last, starts, slot))
         slot += len(starts)
     bounds = list(windows(1, top))
     guard = slot  # a sieving pass's two overhang slots per window
     slot += 2 * len(bounds) if dtab is None else 0
-    # _pair_products's correction rows, if a cell is of product form; the slots
-    rest = (6 * size if any(product for _, product in marks) else 0) + 8 * slot
+    rest = 8 * slot  # the slots, and the correction if a cell is of product form
+    if any(product for _, product in marks):
+        rest += _correction_bytes(size)
     if dtab is None:
         # dbuf and far, 4 B per entry each; the plan
         charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
@@ -635,18 +739,18 @@ def stream_pair_sums(
                 slots[k - 1] = np.sum(head, dtype=np.uint64)
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
-        for (w, primes, _, starts, first), n in live(lo, hi):
+        for (w, factors, _, starts, first), n in live(lo, hi):
             m = n - lo + 1
             terms, b = dwin[:m], bound
             if dtab is None and w > size:
                 right = far[:m]
                 _divisor_fill(right, lo + w, n + w, plan)
                 b = max(bound, int(right.max()))
-                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, primes)
+                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, factors)
                 _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, lo + w - 1)
             elif w:
                 right = dwin[w : w + m]
-                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, primes)
+                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, factors)
             step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
             i, j = np.searchsorted(starts, (lo, n + 1))
             cuts = (starts[i:j] - lo).tolist() + [m]

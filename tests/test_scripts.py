@@ -2,6 +2,7 @@
 exits 0 and writes its CSV header; pinned runs write the same bytes."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -56,6 +57,18 @@ def test_script_writes_csv(script, args, header, rows):
     if (script, args) in _PINNED:
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == _PINNED[script, args]
+
+
+def test_kernel_timing_prints_every_shape():
+    proc = _run("kernel_timing.py", "--x", "100,1000", "--repeat", "2")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["repeat"] == 2 and sorted(report["x"]) == ["100", "1000"]
+    for row in report["x"].values():
+        shapes = ("1", "p", "p2", "pq", "p2q", "p2qr")
+        want = ["build_divisor_table"] + [f"shifted_product_values.{s}" for s in shapes]
+        assert list(row) == want
+        assert all(ns > 0 for ns in row.values())
 
 
 def test_bad_list_is_a_usage_error():

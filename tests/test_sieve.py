@@ -4,7 +4,6 @@ import os
 import signal
 import tracemalloc
 from collections import Counter
-from itertools import count
 from math import isqrt
 from unittest import mock
 
@@ -240,22 +239,37 @@ class TestValuationWalk:
         return Counter(prime_exponents_naive(n)) + Counter(prime_exponents_naive(n + v))
 
     @staticmethod
-    def _check_valuations(lo, hi, p):
+    def _check_valuations(lo, hi, p, ks=(1,)):
+        # base + v_p(n) at the multiples n of q = p^k in the window
         for base in (0, 1):
-            first, row = dc.sieve._valuations(lo, hi, p, base)
-            want = [base + valuation_naive(n, p) for n in range(lo, hi + 1) if n % p == 0]
-            assert row.dtype == np.uint32 and row.tolist() == want, (lo, hi, p)
-            assert first == next(n for n in count(lo) if n % p == 0) - lo
+            for k in ks:
+                q = p**k
+                first, row = dc.sieve._valuations(lo, hi, p, base, k)
+                multiples = [n for n in range(lo, hi + 1) if n % q == 0]
+                want = [base + valuation_naive(n, p) for n in multiples]
+                assert row.dtype == np.uint32 and row.tolist() == want, (lo, hi, p, k)
+                want_first = multiples[0] - lo if multiples else (-lo) % q
+                assert first == want_first, (lo, p, k)
 
     @pytest.mark.parametrize("v", SHIFTS)
     def test_valuations_match_repeated_division(self, v):
         for p, lo in self._starts(v):
             for length in (1, p - 1, p, 3 * p + 2, 300):
-                self._check_valuations(lo, lo + length - 1, p)
+                self._check_valuations(lo, lo + length - 1, p, (1, 2, 3))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_valuations_from_each_pattern_power(self, p):
+        # q = p^K for every K of a correction pattern, from windows that
+        # start at q - 1, q and q + 1
+        ks = range(1, dc.sieve._PATTERN_EXP + 1)
+        for k in ks:
+            if p**k <= dc.sieve._PATTERN_CAP:
+                for lo in (p**k - 1, p**k, p**k + 1):
+                    self._check_valuations(max(lo, 1), lo + 3 * p**k, p, ks)
 
     def test_valuations_across_2_to_the_32(self):
         for p in (2, 3, 5, 7, 65537):
-            self._check_valuations((1 << 32) - 300, (1 << 32) + 300, p)
+            self._check_valuations((1 << 32) - 300, (1 << 32) + 300, p, (1, 2, 5))
 
     @pytest.mark.parametrize("v", SHIFTS)
     def test_f_terms_match_oracles(self, v):
@@ -325,6 +339,106 @@ def _spy_guard(monkeypatch):
 
     monkeypatch.setattr(dc.sieve, "_pair_products", spy)
     return checked
+
+
+class TestProductCorrection:
+    """The product form of _pair_products: per prime p of w, a periodic
+    shift and wrapping multiply at the multiples of p and an exact walk at
+    the multiples of q = p^k, the largest power at most _PATTERN_CAP and
+    the window; against oracles that factor n and n+w apart."""
+
+    # w with c = v_p(w) in 0..3 at p in {2, 3, 5, 7}, times 1, 11 or the
+    # other primes below 10; then w at and past the pattern cap
+    SHIFTS = sorted(
+        {p**c * r for p in (2, 3, 5, 7) for c in range(4) for r in (1, 11, 210 // p)}
+        | {1 << 12, 1 << 13, 3**8, 1001, 30030}
+    )
+
+    @staticmethod
+    def _q(p, length):
+        q = p
+        while q * p <= min(dc.sieve._PATTERN_CAP, length):
+            q *= p
+        return q
+
+    @staticmethod
+    def _window(lo, length, w):
+        # d(n(n+w)) for n in [lo, lo + length), fed by the strided oracle
+        d = divisor_window_strided(lo, lo + length - 1 + w)
+        out = np.empty(length, dtype=np.uint32)
+        factors = sorted(prime_exponents_naive(w).items())
+        left, right = d[:length], d[w : w + length]
+        return dc.sieve._pair_products(left, right, out, int(d.max()), lo, w, factors)
+
+    @pytest.mark.parametrize("length", [1, 2, 255, 4099])
+    def test_windows_at_the_period_edges(self, spf250k, length):
+        # windows that start at q - 1, q, q + 1 and -w mod q, shifted by a
+        # few periods so that n > q too
+        for w in self.SHIFTS[:: 1 if length < 4000 else 5]:
+            for p in prime_exponents_naive(w):
+                q = self._q(p, length)
+                for lo in {q - 1, q, q + 1, -w % q or q, 5 * q + (-w % q)}:
+                    got = self._window(max(lo, 1), length, w).tolist()
+                    ns = range(max(lo, 1), max(lo, 1) + length)
+                    want = [shifted_product_divisor_count(n, w, spf250k) for n in ns]
+                    assert got == want, (w, p, lo, length)
+
+    @pytest.mark.parametrize("limit", [257, 258, 511])
+    def test_short_last_windows(self, monkeypatch, spf250k, limit):
+        # windows of 256: the last one holds 1, 2 or 255 entries
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
+        for w in self.SHIFTS:
+            got = _spv(limit, w)[1:].tolist()
+            ns = range(1, limit + 1)
+            want = [shifted_product_divisor_count(n, w, spf250k) for n in ns]
+            assert got == want, (w, limit)
+
+    def test_one_window_past_every_pattern(self, spf250k):
+        # one window of 5000 entries: every q is the largest power of p at
+        # most the cap, and w = 2^12, 2^13, 3^8 are multiples of theirs
+        for w in (1 << 12, 1 << 13, 3**8, 1001, 30030, 60, 2 * 3**4 * 5**2 * 7):
+            got = _spv(5000, w)[1:].tolist()
+            ns = range(1, 5001)
+            want = [shifted_product_divisor_count(n, w, spf250k) for n in ns]
+            assert got == want, w
+
+    def test_small_values_against_d_naive(self):
+        for w in (2, 12, 60, 1 << 12):
+            got = self._window(1, 60, w).tolist()
+            assert got == [d_naive(n * (n + w)) for n in range(1, 61)], w
+
+    @pytest.mark.parametrize("w", [2, 12, 60, 1 << 12])
+    def test_window_straddling_2_to_the_32(self, w):
+        lo = (1 << 32) - 32
+        got = self._window(lo, 64, w).tolist()
+        want = []
+        for n in range(lo, lo + 64):
+            merged = TestValuationWalk._merged(n, w)
+            want.append(math.prod(e + 1 for e in merged.values()))
+        assert got == want
+
+    def test_code_table(self):
+        # for every a, b < the cap's exponent and x = (a+1)(b+1) t < 2^32,
+        # x >> s times Q wraps to x / ((a+1)(b+1)) (a+b+1) in uint32
+        kmax = dc.sieve._PATTERN_EXP
+        for a in range(kmax):
+            for b in range(kmax):
+                k = (a + 1) * (b + 1)
+                tmax = ((1 << 32) - 1) // k
+                t = np.unique(
+                    np.concatenate(
+                        [
+                            np.arange(1, min(tmax, 1 << 12) + 1),
+                            np.linspace(1, tmax, 1 << 14).astype(np.int64),
+                            tmax - np.arange(min(tmax, 1 << 12)),
+                        ]
+                    )
+                )
+                x = (k * t).astype(np.uint32)
+                x >>= dc.sieve._CODE_SHIFTS[a * kmax + b]
+                x *= dc.sieve._CODE_FACTORS[a * kmax + b]
+                assert (x.astype(np.int64) == t * (a + b + 1)).all(), (a, b)
+        assert dc.sieve._CODE_SHIFTS[0] == 0 and dc.sieve._CODE_FACTORS[0] == 1
 
 
 class TestShiftedProductValues:
@@ -435,6 +549,32 @@ class TestShiftedProductValues:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * (limit + 1) + 16 * dc.sieve.SEGMENT_SIZE, peak
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda x, v, dtab: dc.sum_dpoly(x, v, dtab),
+            lambda x, v, dtab: dc.shifted_product_values(dtab, x, v),
+        ],
+    )
+    @pytest.mark.parametrize("v", [60, 2010])
+    def test_product_form_within_charge(self, monkeypatch, run, v):
+        # one worker, so every window runs under tracemalloc; the table is
+        # built before tracing, so the peak is held against the charge
+        # less the table.  2010 = 2 3 5 67: 67 is walked at its multiples
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        x = 10**6
+        dtab = dc.build_divisor_table(x + v)
+        charged = []
+        charge = dc.sieve.charge
+        monkeypatch.setattr(dc.sieve, "charge", lambda n: charged.append(n) or charge(n))
+        tracemalloc.start()
+        try:
+            run(x, v, dtab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charged) - dtab.values.nbytes, (peak, charged)
 
 
 MU = dc.MultiplicativeSpec("mu", lambda p, e: -1 if e == 1 else 0)
