@@ -44,6 +44,7 @@ from divcorr.constants import (
 )
 from divcorr.correlate import lattice_sum, product_sums, streamed_d_sums
 from divcorr.errors import ContractError
+from divcorr.fanout import fan_out
 from divcorr.sieve import (
     MULT_ENTRY_BYTES,
     build_divisor_table,
@@ -175,6 +176,13 @@ def run_verify(
     (lemma1: x <= 1e4, v <= 50; lemma2: n <= 1e4, v <= 100; genrec:
     a, b <= 200; sigma_lambda and binomial: v <= 200; coeff_consistency:
     v <= 100); a given bound below 1 raises ContractError.
+
+    The suites run on every usable CPU, round-robin in the order given, as
+    the windows (i, i) of fan_out: each worker writes the checks and
+    failures of its suites into two shared slots each.  A suite that failed
+    in a child is rerun here for its first counterexample, and a rerun that
+    counts otherwise than the child raises RuntimeError naming the suite;
+    one that raised in a child raises here with its own class.
     """
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
@@ -195,7 +203,30 @@ def run_verify(
         "binomial": lambda: _suite_binomial(bound(vmax, 200), 3),
         "coeff_consistency": lambda: _suite_coeff_consistency(bound(vmax, 100)),
     }
-    return tuple(runners[name]() for name in suites)
+    own: dict[int, SuiteResult] = {}  # the suites this process ran
+
+    def fill(slots: np.ndarray, i: int, _: int) -> None:
+        own[i] = runners[suites[i]]()
+        slots[2 * i : 2 * i + 2] = own[i].checks, own[i].failures
+
+    bounds = [(i, i) for i in range(len(suites))]
+    slots = fan_out(2 * len(suites), np.uint64, bounds, fill)
+
+    def result(i: int, name: str) -> SuiteResult:
+        if i in own:
+            return own[i]
+        checks, failures = map(int, slots[2 * i : 2 * i + 2])
+        if not failures:
+            return SuiteResult(name, checks, 0)
+        rerun = runners[name]()
+        if (rerun.checks, rerun.failures) != (checks, failures):
+            raise RuntimeError(
+                f"suite {name}: a worker counted {checks} checks, {failures} "
+                f"failures, its rerun {rerun.checks} and {rerun.failures}"
+            )
+        return rerun
+
+    return tuple(result(i, name) for i, name in enumerate(suites))
 
 
 # (checks, failures, first counterexample or None) of one row, array or

@@ -7,11 +7,13 @@ callers outside the package.
 windows() is the one walk in windows of SEGMENT_SIZE entries.  The d
 builder fills its table window by window, byte-identical to a monolithic
 build; tables are immutable and safe to share.  A table of more
-than one window is filled on all usable CPUs: forked workers (_fan_out,
-the one fork site) take the windows round-robin and write one shared
-anonymous mapping, and the windows of a worker that raised are rerun in
-the caller, so the error keeps its class.  No knob selects this.
-time.process_time() of the caller leaves out the children's CPU time.
+than one window is filled on all usable CPUs: the forked workers of
+fanout.fan_out, the one fork site, take the windows round-robin and write
+one shared anonymous mapping, and the windows of a worker that raised are
+rerun in the caller, so the error keeps its class.  No knob selects this;
+inside a worker of another fan_out (a verify suite's) the windows run in
+that worker.  time.process_time() of the caller leaves out the children's
+CPU time.
 _divisor_fill, the one fill of d, works in the log domain behind a 75600
 wheel: one packed uint32 word per entry counts the primes above 7 that
 divide n once and holds minus the rounded log2 of the smooth part s of n.
@@ -53,18 +55,18 @@ product form) mostly hit cache instead of streaming the window from RAM.
 
 from __future__ import annotations
 
-import mmap
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
 from math import isqrt, log2
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from divcorr.arith import MultiplicativeSpec, divisors, trial_factorize
 from divcorr.errors import ContractError, RangeError, ResourceError
+from divcorr.fanout import fan_out
 
 SEGMENT_SIZE = 1 << 19  # table entries per window
 # bytes per entry charged by build_mult_table: the object array's pointer
@@ -157,68 +159,6 @@ def windows(first: int, last: int) -> Iterator[tuple[int, int]]:
     entries: the one window walk of the builders, the kernel and the sums."""
     for lo in range(first, last + 1, SEGMENT_SIZE):
         yield lo, min(lo + SEGMENT_SIZE - 1, last)
-
-
-def _fan_out(
-    size: int,
-    dtype: type,
-    bounds: list[tuple[int, int]],
-    fill: Callable[[np.ndarray, int, int], None],
-) -> np.ndarray:
-    """A zeroed array of size entries after fill(out, lo, hi) has run on
-    every window (lo, hi) of bounds.
-
-    fill writes only the entries of out that its window owns, so windows are
-    independent.  They go round-robin to one worker per usable CPU: the
-    parent and forked children that fill their share and exit.  With more
-    than one worker the array lives in a shared anonymous mapping, and a
-    buffer that fill reuses is each worker's own copy.  A child runs only
-    numpy arithmetic, and leaves by os._exit, so it flushes no stdio and
-    runs no exit handler of the parent.  The parent reaps every child before
-    it returns or raises.  A child that raised (status 1) has its windows
-    rerun in the parent, so a fault of the window raises here with its own
-    class and message; if the rerun passes, or the child was killed, or a
-    fork fails, the call raises ResourceError.  One window, or a platform
-    without fork, makes the parent the only worker.
-    """
-    workers = 1
-    if len(bounds) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), len(bounds))
-    if workers == 1:
-        out = np.zeros(size, dtype=dtype)
-    else:
-        nbytes = size * np.dtype(dtype).itemsize
-        out = np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype)  # zero-filled
-    pids: list[int] = []
-    try:
-        for rank in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError as exc:
-                raise ResourceError(f"cannot fork a sieve worker: {exc}") from exc
-            if pid == 0:
-                code = 1
-                try:
-                    for lo, hi in bounds[rank::workers]:
-                        fill(out, lo, hi)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-        for lo, hi in bounds[::workers]:
-            fill(out, lo, hi)
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for rank, (pid, status) in enumerate(zip(pids, statuses), 1):
-        code = os.waitstatus_to_exitcode(status)
-        if code == 1:
-            for lo, hi in bounds[rank::workers]:
-                fill(out, lo, hi)
-        if code > 0:
-            raise ResourceError(f"sieve worker {pid} exited with status {code}")
-        if code < 0:
-            raise ResourceError(f"sieve worker {pid} was killed by signal {-code}")
-    return out
 
 
 def build_spf(limit: int) -> SpfTable:
@@ -398,7 +338,7 @@ def build_divisor_table(limit: int) -> DivisorTable:
         lo = max(lo, 1)  # slot 0 stays 0
         _divisor_fill(d[lo : hi + 1], lo, hi, plan)
 
-    d = _fan_out(limit + 1, np.uint32, list(windows(0, limit)), fill)
+    d = fan_out(limit + 1, np.uint32, list(windows(0, limit)), fill)
     d.flags.writeable = False
     return DivisorTable(limit, d)
 
@@ -647,7 +587,7 @@ def stream_pair_sums(
     bound, so per segment one np.add.reduceat in uint32 sums blocks of at
     most 2^32 // (b^2 + 1) terms, with no uint64 copy of the segment, and
     np.sum adds the blocks in uint64.  Each segment sum is one slot of a
-    shared array; the windows go to the workers of _fan_out, and the parent
+    shared array; the windows go to the workers of fan_out, and the parent
     adds each row's slots in window order as Python ints, so the sums are
     exact and deterministic; a window that raises in a worker raises here.
 
@@ -759,7 +699,7 @@ def stream_pair_sums(
                 blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
                 slots[k] = np.sum(blocks, dtype=np.uint64)
 
-    slots = _fan_out(slot, np.uint64, bounds, fill)
+    slots = fan_out(slot, np.uint64, bounds, fill)
     for k, (lo, hi) in enumerate(bounds[:-1] if dtab is None else []):
         over, again = slots[guard + 2 * k : guard + 2 * k + 2].tolist()
         _check_d_sum(over, end(lo, hi), hi, again)

@@ -1,5 +1,7 @@
 import json
 import math
+import mmap
+import os
 import tracemalloc
 from typing import get_type_hints
 
@@ -7,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 import divcorr as dc
+from divcorr.cli import main
 from divcorr.harness import CSV_HEADER
 from oracles import sum_dd_naive, sum_dpoly_naive
 
@@ -308,25 +313,25 @@ def _plant(suite):
     return "coefficient_consistency", lambda v, zc: rep(v, zc) if v % 5 else 0.5
 
 
+# each suite's checks, failure count and first counterexample with one
+# planted fault, at xmax = 20, vmax = 12 (induction has fixed bounds)
+_PLANTED_REPORTS = [
+    # the fault moves the product-form prefix sums of shift 2 from x = 7
+    # on: pair form v = 2 (x = 7..20) and v = 4 (x = 14..20), product form
+    # v = 2 (x = 7..20)
+    ("lemma1", 480, 35, "pair form v=2, x=7: 50 != 51"),
+    # n = 7 at v = 2 (e = 1) and n = 14 at v = 4 (e = 2)
+    ("lemma2", 240, 2, "v=2, n=7: 6 != 7"),
+    ("induction", 1350, 21, "sigma_1 p=2 alpha=2 beta=2: 50 != 49"),
+    ("genrec", 312, 14, "sigma_1 a=2 b=3: 12 != 13"),
+    ("sigma_lambda", 48, 1, "v=6: |2.5 - 0.5| > 3.5000000000000003e-10"),
+    ("binomial", 48, 2, "v=4: |1.0 - 0.0| > 1e-10"),
+    ("coeff_consistency", 12, 2, "v=5: max deviation 5.000e-01"),
+]
+
+
 class TestFailureReports:
-    # each suite's checks, failure count and first counterexample with one
-    # planted fault, at xmax = 20, vmax = 12 (induction has fixed bounds)
-    @pytest.mark.parametrize(
-        "suite,checks,failures,first",
-        [
-            # the fault moves the product-form prefix sums of shift 2 from
-            # x = 7 on: pair form v = 2 (x = 7..20) and v = 4 (x = 14..20),
-            # product form v = 2 (x = 7..20)
-            ("lemma1", 480, 35, "pair form v=2, x=7: 50 != 51"),
-            # n = 7 at v = 2 (e = 1) and n = 14 at v = 4 (e = 2)
-            ("lemma2", 240, 2, "v=2, n=7: 6 != 7"),
-            ("induction", 1350, 21, "sigma_1 p=2 alpha=2 beta=2: 50 != 49"),
-            ("genrec", 312, 14, "sigma_1 a=2 b=3: 12 != 13"),
-            ("sigma_lambda", 48, 1, "v=6: |2.5 - 0.5| > 3.5000000000000003e-10"),
-            ("binomial", 48, 2, "v=4: |1.0 - 0.0| > 1e-10"),
-            ("coeff_consistency", 12, 2, "v=5: max deviation 5.000e-01"),
-        ],
-    )
+    @pytest.mark.parametrize("suite,checks,failures,first", _PLANTED_REPORTS)
     def test_planted_fault(self, monkeypatch, suite, checks, failures, first):
         monkeypatch.setattr(dc.harness, *_plant(suite))
         report = dc.run_verify([suite], xmax=20, vmax=12)
@@ -335,3 +340,105 @@ class TestFailureReports:
         assert (got.name, got.checks, got.failures, got.first_counterexample) == (
             suite, checks, failures, first,
         )
+
+
+def _shared_fork_counts(monkeypatch):
+    """Forks made from here on by this process (slot 0) and by every other
+    (slot 1), counted in a mapping that forked children share."""
+    counts = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+    parent, fork = os.getpid(), os.fork
+
+    def counting_fork():
+        counts[int(os.getpid() != parent)] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return counts
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFannedOutReport:
+    # with three usable CPUs and n suites, min(3, n) workers take the suites
+    # round-robin: the caller runs the first, a child the second
+    def test_report_independent_of_cpus(self, monkeypatch):
+        counts = _shared_fork_counts(monkeypatch)
+        reports = []
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c)
+            reports.append(dc.run_verify(dc.harness.SUITES, xmax=500, vmax=12))
+        assert reports[1] == reports[0]
+        assert all(s.passed for s in reports[0])
+        assert counts.tolist() == [2, 0]
+
+    @pytest.mark.parametrize("suite,checks,failures,first", _PLANTED_REPORTS)
+    def test_planted_fault_in_a_child(
+        self, monkeypatch, suite, checks, failures, first
+    ):
+        # the child's slots give the counts, the caller's rerun the first
+        # counterexample; the report equals the one-suite report
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(dc.harness, *_plant(suite))
+        before = "binomial" if suite == "induction" else "induction"
+        counts = _shared_fork_counts(monkeypatch)
+        ran, got = dc.run_verify([before, suite], xmax=20, vmax=12)
+        assert counts.tolist() == [1, 0]
+        assert ran.passed and ran.name == before
+        assert (got.name, got.checks, got.failures, got.first_counterexample) == (
+            suite, checks, failures, first,
+        )
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "suites", [["induction", "sigma_lambda"], ["sigma_lambda", "induction"]]
+    )
+    def test_suite_raising_everywhere_keeps_its_class(
+        self, monkeypatch, capsys, suites
+    ):
+        # raised in the child, then in the caller's rerun; or in the caller
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def refuse(v, k):
+            raise dc.ContractError("planted refusal")
+
+        monkeypatch.setattr(dc.harness, "sigma_lambda_identity", refuse)
+        with pytest.raises(dc.ContractError, match="^planted refusal$"):
+            dc.run_verify(suites, vmax=12)
+        _assert_no_child_left()
+        assert main(["verify", "--vmax", "12", "--suite", *suites]) == 2
+        assert capsys.readouterr() == ("", "error: planted refusal\n")
+        _assert_no_child_left()
+
+    def test_fault_seen_only_in_a_child_raises(self, monkeypatch):
+        # binomial fails in the child alone: its rerun in the caller passes,
+        # and the report is not built from the rerun
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        parent = os.getpid()
+        rep = dc.harness.binomial_log_identity
+        monkeypatch.setattr(
+            dc.harness,
+            "binomial_log_identity",
+            lambda v, n: 1.0 if os.getpid() != parent and n == 1 else rep(v, n),
+        )
+        with pytest.raises(RuntimeError, match="^suite binomial: .* 12 failures"):
+            dc.run_verify(["induction", "binomial"], vmax=12)
+        _assert_no_child_left()
+
+    def test_suites_at_raised_bounds_fork_once(self, monkeypatch):
+        # windows of 1009 make the default lemma tables (10050 and 10100
+        # entries) span several windows, so lemma1 alone forks a table
+        # worker; inside verify's two workers the tables run in-process
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = dc.run_verify(["lemma1", "lemma2"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        counts = _shared_fork_counts(monkeypatch)
+        assert dc.run_verify(["lemma1"]) == want[:1]
+        assert counts.tolist() == [1, 0]
+        counts[:] = 0
+        assert dc.run_verify(["lemma1", "lemma2"]) == want
+        assert counts.tolist() == [1, 0]
+        _assert_no_child_left()

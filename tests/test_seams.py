@@ -45,7 +45,7 @@ def _module_of(node: ast.expr, aliases: dict[str, str]) -> str | None:
 
 def _private_reads(path: Path, own: str | None = None) -> list[str]:
     """Private attributes that path reads through divcorr modules other
-    than own, e.g. sieve._fan_out after `from divcorr import sieve`."""
+    than own, e.g. sieve._divisor_fill after `from divcorr import sieve`."""
     offenders = []
     tree = ast.parse(path.read_text(), str(path))
     aliases: dict[str, str] = {}

@@ -1066,9 +1066,44 @@ class TestWorkerFailure:
             table[lo : hi + 1] = 1
 
         with pytest.raises(KeyError):
-            dc.sieve._fan_out(
+            dc.fanout.fan_out(
                 20_001, np.uint32, list(dc.sieve.windows(0, 20_000)), fill
             )
+        _assert_no_child_left()
+
+
+class TestNestedFanOut:
+    def test_inner_fan_out_runs_in_its_worker(self, monkeypatch):
+        # a table of 20 windows forks alone; built inside a worker of an
+        # outer fan_out it forks nothing, in the caller and in the child
+        # alike.  Each window reports the forks its process made during
+        # the inner build, and whether the table matched, through the
+        # shared array
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = _count_forks(monkeypatch)
+        want = dc.build_divisor_table(20_000).values.tobytes()
+        assert len(forks) == 1
+
+        def fill(out, i, _):
+            before = len(forks)
+            same = dc.build_divisor_table(20_000).values.tobytes() == want
+            out[2 * i : 2 * i + 2] = len(forks) - before, same
+
+        out = dc.fanout.fan_out(8, np.int64, [(i, i) for i in range(4)], fill)
+        assert out.tolist() == [0, 1] * 4
+        assert len(forks) == 2  # the outer call's one child
+        _assert_no_child_left()
+
+        # the caller is no worker once the call is over, raised or not
+        def raising(out, i, _):
+            raise KeyError("outer window")
+
+        with pytest.raises(KeyError):
+            dc.fanout.fan_out(2, np.int64, [(0, 0), (1, 1)], raising)
+        assert len(forks) == 3
+        assert dc.build_divisor_table(20_000).values.tobytes() == want
+        assert len(forks) == 4
         _assert_no_child_left()
 
 
