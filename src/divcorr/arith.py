@@ -5,8 +5,8 @@ Everything here works on one integer at a time, factored by trial division
 from divcorr.sieve, which builds on this bottom layer.  arith imports
 nothing from divcorr except its errors.  Exact Python integers throughout;
 floating point only enters for the log-weighted divisor sums, and numpy
-only for the int64 residues from which the tau table rebuilds its exact
-integers.
+only for the int64 residues, modulo pairwise-coprime odd moduli below
+2^31, from which the tau table rebuilds its exact integers.
 
 Key objects:
     Factorization       ordered (prime, exponent) pairs, a plain tuple
@@ -184,96 +184,76 @@ def chebyshev_extend(f_p: int | float, g_p: int | float, k: int) -> int | float:
 
 
 def ramanujan_tau_table(limit: int) -> list[int]:
-    """tau(n) for n <= limit as exact integers, index-aligned (slot 0 is 0).
+    """tau(n) for n <= limit as exact integers, index-aligned (slot 0 is 0);
+    RangeError unless 1 <= limit < 2^31, before anything is allocated.
 
     Coefficients of q prod_{m>=1} (1 - q^m)^24 = q J^8, where Jacobi's
     identity gives J = prod (1 - q^m)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)
-    directly, with about sqrt(2 limit) nonzero terms below degree limit.
-    J^8 is formed modulo each of the fewest primes below 2^31 whose product
-    M exceeds 2 S^8, S the sum of |coefficients| of that truncated J: every
-    coefficient of J^8 is at most S^8 in size, so its residue mod M, which
-    Garner's mixed-radix CRT rebuilds from the residues, fixes it once
-    centred in (-M/2, M/2).  Modulo p, J^8 takes seven sparse
-    multiplications by J in int64; no bound on tau itself is assumed.
+    directly, with K, about sqrt(2 limit), nonzero terms below degree limit
+    and S = K^2 the sum of their |coefficients|.  Every coefficient of J^8
+    is at most S^8 in size, so its residue mod M, any M > 2 S^8, fixes it
+    once centred in (-M/2, M/2).  J^8 is formed modulo each of the
+    pairwise-coprime odd moduli below 2^31 of _crt_moduli, whose product M
+    is the first to exceed 2 S^8, by seven sparse multiplications by J in
+    int64; Garner's mixed-radix CRT, which needs the moduli only to be
+    coprime, rebuilds M's residue from them.  No bound on tau itself is
+    assumed.  A limit below 2^31 keeps K <= 2^16 and S <= 2^32, the bound
+    under which _times_jacobi cannot overflow.
     """
-    if limit < 1:
-        raise RangeError("limit must be >= 1")
-    n = limit  # degree window for J^8
+    if not 0 < limit < 1 << 31:
+        raise RangeError(f"tau table limit {limit} must be in [1, 2**31)")
     jacobi = []
     k = 0
-    while k * (k + 1) // 2 < n:
+    while k * (k + 1) // 2 < limit:
         jacobi.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
         k += 1
-    primes = _crt_primes(2 * sum(abs(c) for _, c in jacobi) ** 8)
+    moduli = _crt_moduli(2 * sum(abs(c) for _, c in jacobi) ** 8)
     digits = []
-    for p in primes:
-        power = np.zeros(n, dtype=np.int64)
+    for m in moduli:
+        power = np.zeros(limit, dtype=np.int64)  # J^8 below degree limit
         for t, c in jacobi:
-            power[t] = c % p
+            power[t] = c % m
         for _ in range(7):
-            power = _times_jacobi(power, jacobi, p)
-        # Garner: the residue mod p becomes the next mixed-radix digit
-        for q, d in zip(primes, digits):
-            power = (power - d) * pow(q, -1, p) % p
+            power = _times_jacobi(power, jacobi, m)
+        # Garner: the residue mod m becomes the next mixed-radix digit
+        for q, d in zip(moduli, digits):
+            power = (power - d) * pow(q, -1, m) % m
         digits.append(power)
-    # J^8 mod M = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), rebuilt from the top
+    # J^8 mod M = d_0 + m_0 (d_1 + m_1 (d_2 + ...)), rebuilt from the top
     acc = digits.pop().tolist()
     while digits:
-        p = primes[len(digits) - 1]
-        acc = [d + p * a for d, a in zip(digits.pop().tolist(), acc)]
-    m = math.prod(primes)
-    half = m // 2
-    return [0] + [a - m if a > half else a for a in acc]
+        m = moduli[len(digits) - 1]
+        acc = [d + m * a for d, a in zip(digits.pop().tolist(), acc)]
+    big = math.prod(moduli)
+    half = big // 2
+    return [0] + [a - big if a > half else a for a in acc]
 
 
-def _crt_primes(bound: int) -> list[int]:
-    """The largest primes below 2^31, in descending order, fewest whose
-    product exceeds bound."""
-    primes: list[int] = []
+def _crt_moduli(bound: int) -> list[int]:
+    """The odd numbers from 2^31 - 1 down, each taken when it is coprime to
+    the product of those taken before it, until that product exceeds bound:
+    pairwise coprime, in descending order."""
+    moduli: list[int] = []
     product = 1
     candidate = (1 << 31) - 1
     while product <= bound:
-        if _is_prime(candidate):
-            primes.append(candidate)
+        if math.gcd(candidate, product) == 1:
+            moduli.append(candidate)
             product *= candidate
         candidate -= 2
-    return primes
+    return moduli
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, 5 and 7, which decides every odd
-    n > 7 below 3215031751 (Jaeschke, Math. Comp. 61, 1993)."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _times_jacobi(a: np.ndarray, jacobi: list[tuple[int, int]], p: int) -> np.ndarray:
-    """a J truncated to len(a) coefficients, reduced mod p < 2^31, for a
-    reduced mod p.  Each term adds c a shifted by t; the sum is reduced
-    before its |c| total passes 2^31, so every int64 entry stays below 2^62."""
+def _times_jacobi(a: np.ndarray, jacobi: list[tuple[int, int]], m: int) -> np.ndarray:
+    """a J truncated to len(a) coefficients, reduced mod m < 2^31, for a
+    reduced mod m.  Each term adds c a shifted by t, and the sum is reduced
+    once: for jacobi's terms below a limit under 2^31 the |c| sum to at most
+    2^32, so every int64 entry stays within 2^32 (m - 1) < 2^63."""
     n = len(a)
     out = np.zeros_like(a)
     scratch = np.empty_like(a)
-    load = 0
     for t, c in jacobi:
-        if load + abs(c) > 1 << 31:
-            out %= p
-            load = 1
         np.multiply(a[: n - t], c, out=scratch[: n - t])
         out[t:] += scratch[: n - t]
-        load += abs(c)
-    out %= p
+    out %= m
     return out

@@ -82,6 +82,13 @@ _OMEGA = 1 << 16  # one prime in the divisor fill's packed word
 _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 _PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
 _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
+# bytes charged by stream_pair_sums per window, for its bounds, and per
+# segment of its longest row, for that row's Python cut set and prefix sums;
+# with 16 B per slot, tracemalloc peaks of whole passes in windows of 64
+# grow by 353 B per window for one cell and 526 B for twelve (six shifts in
+# both forms), against 451 and 627 B charged
+_WINDOW_BYTES = 160
+_SEGMENT_BYTES = 224
 
 
 def charge(nbytes: int) -> None:
@@ -603,9 +610,10 @@ def stream_pair_sums(
     charges 12 B per entry of a window plus the widest near shift and the
     fill's prime powers up to the top n + w; a pass over dtab charges the
     table and 4 B per window entry.  Both charge the product-form correction
-    of a window (_correction_bytes) when a cell is of product form, and 8 B
-    per slot.  RangeError for a
-    cell with y < 0 or w < 1.
+    of a window (_correction_bytes) when a cell is of product form, and
+    its bookkeeping, counted before any of it is built: 16 B per slot,
+    _WINDOW_BYTES per window and _SEGMENT_BYTES per segment of the longest
+    row.  RangeError for a cell with y < 0 or w < 1.
     """
     marks: dict[tuple[int, bool], set[int]] = {}  # (shift, product) -> its ys
     for y, w, *shape in cells:
@@ -628,6 +636,25 @@ def stream_pair_sums(
         marks[0, False] = ys | {max(ends + [top])}
     elif dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
+    # the bookkeeping, charged before it is built: per row a segment and a
+    # slot per window and per y at most, two more slots per window when
+    # sieving; 8 B per slot in the shared array and again in the starts
+    wins = -(-top // SEGMENT_SIZE)
+    segments = [-(-min(max(s), top) // SEGMENT_SIZE) + len(s) for s in marks.values()]
+    slots = sum(segments) + (2 * wins if dtab is None else 0)
+    rest = 16 * slots + _WINDOW_BYTES * wins + _SEGMENT_BYTES * max(segments)
+    if any(product for _, product in marks):
+        rest += _correction_bytes(size)
+    if dtab is None:
+        # dbuf and far, 4 B per entry each; the plan
+        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
+        dbuf = np.empty(size + near, dtype=np.uint32)
+        far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
+        plan = _fill_plan(reach, size + near)
+        pbuf = plan.words  # idle while the fill runs; then the products
+    else:
+        charge(dtab.values.nbytes + 4 * size + rest)
+        pbuf = np.empty(size, dtype=np.uint32)
     # per row: its shift, the factorisation it corrects at, its last y, the
     # starts of its segments and its first slot
     rows = []
@@ -642,19 +669,6 @@ def stream_pair_sums(
     bounds = list(windows(1, top))
     guard = slot  # a sieving pass's two overhang slots per window
     slot += 2 * len(bounds) if dtab is None else 0
-    rest = 8 * slot  # the slots, and the correction if a cell is of product form
-    if any(product for _, product in marks):
-        rest += _correction_bytes(size)
-    if dtab is None:
-        # dbuf and far, 4 B per entry each; the plan
-        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
-        dbuf = np.empty(size + near, dtype=np.uint32)
-        far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
-        plan = _fill_plan(reach, size + near)
-        pbuf = plan.words  # idle while the fill runs; then the products
-    else:
-        charge(dtab.values.nbytes + 4 * size + rest)
-        pbuf = np.empty(size, dtype=np.uint32)
 
     def live(lo: int, hi: int) -> list:
         # each row still summing in [lo, hi], with the last n it sums there

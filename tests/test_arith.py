@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from math import gcd, lcm
 
 import numpy as np
@@ -238,63 +239,82 @@ class TestRamanujanTau:
                 k += 1
 
     def test_prefix_across_prime_count_changes(self, monkeypatch, tau30k):
-        # The table takes as many primes below 2^31 as its product needs to
-        # exceed 2 S^8, S = sum of |J coefficients| below the limit: K^2 for
-        # the K terms (-1)^k (2k+1) q^(k(k+1)/2) there, K growing at the
-        # limits k(k+1)/2 + 1.  On both sides of each limit where the count
-        # grows, the table must be a prefix of one built with more primes.
+        # The table takes as many CRT moduli as its product needs to exceed
+        # 2 S^8, S = sum of |J coefficients| below the limit: K^2 for the K
+        # terms (-1)^k (2k+1) q^(k(k+1)/2) there, K growing at the limits
+        # k(k+1)/2 + 1.  On both sides of each limit where the count grows,
+        # the table must be a prefix of one built with more moduli.
         top = len(tau30k) - 1
         starts = {k + 1: k * (k + 1) // 2 + 1 for k in range(1, 250)}
-        primes = dc.arith._crt_primes(2 * max(starts) ** 16)
+        moduli = dc.arith._crt_moduli(2 * max(starts) ** 16)
 
-        def prime_count(terms):
+        def moduli_count(terms):
             return next(
-                c for c in range(1, len(primes) + 1)
-                if math.prod(primes[:c]) > 2 * terms**16
+                c for c in range(1, len(moduli) + 1)
+                if math.prod(moduli[:c]) > 2 * terms**16
             )
 
         changes = [
             n for terms, n in starts.items()
-            if n <= top and prime_count(terms) > prime_count(terms - 1)
+            if n <= top and moduli_count(terms) > moduli_count(terms - 1)
         ]
-        assert changes == [7, 106, 1432, 21322]  # 2, 3, 4 and 5 primes from here
-        crt_primes = dc.arith._crt_primes
+        assert changes == [7, 106, 1432, 21322]  # 2, 3, 4 and 5 moduli from here
+        crt_moduli = dc.arith._crt_moduli
         used = []
 
         def spy(bound):
-            out = crt_primes(bound)
+            out = crt_moduli(bound)
             used.append(len(out))
             return out
 
-        monkeypatch.setattr(dc.arith, "_crt_primes", spy)
+        monkeypatch.setattr(dc.arith, "_crt_moduli", spy)
         for n in changes:
             for limit in (n - 1, n):
                 assert dc.ramanujan_tau_table(limit) == tau30k[: limit + 1], limit
         assert used == [1, 2, 2, 3, 3, 4, 4, 5]
 
-    def test_times_jacobi_reduces_before_int64_overflow(self):
-        # coefficients near 2^31 against residues p - 1 would carry the
-        # unreduced sum past 2^63 from the third term on
+    def test_times_jacobi_exact_at_the_limit_bound(self):
+        # Below a limit of 2^31 J has K = 2^16 terms, whose |c| = 2k + 1 sum
+        # to S = 2^32; packed at shifts 0..3 with one sign, against residues
+        # p - 1, they carry the unreduced sum to S (p - 1), just below 2^63
         p = 2**31 - 1
+        k_top = 0
+        while (k_top + 1) * (k_top + 2) // 2 < 2**31 - 1:
+            k_top += 1
+        assert k_top + 1 == 2**16
         a = np.full(8, p - 1, dtype=np.int64)
-        terms = [(0, 2**31 - 1), (1, 2**31 - 3), (2, 2**31 - 5), (3, 7 - 2**31)]
-        expected = [
-            sum(c * (p - 1) for t, c in terms if t <= i) % p for i in range(len(a))
-        ]
-        assert dc.arith._times_jacobi(a, terms, p).tolist() == expected
+        for sign in (1, -1):
+            terms = [(k % 4, sign * (2 * k + 1)) for k in range(2**16)]
+            assert sum(abs(c) for _, c in terms) == 2**32
+            expected = [
+                sum(c * (p - 1) for t, c in terms if t <= i) % p
+                for i in range(len(a))
+            ]
+            assert dc.arith._times_jacobi(a, terms, p).tolist() == expected
 
-    def test_crt_primes_are_the_largest_below_2_31(self):
-        primes = dc.arith._crt_primes(2**300)
-        assert math.prod(primes) > 2**300 >= math.prod(primes[:-1])
-        expected = []
-        n = 2**31 - 1
-        while len(expected) < len(primes):
-            if smallest_prime_factor_naive(n) == n:
-                expected.append(n)
-            n -= 2
-        assert primes == expected
-        # a strong pseudoprime to the bases 2, 3 and 5 (2251 x 11251)
-        assert not dc.arith._is_prime(25326001)
+    def test_rejects_limit_from_2_31_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(dc.RangeError, match="2\\*\\*31"):
+                dc.ramanujan_tau_table(1 << 31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    def test_crt_moduli_rule(self):
+        bound = 2**300
+        moduli = dc.arith._crt_moduli(bound)
+        assert moduli[0] == 2**31 - 1
+        assert all(m % 2 and m < 2**31 for m in moduli)
+        for i, m in enumerate(moduli):
+            assert all(gcd(m, q) == 1 for q in moduli[i + 1 :]), m
+        assert math.prod(moduli) > bound >= math.prod(moduli[:-1])
+        # every odd number skipped between two moduli shares a factor with
+        # the product of the moduli taken before it
+        for i, (hi, lo) in enumerate(zip(moduli, moduli[1:])):
+            before = math.prod(moduli[: i + 1])
+            assert all(gcd(n, before) > 1 for n in range(lo + 2, hi, 2)), (hi, lo)
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(dc.RangeError):

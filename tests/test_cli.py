@@ -366,3 +366,19 @@ def test_bad_memcap_usage_error(capsys, monkeypatch, cap):
     assert main(["sum", "--kind", "dd", "--x", "10", "--v", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sum", "--kind", "dd", "--x", "10000000000000000", "--v", "1"],
+        ["compare", "--kind", "dd", "--x", "10000000000000000", "--v", "1"],
+        ["compare", "--kind", "dpoly", "--x", "10000000000000000", "--v", "1,2"],
+    ],
+    ids=["sum dd", "compare dd", "compare dpoly"],
+)
+def test_streamed_pass_refused_at_1e16(capsys, args):
+    # the default cap refuses the pass before it builds its 1.9e10 windows
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1117,3 +1117,43 @@ class TestMemoryCap:
         monkeypatch.setenv("DIVCORR_MEMCAP", str(2**31))
         dc.build_divisor_table(1000)  # fits again
         dc.build_spf(1000)
+
+    def test_stream_charges_its_bookkeeping_before_building_it(self, monkeypatch):
+        # 190,735 windows to 1e11: their bounds and cut sets would take about
+        # 40 MB of Python objects, charged before any is made
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(4 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(dc.ResourceError):
+                dc.stream_pair_sums([(10**11, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+
+    @pytest.mark.parametrize(
+        "shifts, ys",
+        [((1,), (16_000, 32_000)), ((1, 2, 3, 4, 6, 12, 60, 210), (8000, 16_000))],
+        ids=["one cell", "nine rows"],
+    )
+    def test_stream_bookkeeping_within_charge(self, monkeypatch, shifts, ys):
+        # windows of 64, one worker so that all of them run under tracemalloc:
+        # each peak is within its charge, and so is the growth from the first
+        # y to the second, which the per-window bookkeeping makes (it grows
+        # faster per window in longer passes, as Python's lists and sets do)
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        charged = []
+        charge = dc.sieve.charge
+        monkeypatch.setattr(dc.sieve, "charge", lambda n: charged.append(n) or charge(n))
+        peaks = []
+        for y in ys:
+            tracemalloc.start()
+            try:
+                dc.stream_pair_sums([(y, w) for w in shifts])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(charged) == 2
+        assert all(p <= c for p, c in zip(peaks, charged)), (peaks, charged)
+        assert peaks[1] - peaks[0] <= charged[1] - charged[0], (peaks, charged)
