@@ -86,19 +86,13 @@ def _tail_log_power(m: int, j: int, s: float) -> tuple[float, float]:
         (math.factorial(j) // math.factorial(i)) * lx**i / (s - 1.0) ** (j - i + 1)
         for i in range(j + 1)
     )
-    coeffs = [0.0] * (j + 1)
-    coeffs[j] = 1.0
-    f0 = _logpoly_eval(coeffs, s, m)
-    c1, s1 = _logpoly_diff(coeffs, s)
-    f1 = _logpoly_eval(c1, s1, m)
-    c2, s2 = _logpoly_diff(c1, s1)
-    c3, s3 = _logpoly_diff(c2, s2)
-    f3 = _logpoly_eval(c3, s3, m)
-    c4, s4 = _logpoly_diff(c3, s3)
-    c5, s5 = _logpoly_diff(c4, s4)
-    f5 = _logpoly_eval(c5, s5, m)
-    tail = integral - f0 / 2.0 - f1 / 12.0 + f3 / 720.0
-    bound = abs(f5) / 30240.0  # B6/6! term, first one dropped
+    # f[i], the i-th derivative of (log x)^j x^(-s) at m, for i <= 5
+    coeffs, t, f = [0.0] * j + [1.0], s, []
+    for _ in range(6):
+        f.append(_logpoly_eval(coeffs, t, m))
+        coeffs, t = _logpoly_diff(coeffs, t)
+    tail = integral - f[0] / 2.0 - f[1] / 12.0 + f[3] / 720.0
+    bound = abs(f[5]) / 30240.0  # B6/6! term, first one dropped
     return tail, bound
 
 

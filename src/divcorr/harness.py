@@ -178,11 +178,11 @@ def run_verify(
     v <= 100); a given bound below 1 raises ContractError.
 
     The suites run on every usable CPU, round-robin in the order given, as
-    the windows (i, i) of fan_out: each worker writes the checks and
-    failures of its suites into two shared slots each.  A suite that failed
-    in a child is rerun here for its first counterexample, and a rerun that
-    counts otherwise than the child raises RuntimeError naming the suite;
-    one that raised in a child raises here with its own class.
+    the tasks of fan_out, suite i as task i: each worker writes the checks
+    and failures of its suites into two shared slots each.  A suite that
+    failed in a child is rerun here for its first counterexample, and a
+    rerun that counts otherwise than the child raises RuntimeError naming
+    the suite; one that raised in a child raises here with its own class.
     """
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
@@ -205,12 +205,11 @@ def run_verify(
     }
     own: dict[int, SuiteResult] = {}  # the suites this process ran
 
-    def fill(slots: np.ndarray, i: int, _: int) -> None:
+    def fill(slots: np.ndarray, i: int) -> None:
         own[i] = runners[suites[i]]()
         slots[2 * i : 2 * i + 2] = own[i].checks, own[i].failures
 
-    bounds = [(i, i) for i in range(len(suites))]
-    slots = fan_out(2 * len(suites), np.uint64, bounds, fill)
+    slots = fan_out(2 * len(suites), np.uint64, len(suites), fill)
 
     def result(i: int, name: str) -> SuiteResult:
         if i in own:

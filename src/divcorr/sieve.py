@@ -7,13 +7,13 @@ callers outside the package.
 windows() is the one walk in windows of SEGMENT_SIZE entries.  The d
 builder fills its table window by window, byte-identical to a monolithic
 build; tables are immutable and safe to share.  A table of more
-than one window is filled on all usable CPUs: the forked workers of
-fanout.fan_out, the one fork site, take the windows round-robin and write
-one shared anonymous mapping, and the windows of a worker that raised are
-rerun in the caller, so the error keeps its class.  No knob selects this;
-inside a worker of another fan_out (a verify suite's) the windows run in
-that worker.  time.process_time() of the caller leaves out the children's
-CPU time.
+than one window is filled on all usable CPUs: window k is task k of
+fanout.fan_out, the one fork site, whose forked workers take the tasks
+round-robin and write one shared anonymous mapping, and the tasks of a
+worker that raised are rerun in the caller, so the error keeps its class.
+No knob selects this; inside a worker of another fan_out (a verify
+suite's) the tasks run in that worker.  time.process_time() of the caller
+leaves out the children's CPU time.
 _divisor_fill, the one fill of d, works in the log domain behind a 75600
 wheel: one packed uint32 word per entry counts the primes above 7 that
 divide n once and holds minus the rounded log2 of the smooth part s of n.
@@ -24,9 +24,9 @@ counted prime and once more where s < n.  A window thus costs about one
 vector operation per prime <= sqrt(hi), not one per i <= sqrt(hi).
 stream_pair_sums is the one pass of the d sums: it serves many cells, the
 pair form sum_{n<=y} d(n) d(n+w) and the product form sum_{n<=y}
-d(n(n+w)), as a plain dict, one row per shift and shape.  Its windows go
-to the same workers, and it holds O(window) memory beyond its source: the
-slices of a d-table (sum_dd, sum_dpoly and the Lemma 1 transforms), or
+d(n(n+w)), as a plain dict, one row per shift and shape.  Its windows are
+tasks of the same fan_out, and it holds O(window) memory beyond its source:
+the slices of a d-table (sum_dd, sum_dpoly and the Lemma 1 transforms), or
 windows sieved by the divisor fill of the table build, a shift wider than
 a window in a piece of its own (the CLI's sums, with no d-table).  Every
 d(n) d(n+w) and every d(n(n+w)), those of shifted_product_values too, is
@@ -82,13 +82,18 @@ _OMEGA = 1 << 16  # one prime in the divisor fill's packed word
 _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 _PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
 _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
-# bytes charged by stream_pair_sums per window, for its bounds, and per
-# segment of its longest row, for that row's Python cut set and prefix sums;
-# with 16 B per slot, tracemalloc peaks of whole passes in windows of 64
-# grow by 353 B per window for one cell and 526 B for twelve (six shifts in
-# both forms), against 451 and 627 B charged
-_WINDOW_BYTES = 160
+# bytes charged by stream_pair_sums besides 16 B per slot: per window, for
+# the Python cut set and prefix sums of its longest row, which has a segment
+# per window; per cell, for its ys in the sets of its row and of the d row,
+# their cuts and its sum; per row, for the row's own objects.  tracemalloc
+# peaks of whole passes in windows of 64, one worker, grow by 229 B per
+# window for one cell and 406 B for twelve (six shifts in both forms),
+# against 291 and 467 B charged; by at most 353 B per cell of one row or of
+# twelve; and by at most 1135 B per row, one cell each over 20 windows,
+# against 1473 B charged
 _SEGMENT_BYTES = 224
+_CELL_BYTES = 512
+_ROW_BYTES = 640
 
 
 def charge(nbytes: int) -> None:
@@ -341,11 +346,12 @@ def build_divisor_table(limit: int) -> DivisorTable:
     charge((limit + 1) * 4 + _fill_plan_bytes(limit, size))
     plan = _fill_plan(limit, size)
 
-    def fill(d: np.ndarray, lo: int, hi: int) -> None:
-        lo = max(lo, 1)  # slot 0 stays 0
+    def fill(d: np.ndarray, k: int) -> None:
+        lo = 1 + k * SEGMENT_SIZE  # slot 0 stays 0
+        hi = min(lo + SEGMENT_SIZE - 1, limit)
         _divisor_fill(d[lo : hi + 1], lo, hi, plan)
 
-    d = fan_out(limit + 1, np.uint32, list(windows(0, limit)), fill)
+    d = fan_out(limit + 1, np.uint32, -(-limit // SEGMENT_SIZE), fill)
     d.flags.writeable = False
     return DivisorTable(limit, d)
 
@@ -594,9 +600,11 @@ def stream_pair_sums(
     bound, so per segment one np.add.reduceat in uint32 sums blocks of at
     most 2^32 // (b^2 + 1) terms, with no uint64 copy of the segment, and
     np.sum adds the blocks in uint64.  Each segment sum is one slot of a
-    shared array; the windows go to the workers of fan_out, and the parent
-    adds each row's slots in window order as Python ints, so the sums are
-    exact and deterministic; a window that raises in a worker raises here.
+    shared array; window k, [1 + k S, (k + 1) S] for S = SEGMENT_SIZE, is
+    task k of fan_out, which computes its bounds and its rows from k, and
+    the parent adds each row's slots in window order as Python ints, so the
+    sums are exact and deterministic; a window that raises in a worker
+    raises here.
 
     A sieving pass also sums d(n) up to every y, and up to the top y + w of
     any near cell, which the last window sieves to, and sums each far piece;
@@ -611,50 +619,57 @@ def stream_pair_sums(
     fill's prime powers up to the top n + w; a pass over dtab charges the
     table and 4 B per window entry.  Both charge the product-form correction
     of a window (_correction_bytes) when a cell is of product form, and
-    its bookkeeping, counted before any of it is built: 16 B per slot,
-    _WINDOW_BYTES per window and _SEGMENT_BYTES per segment of the longest
-    row.  RangeError for a cell with y < 0 or w < 1.
+    its bookkeeping, counted from the list of the cells before any of it is
+    built: 16 B per slot, _SEGMENT_BYTES per window, _CELL_BYTES per cell
+    and _ROW_BYTES per row.  RangeError for a cell with y < 0 or w < 1.
     """
-    marks: dict[tuple[int, bool], set[int]] = {}  # (shift, product) -> its ys
+    cells = list(cells)
+    lasts: dict[tuple[int, bool], int] = {}  # (shift, product) -> its last y
     for y, w, *shape in cells:
         if y < 0 or w < 1:
             raise RangeError(f"cell x={y}, v={w} needs x >= 0 and v >= 1")
         if y:
-            marks.setdefault((w, any(shape)), set()).add(y)
-    if not marks:
+            lasts[w, any(shape)] = max(y, lasts.get((w, any(shape)), 0))
+    if not lasts:
         return {}
-    ys = set().union(*marks.values())
-    top = max(ys)
+    top = max(lasts.values())
     size = min(SEGMENT_SIZE, top)
-    reach = max(max(s) + w for (w, _), s in marks.items())
+    reach = max(y + w for (w, _), y in lasts.items())
     if dtab is None:
-        near = max((w for w, _ in marks if w <= size), default=0)
+        near = max((w for w, _ in lasts if w <= size), default=0)
         # the d row, shift 0: the last window sieves on to the top n + w any
         # near shift reads, and the d row sums that far too, so no sieved
         # d(n) goes unchecked
-        ends = [max(s) + w for (w, _), s in marks.items() if w <= size]
-        marks[0, False] = ys | {max(ends + [top])}
+        lasts[0, False] = max(y + w if w <= size else top for (w, _), y in lasts.items())
     elif dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
     # the bookkeeping, charged before it is built: per row a segment and a
-    # slot per window and per y at most, two more slots per window when
-    # sieving; 8 B per slot in the shared array and again in the starts
+    # slot per window, two more slots per window when sieving, 8 B per slot
+    # in the shared array and again in the starts; the cells' sets and sums
+    # and the rows' own objects
     wins = -(-top // SEGMENT_SIZE)
-    segments = [-(-min(max(s), top) // SEGMENT_SIZE) + len(s) for s in marks.values()]
-    slots = sum(segments) + (2 * wins if dtab is None else 0)
-    rest = 16 * slots + _WINDOW_BYTES * wins + _SEGMENT_BYTES * max(segments)
-    if any(product for _, product in marks):
+    slots = sum(-(-min(y, top) // SEGMENT_SIZE) for y in lasts.values())
+    slots += 2 * wins if dtab is None else 0
+    rest = 16 * slots + _SEGMENT_BYTES * wins + _CELL_BYTES * len(cells)
+    rest += _ROW_BYTES * len(lasts)
+    if any(product for _, product in lasts):
         rest += _correction_bytes(size)
     if dtab is None:
         # dbuf and far, 4 B per entry each; the plan
         charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
         dbuf = np.empty(size + near, dtype=np.uint32)
-        far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
+        far = np.empty(size if max(lasts)[0] > size else 0, dtype=np.uint32)
         plan = _fill_plan(reach, size + near)
         pbuf = plan.words  # idle while the fill runs; then the products
     else:
         charge(dtab.values.nbytes + 4 * size + rest)
         pbuf = np.empty(size, dtype=np.uint32)
+    marks = {row: set() for row in lasts}  # (shift, product) -> its ys
+    for y, w, *shape in cells:
+        if y:
+            marks[w, any(shape)].add(y)
+    if dtab is None:
+        marks[0, False] = set().union(*marks.values(), [lasts[0, False]])
     # per row: its shift, the factorisation it corrects at, its last y, the
     # starts of its segments and its first slot
     rows = []
@@ -666,34 +681,35 @@ def stream_pair_sums(
         factors = trial_factorize(w) if product else ()
         rows.append((w, factors, last, starts, slot))
         slot += len(starts)
-    bounds = list(windows(1, top))
     guard = slot  # a sieving pass's two overhang slots per window
-    slot += 2 * len(bounds) if dtab is None else 0
+    slot += 2 * wins if dtab is None else 0
 
-    def live(lo: int, hi: int) -> list:
-        # each row still summing in [lo, hi], with the last n it sums there
-        here = [row for row in rows if row[2] >= lo]
-        return [(row, row[2] if hi == top else min(hi, row[2])) for row in here]
+    def live(k: int) -> list:
+        # each row still summing in window k, with the last n it sums there:
+        # in the last window the d row's last, which may pass top
+        hi = (k + 1) * SEGMENT_SIZE if k < wins - 1 else reach
+        return [(row, min(hi, row[2])) for row in rows if row[2] > k * SEGMENT_SIZE]
 
-    def end(lo: int, hi: int) -> int:
-        # the last n whose d(n) a sieving pass fills in the window [lo, hi]
-        return max(n + row[0] for row, n in live(lo, hi) if row[0] <= size)
+    def end(k: int) -> int:
+        # the last n whose d(n) a sieving pass fills in window k
+        return max(n + row[0] for row, n in live(k) if row[0] <= size)
 
-    def fill(slots: np.ndarray, lo: int, hi: int) -> None:
+    def fill(slots: np.ndarray, k: int) -> None:
+        lo = 1 + k * SEGMENT_SIZE
         if dtab is None:
-            dwin = dbuf[: end(lo, hi) - lo + 1]
+            dwin = dbuf[: end(k) - lo + 1]
             _divisor_fill(dwin, lo, lo + len(dwin) - 1, plan)
             bound = int(dwin.max())
-            # the overhang past hi that near rows read, and the last window's
-            # overhang as sieved again here; the parent compares the two
-            k = guard + 2 * ((lo - 1) // SEGMENT_SIZE)
-            slots[k] = np.sum(dwin[hi - lo + 1 :], dtype=np.uint64)
-            if lo > 1:
-                head = dwin[: end(lo - SEGMENT_SIZE, lo - 1) - lo + 1]
-                slots[k - 1] = np.sum(head, dtype=np.uint64)
+            # the overhang past the window that near rows read, and the last
+            # window's overhang as sieved again here; the parent compares
+            # the two (the last window's own overhang is compared with none)
+            slots[guard + 2 * k] = np.sum(dwin[SEGMENT_SIZE:], dtype=np.uint64)
+            if k:
+                head = dwin[: end(k - 1) - lo + 1]
+                slots[guard + 2 * k - 1] = np.sum(head, dtype=np.uint64)
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
-        for (w, factors, _, starts, first), n in live(lo, hi):
+        for (w, factors, _, starts, first), n in live(k):
             m = n - lo + 1
             terms, b = dwin[:m], bound
             if dtab is None and w > size:
@@ -708,15 +724,15 @@ def stream_pair_sums(
             step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
             i, j = np.searchsorted(starts, (lo, n + 1))
             cuts = (starts[i:j] - lo).tolist() + [m]
-            for k, (a, z) in enumerate(zip(cuts, cuts[1:]), first + i):
+            for at, (a, z) in enumerate(zip(cuts, cuts[1:]), first + i):
                 edges = np.arange(0, z - a, step)
                 blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
-                slots[k] = np.sum(blocks, dtype=np.uint64)
+                slots[at] = np.sum(blocks, dtype=np.uint64)
 
-    slots = fan_out(slot, np.uint64, bounds, fill)
-    for k, (lo, hi) in enumerate(bounds[:-1] if dtab is None else []):
+    slots = fan_out(slot, np.uint64, wins, fill)
+    for k in range(wins - 1 if dtab is None else 0):
         over, again = slots[guard + 2 * k : guard + 2 * k + 2].tolist()
-        _check_d_sum(over, end(lo, hi), hi, again)
+        _check_d_sum(over, end(k), (k + 1) * SEGMENT_SIZE, again)
     sums = {}
     for ((w, product), s), (_, _, _, starts, first) in zip(sorted(marks.items()), rows):
         prefix = list(accumulate(slots[first : first + len(starts)].tolist()))

@@ -35,6 +35,32 @@ def divisor_window_strided(lo: int, hi: int) -> np.ndarray:
     return seg
 
 
+def divisor_window_trial(lo: int, hi: int) -> np.ndarray:
+    """d(n) for n in [lo, hi], 1 <= lo, hi < 2^63, as uint32, by trial
+    division: the primes <= sqrt(hi) come from a plain numpy sieve, each n
+    is tested against all of them in one vector operation, and each prime
+    that divides it is divided out to its exponent; a cofactor left above
+    1 is one more prime.  Meant for short windows at any height."""
+    r = math.isqrt(hi)
+    sieve = np.ones(r + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(r) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.nonzero(sieve)[0].astype(np.int64)
+    out = np.empty(hi - lo + 1, dtype=np.uint32)
+    for n in range(lo, hi + 1):
+        count, rest = 1, n
+        for p in primes[n % primes == 0].tolist():
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            count *= e + 1
+        out[n - lo] = count * (2 if rest > 1 else 1)
+    return out
+
+
 def divisors_naive(n: int) -> list[int]:
     small = []
     large = []

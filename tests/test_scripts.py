@@ -71,6 +71,35 @@ def test_kernel_timing_prints_every_shape():
         assert all(ns > 0 for ns in row.values())
 
 
+def test_residual_scaling_block_maxima():
+    # 64 x per decade from 1e4 to 1e5, both ends included, for each shift;
+    # every block maximum on stderr is the largest |residual| / x^theta of
+    # the CSV rows whose x lies in that dyadic block
+    proc = _run("residual_scaling.py", "--decades", "2", "--v", "1,2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 2 * 65
+    xs = [int(r["x"]) for r in rows]
+    assert xs[:65] == xs[65:] and xs[0] == 10_000 and xs[64] == 100_000
+    assert all(a < b for a, b in zip(xs, xs[1:65]))
+    want = {}
+    for r in rows:
+        x, residual = int(r["x"]), abs(float(r["residual"]))
+        key = (r["v"], f"2^{x.bit_length() - 1}")
+        scaled = (residual / x**0.5, residual / x ** (2 / 3 + 0.05))
+        want[key] = tuple(map(max, want.get(key, scaled), scaled))
+    report = proc.stderr.splitlines()
+    assert report[0] == "v,block,max_E_over_x^(1/2),max_E_over_x^(2/3+0.05)"
+    got = {}
+    for line in report[1:]:
+        v, block, half, proven = line.split(",")
+        got[v, block] = (float(half), float(proven))
+    assert list(got) == [(v, f"2^{k}") for v in "12" for k in range(13, 17)]
+    assert got == want
+
+
 def test_bad_list_is_a_usage_error():
     # the script parses --v with the CLI's parser, so it fails the same way
     proc = _run("residual_scaling.py", "--v", "1,x")

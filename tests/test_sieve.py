@@ -17,6 +17,7 @@ from divcorr.cli import main
 from oracles import (
     d_naive,
     divisor_window_strided,
+    divisor_window_trial,
     mobius_naive,
     prime_exponents_naive,
     shifted_product_divisor_count,
@@ -104,6 +105,20 @@ class TestDivisorFill:
         assert seg.tobytes() == divisor_window_strided(lo, hi).tobytes()
         for n in (lo, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 32) + 15, hi):
             assert seg[n - lo] == d_naive(n), n
+
+    @pytest.mark.parametrize("hi", [1 << 40, 10**13])
+    def test_matches_trial_division_at_height(self, hi):
+        # far above the strided oracle's reach: 256 entries ending at hi
+        lo = hi - 255
+        assert _fill(lo, hi).tobytes() == divisor_window_trial(lo, hi).tobytes()
+
+    def test_trial_oracle_agrees_with_the_naive_count(self):
+        want = [d_naive(n) for n in range(1, 3001)]
+        assert divisor_window_trial(1, 3000).tolist() == want
+        lo, hi = (1 << 32) - 20, (1 << 32) + 20
+        assert divisor_window_trial(lo, hi).tolist() == [
+            d_naive(n) for n in range(lo, hi + 1)
+        ]
 
     def test_every_start_to_300_around_the_wheel_period(self):
         # windows shorter than the 75600 wheel slice its pattern, the others
@@ -1056,19 +1071,66 @@ class TestWorkerFailure:
         assert capsys.readouterr().out == ""
 
     def test_children_reaped_when_parent_windows_raise(self, monkeypatch):
-        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         parent = os.getpid()
 
-        def fill(table, lo, hi):
+        def fill(out, k):
             if os.getpid() == parent:
-                raise KeyError("parent window")
-            table[lo : hi + 1] = 1
+                raise KeyError("parent task")
+            out[k] = 1
 
         with pytest.raises(KeyError):
-            dc.fanout.fan_out(
-                20_001, np.uint32, list(dc.sieve.windows(0, 20_000)), fill
-            )
+            dc.fanout.fan_out(20, np.uint32, 20, fill)
+        _assert_no_child_left()
+
+
+class TestFanOutTasks:
+    def test_three_workers(self, monkeypatch):
+        # three mocked CPUs: the caller runs the tasks 0, 3, 6 and 9, and two
+        # forked children the others; every task counts its own run and
+        # notes whether the caller ran it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forks = _count_forks(monkeypatch)
+        caller = os.getpid()
+
+        def count(out, k):
+            out[2 * k] += 1
+            out[2 * k + 1] = os.getpid() == caller
+
+        out = dc.fanout.fan_out(20, np.int64, 10, count)
+        assert out[::2].tolist() == [1] * 10
+        assert out[1::2].tolist() == [k % 3 == 0 for k in range(10)]
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+        # the child of rank 1 runs 1, 4 and 7 and raises at 4; the caller
+        # runs its own share, then reruns the child's tasks, and the fault
+        # raises there with its own class
+        ran = []  # the tasks run in the caller
+
+        def faulty(out, k):
+            ran.append(k)
+            if k == 4:
+                raise ZeroDivisionError("task 4")
+
+        with pytest.raises(ZeroDivisionError, match="^task 4$"):
+            dc.fanout.fan_out(10, np.int64, 10, faulty)
+        assert ran == [0, 3, 6, 9, 1, 4]
+        assert len(forks) == 4
+        _assert_no_child_left()
+
+        # a fan_out called inside a task runs in that task's worker
+        def nested(out, k):
+            def inner(part, j):
+                part[j] = k + j
+
+            before = len(forks)
+            total = dc.fanout.fan_out(4, np.int64, 4, inner).sum()
+            out[2 * k : 2 * k + 2] = len(forks) - before, total
+
+        out = dc.fanout.fan_out(6, np.int64, 3, nested)
+        assert out.tolist() == [0, 6, 0, 10, 0, 14]
+        assert len(forks) == 6
         _assert_no_child_left()
 
 
@@ -1085,22 +1147,22 @@ class TestNestedFanOut:
         want = dc.build_divisor_table(20_000).values.tobytes()
         assert len(forks) == 1
 
-        def fill(out, i, _):
+        def fill(out, i):
             before = len(forks)
             same = dc.build_divisor_table(20_000).values.tobytes() == want
             out[2 * i : 2 * i + 2] = len(forks) - before, same
 
-        out = dc.fanout.fan_out(8, np.int64, [(i, i) for i in range(4)], fill)
+        out = dc.fanout.fan_out(8, np.int64, 4, fill)
         assert out.tolist() == [0, 1] * 4
         assert len(forks) == 2  # the outer call's one child
         _assert_no_child_left()
 
         # the caller is no worker once the call is over, raised or not
-        def raising(out, i, _):
-            raise KeyError("outer window")
+        def raising(out, i):
+            raise KeyError("outer task")
 
         with pytest.raises(KeyError):
-            dc.fanout.fan_out(2, np.int64, [(0, 0), (1, 1)], raising)
+            dc.fanout.fan_out(2, np.int64, 2, raising)
         assert len(forks) == 3
         assert dc.build_divisor_table(20_000).values.tobytes() == want
         assert len(forks) == 4
@@ -1130,6 +1192,41 @@ class TestMemoryCap:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, peak
+
+    def test_stream_charges_its_cells_before_building_their_sets(self, monkeypatch):
+        # 100,000 cells of one row: their sets and sums would take about
+        # 30 MB of Python objects; the charge comes first, and before it the
+        # pass holds the list of the cells, 8 B each
+        cells = [(y, 1) for y in range(1, 100_001)]
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(32 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(dc.ResourceError):
+                dc.stream_pair_sums(cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+
+    def test_stream_many_cells_within_charge(self, monkeypatch):
+        # windows of 64, a cell every 16 n, one worker: the sets of the
+        # cells and the sums grow with the cells, and the charge with them
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        charged = []
+        charge = dc.sieve.charge
+        monkeypatch.setattr(dc.sieve, "charge", lambda n: charged.append(n) or charge(n))
+        peaks = []
+        for top in (16_000, 64_000):
+            cells = [(y, 1) for y in range(16, top + 1, 16)]
+            tracemalloc.start()
+            try:
+                dc.stream_pair_sums(cells)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert all(p <= c for p, c in zip(peaks, charged)), (peaks, charged)
+        assert peaks[1] - peaks[0] <= charged[1] - charged[0], (peaks, charged)
 
     @pytest.mark.parametrize(
         "shifts, ys",
