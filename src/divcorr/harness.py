@@ -175,7 +175,10 @@ def run_verify(
     When xmax/vmax are None each suite uses its own full verification bounds
     (lemma1: x <= 1e4, v <= 50; lemma2: n <= 1e4, v <= 100; genrec:
     a, b <= 200; sigma_lambda and binomial: v <= 200; coeff_consistency:
-    v <= 100); a given bound below 1 raises ContractError.
+    v <= 100); a given bound below 1 raises ContractError.  A suite keeps
+    a row only while a later check reads it, and only the prefix that
+    check reads, and charges what it holds against the memory cap before
+    building anything (ResourceError).
 
     The suites run on every usable CPU, round-robin in the order given, as
     the tasks of fan_out, suite i as task i: each worker writes the checks
@@ -268,44 +271,65 @@ def _within(v: int, lhs: float, rhs: float, tol: float) -> _Outcome:
 
 @_tally
 def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
-    # both transform directions, checked for every x <= xmax and v <= vmax
-    charge(2 * vmax * (xmax + 1) * 8)
+    # both transform directions, checked for every x <= xmax and v <= vmax.
+    # The pair and product prefix sums of shift v, one int64 row each, are
+    # formed at v and kept, cut to the entries idx // e (e >= 2) reads,
+    # only while a multiple of v is left.  Charged: 8 B per entry of the
+    # table's length for ten rows (idx, the two of shift v, the table and
+    # its int64 copy, the temporaries of lattice_sum and _compare) and for
+    # each shift w with 2w <= vmax, whose two rows are cut to half
+    charge(8 * (10 + vmax // 2) * (xmax + vmax + 1))
     dtab = build_divisor_table(xmax + vmax)
     d = dtab.values.astype(np.int64)
     idx = np.arange(0, xmax + 1)
-    dd_cum: dict[int, np.ndarray] = {}
-    poly_cum: dict[int, np.ndarray] = {}
-    for v in range(1, vmax + 1):
-        pair = d[1 : xmax + 1] * d[1 + v : xmax + v + 1]
-        dd_cum[v] = np.concatenate(([0], np.cumsum(pair, dtype=np.int64)))
-        poly_cum[v] = np.cumsum(
-            shifted_product_values(dtab, xmax, v), dtype=np.int64
-        )
+    rows: dict[int, np.ndarray] = {}  # shift -> its pair and product rows
     g = divisor_count_spec().companion_g
+
+    def rhs(form: int, inverse: bool) -> np.ndarray:
+        return lattice_sum(v, g, inverse, lambda e: rows[v // e][form][idx // e])[1:]
+
     for v in range(1, vmax + 1):
-        rhs_dd = lattice_sum(v, g, False, lambda e: poly_cum[v // e][idx // e])
-        rhs_poly = lattice_sum(v, g, True, lambda e: dd_cum[v // e][idx // e])
-        yield _compare(dd_cum[v][1:], rhs_dd[1:], f"pair form v={v}, x=")
-        yield _compare(poly_cum[v][1:], rhs_poly[1:], f"product form v={v}, x=")
+        rows[v] = np.zeros((2, xmax + 1), dtype=np.int64)
+        np.cumsum(d[1 : xmax + 1] * d[1 + v : xmax + v + 1], out=rows[v][0, 1:])
+        rows[v][1] = np.cumsum(shifted_product_values(dtab, xmax, v), dtype=np.int64)
+        yield _compare(rows[v][0, 1:], rhs(1, False), f"pair form v={v}, x=")
+        yield _compare(rows[v][1, 1:], rhs(0, True), f"product form v={v}, x=")
+        _cut_rows(rows, v, vmax, xmax // 2 + 1)
+
+
+def _cut_rows(rows: dict[int, np.ndarray], v: int, vmax: int, keep: int) -> None:
+    """Once shift v is checked, drop every row whose shift has no multiple
+    left in (v, vmax], and cut the rows of v to their first keep entries,
+    the prefix that a later shift reads at indices n // e, e >= 2."""
+    for w in [w for w in rows if (v // w + 1) * w > vmax]:
+        del rows[w]
+    if v in rows:
+        rows[v] = rows[v][..., :keep].copy()
 
 
 @_tally
 def _suite_lemma2(nmax: int, vmax: int) -> Iterator[_Outcome]:
     # pointwise d(n) d(n+v) == sum_{e | gcd(n,v)} d(n(n+v)/e^2); the inner
-    # term at n = e m equals the shifted-product value at (m, v/e)
-    charge(vmax * (nmax + 1) * 8)
+    # term at n = e m equals the shifted-product value at (m, v/e).  The
+    # uint32 row of shift v is formed at v and kept as lemma1 keeps its
+    # rows.  Charged: 44 B per entry of the table's length for the table,
+    # its int64 copy, the int64 lhs and rhs, the row of shift v, the mask
+    # of _compare and the window work of shifted_product_values (33 B
+    # traced from n = 1e5 on), and 2 B for each shift w with 2w <= vmax,
+    # whose row is cut to half
+    charge((44 + 2 * (vmax // 2)) * (nmax + vmax + 1))
     dtab = build_divisor_table(nmax + vmax)
     d = dtab.values.astype(np.int64)
-    spt = {
-        w: shifted_product_values(dtab, nmax, w).astype(np.int64)
-        for w in range(1, vmax + 1)
-    }
+    spt: dict[int, np.ndarray] = {}
+    lhs, rhs = np.empty((2, nmax + 1), dtype=np.int64)
     for v in range(1, vmax + 1):
-        lhs = d[1 : nmax + 1] * d[1 + v : nmax + v + 1]
-        rhs = np.zeros(nmax + 1, dtype=np.int64)
+        spt[v] = shifted_product_values(dtab, nmax, v)
+        np.multiply(d[1 : nmax + 1], d[1 + v : nmax + v + 1], out=lhs[1:])
+        rhs[:] = 0
         for e in divisors(trial_factorize(v)):
             rhs[e :: e] += spt[v // e][1 : nmax // e + 1]
-        yield _compare(lhs, rhs[1:], f"v={v}, n=")
+        yield _compare(lhs[1:], rhs[1:], f"v={v}, n=")
+        _cut_rows(spt, v, vmax, nmax // 2 + 1)
 
 
 @_tally
@@ -339,21 +363,22 @@ def _suite_induction(pmax: int, alpha_max: int) -> Iterator[_Outcome]:
 def _suite_genrec(amax: int) -> Iterator[_Outcome]:
     # gcd-weighted convolution identity f(a) f(b) == sum g(e) f(ab/e^2) for
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
-    # on pairs with ab inside the tau table; the tau table, the f-table in
-    # use and the next one being built are charged before anything is built
+    # on pairs with ab inside the tau table.  One f-table is alive at a
+    # time, and the tau table is built for its own spec, after the sigma
+    # tables are gone, so the larger phase is charged before anything is
+    # built: an f-table over amax^2, or the tau table and its f-table
     tau_limit = min(10_000, amax * amax)
-    charge(
-        2 * MULT_ENTRY_BYTES * (amax * amax + 1) + _TAU_ENTRY_BYTES * (tau_limit + 1)
-    )
-    tau = ramanujan_tau_table(tau_limit)
+    tau_phase = (MULT_ENTRY_BYTES + _TAU_ENTRY_BYTES) * (tau_limit + 1)
+    charge(max(MULT_ENTRY_BYTES * (amax * amax + 1), tau_phase))
     gcd_divisors = {g: divisors(trial_factorize(g)) for g in range(1, amax + 1)}
     specs = [
-        (divisor_count_spec(), amax * amax),
-        (sigma_spec(1), amax * amax),
-        (sigma_spec(2), amax * amax),
-        (tau_spec(tau), tau_limit),
+        (divisor_count_spec, amax * amax),
+        (lambda: sigma_spec(1), amax * amax),
+        (lambda: sigma_spec(2), amax * amax),
+        (lambda: tau_spec(ramanujan_tau_table(tau_limit)), tau_limit),
     ]
-    for spec, prod_limit in specs:
+    for make, prod_limit in specs:
+        spec = make()
         fval = build_mult_table(spec, prod_limit).tolist()
         gval = {
             e: completely_mult_value(spec.companion_g, e)
@@ -371,6 +396,7 @@ def _suite_genrec(amax: int) -> Iterator[_Outcome]:
                 if lhs != rhs:
                     bad.append(f"{spec.name} a={a} b={b}: {lhs} != {rhs}")
             yield len(bs), len(bad), bad[0] if bad else None
+        del fval
 
 
 @_tally

@@ -566,7 +566,7 @@ def _check_d_sum(value: int, y: int, after: int = 0, want: int | None = None) ->
     sieved those d(n), or else by the hyperbola identity."""
     how = "by the hyperbola identity" if want is None else "as sieved again"
     if want is None:
-        want = _divisor_summatory(y) - _divisor_summatory(after)
+        want = _divisor_summatory(y) - (after and _divisor_summatory(after))
     if value != want:
         raise RuntimeError(
             f"divisor sieve self-test failed at y={y}: sum of d(n) over "
@@ -608,9 +608,11 @@ def stream_pair_sums(
 
     A sieving pass also sums d(n) up to every y, and up to the top y + w of
     any near cell, which the last window sieves to, and sums each far piece;
-    it checks each sum against the hyperbola identity
-    sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y), a
-    piece (a, y] as the difference of two.  A window but the last is
+    it checks against the hyperbola identity
+    sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y),
+    the sum up to the first y in each window and up to the top, which
+    spans every sieved d(n) of the d row, and each far piece (a, y] as the
+    difference of two.  A window but the last is
     sieved past its end, to the last n + w a near row reads there; the
     next window sieves that overhang again, and the pass compares the two
     sums of it, one slot each.  So no sieved d(n) goes unchecked, and a
@@ -734,16 +736,16 @@ def stream_pair_sums(
         over, again = slots[guard + 2 * k : guard + 2 * k + 2].tolist()
         _check_d_sum(over, end(k), (k + 1) * SEGMENT_SIZE, again)
     sums = {}
+    checked = -1  # the window of the d row's last check
     for ((w, product), s), (_, _, _, starts, first) in zip(sorted(marks.items()), rows):
         prefix = list(accumulate(slots[first : first + len(starts)].tolist()))
         for y in sorted(s):
             value = prefix[int(np.searchsorted(starts, y, "right")) - 1]
-            if not w:
+            if w:
+                sums[(y, w, True) if product else (y, w)] = value
+            elif (y - 1) // SEGMENT_SIZE > checked or y == lasts[0, False]:
+                checked = (y - 1) // SEGMENT_SIZE
                 _check_d_sum(value, y)
-            elif product:
-                sums[y, w, True] = value
-            else:
-                sums[y, w] = value
     return sums
 
 

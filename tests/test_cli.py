@@ -185,8 +185,8 @@ def test_sum_dpoly_needs_no_output_array(capsys, monkeypatch):
 
 
 def test_constants_memory_cap_exit_code(capsys, monkeypatch):
-    # one chunk of 2^16 head terms is charged 3.1 MB
-    monkeypatch.setenv("DIVCORR_MEMCAP", "3000000")
+    # a cap one byte below the charge of one chunk of head terms
+    monkeypatch.setenv("DIVCORR_MEMCAP", str(constants._ZETA_CHUNK_BYTES - 1))
     constants.compute_zeta_constants.cache_clear()  # a cached call allocates nothing
     assert main(["constants"]) == 3
     err = capsys.readouterr().err

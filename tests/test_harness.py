@@ -229,12 +229,13 @@ class TestRunVerify:
 
     @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
     def test_suite_arrays_charged_before_allocation(self, monkeypatch, suite):
-        # default vmax at xmax = 1e6 asks for 800 MB of int64 arrays
+        # at the default vmax, lemma1 at xmax = 1e6 is charged 280 MB and
+        # lemma2 at xmax = 1e7 1.4 GB
         monkeypatch.setenv("DIVCORR_MEMCAP", str(200 << 20))
         tracemalloc.start()
         try:
             with pytest.raises(dc.ResourceError):
-                dc.run_verify([suite], xmax=10**6)
+                dc.run_verify([suite], xmax={"lemma1": 10**6, "lemma2": 10**7}[suite])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -253,22 +254,68 @@ class TestRunVerify:
         assert peak < 1 << 20  # refused before any f-table
 
     def test_genrec_peak_within_charge(self, monkeypatch):
-        charged = []
-        charge = dc.harness.charge
+        # the tau phase is the larger at vmax = 100, one sigma table over
+        # 40001 entries at 200, where two tables alive at once would pass it
+        for vmax in (100, 200):
+            peak, charged = _traced_run(monkeypatch, "genrec", vmax=vmax)
+            assert peak <= charged, (vmax, peak, charged)
 
-        def record(nbytes):
-            charged.append(nbytes)
-            charge(nbytes)
+    def test_lemma1_peak_within_charge(self, monkeypatch):
+        _peaks_within_charge(monkeypatch, "lemma1", 50)
 
-        monkeypatch.setattr(dc.harness, "charge", record)
-        tracemalloc.start()
-        try:
-            report = dc.run_verify(["genrec"], vmax=100)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert all(s.passed for s in report)
-        assert peak <= sum(charged), (peak, charged)
+    def test_lemma2_peak_within_charge(self, monkeypatch):
+        _peaks_within_charge(monkeypatch, "lemma2", 100)
+
+    def test_lemma1_charge_reaches_twice_as_far(self, monkeypatch):
+        # at vmax = 50, a charge for every prefix row, 800 B per x, stopped
+        # lemma1 at xmax = 2,684,353 under the default 2 GiB cap; the rows
+        # it keeps admit twice that, and 1e7 is still refused
+        monkeypatch.delenv("DIVCORR_MEMCAP", raising=False)
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(limit):
+            raise Admitted
+
+        monkeypatch.setattr(dc.harness, "build_divisor_table", admitted)
+        with pytest.raises(Admitted):
+            dc.run_verify(["lemma1"], xmax=2 * 2_684_353, vmax=50)
+        with pytest.raises(dc.ResourceError):
+            dc.run_verify(["lemma1"], xmax=10**7, vmax=50)
+
+
+def _traced_run(monkeypatch, suite, **bounds):
+    """(tracemalloc peak, bytes the harness charged) of one passing run of
+    a suite, in this process."""
+    charged = []
+    charge = dc.harness.charge
+
+    def record(nbytes):
+        charged.append(nbytes)
+        charge(nbytes)
+
+    monkeypatch.setattr(dc.harness, "charge", record)
+    tracemalloc.start()
+    try:
+        report = dc.run_verify([suite], **bounds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        monkeypatch.setattr(dc.harness, "charge", charge)
+    assert all(s.passed for s in report)
+    return peak, sum(charged)
+
+
+def _peaks_within_charge(monkeypatch, suite, vmax):
+    # the peak within the charge at xmax = 2e4 and 4e4, and its growth
+    # within the charge's growth
+    (low, low_charge), (high, high_charge) = (
+        _traced_run(monkeypatch, suite, xmax=xmax, vmax=vmax)
+        for xmax in (20_000, 40_000)
+    )
+    assert low <= low_charge and high <= high_charge, (low, high)
+    assert high - low <= high_charge - low_charge, (low, high)
 
 
 def _plant(suite):

@@ -859,6 +859,23 @@ class TestStreamedPairSums:
             dc.stream_pair_sums([(y, w)])
         _assert_no_child_left()
 
+    def test_d_row_checked_once_per_window(self, monkeypatch):
+        # a cell every 16 n over 64 windows of 1009: the d row is checked by
+        # the hyperbola at its first y in each window and at its top, not
+        # at each of its 4037 ys, and the sums still match the table's
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        calls = []
+        hyperbola = dc.sieve._divisor_summatory
+        monkeypatch.setattr(
+            dc.sieve, "_divisor_summatory", lambda y: calls.append(y) or hyperbola(y)
+        )
+        cells = [(y, 1) for y in range(16, 64_577, 16)]
+        sums = dc.stream_pair_sums(cells)
+        wins = -(-64_576 // 1009)
+        assert wins == 64 and len(calls) <= wins + 1, len(calls)
+        assert sums == dc.stream_pair_sums(cells, dc.build_divisor_table(64_577))
+
     @pytest.mark.parametrize(
         "cpus, cells, fill_lo, n, y",
         [
