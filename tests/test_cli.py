@@ -120,9 +120,10 @@ def test_compare_needs_no_divisor_table_memory(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 4000])
 def test_compare_dropped_divisor_raises(capsys, monkeypatch, n):
-    # the streamed pass checks sum d(n) at every x against the hyperbola
-    # identity; n = 4000 lies in the fourth window of 1009, which a child
-    # fills, and the first x past it is 10000
+    # the streamed pass checks sum d(n) against the hyperbola identity at
+    # the first x in each window and at its top; n = 4000 lies in the fourth
+    # window of 1009, which a child fills, and the first x past it, 10000,
+    # is the first in the tenth window
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fill = sieve._divisor_fill
@@ -262,6 +263,30 @@ def test_constants_json(capsys):
     assert main(["constants", "--v", "12", "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "d4ee3e99a825b1e731e5e8a1f5d5266896c7461e0e6040f5e9977983de0b513c"
+
+
+GRID = ["--x", "10000,100000,1000000,10000000,30000000", "--v", "1,2,3,4,6,12"]
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["verify"], "881b42cc0479f9443128199484dc0ab9ee2b540994cf72b90d4e478b522aec86"),
+        (
+            ["compare", "--kind", "dpoly", *GRID],
+            "a1ec17d20a48cd694276481f7afa36839b9bae8d40c8ceeced2e8b2cfc755ae9",
+        ),
+        (
+            ["compare", "--kind", "dd", *GRID],
+            "2e8601af00fe6106c05f24ef7c7e7db5e5f10cc577892534bfbbeb4acb81f0ba",
+        ),
+    ],
+    ids=["verify", "compare dpoly", "compare dd"],
+)
+def test_output_digests(capsys, argv, want):
+    # the stdout of verify and of the residual grid to 3e7, byte for byte
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize(

@@ -958,13 +958,15 @@ class TestStreamedPairSums:
             dc.stream_pair_sums([(1000, 5000)])
         assert checked == guards
 
-    def test_table_pass_matches_oracles(self, monkeypatch):
-        # one pass over a d-table in windows of 256 on two workers: pair and
-        # product cells together, y = 0, y on and beside window edges, a
-        # shift wider than a window and repeated cells, against brute force
+    @pytest.mark.parametrize("table", [True, False], ids=["table", "sieved"])
+    def test_table_pass_matches_oracles(self, monkeypatch, table):
+        # one pass, over a d-table or sieving its windows, in windows of 256
+        # on two workers: pair and product cells together, y = 0, y on and
+        # beside window edges, a shift wider than a window (a far piece of
+        # its own when sieving) and repeated cells, against brute force
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        dtab = dc.build_divisor_table(1000)
+        dtab = dc.build_divisor_table(1000) if table else None
         forks = _count_forks(monkeypatch)
         cells = [
             (y, w, *shape)
@@ -978,6 +980,8 @@ class TestStreamedPairSums:
         assert sums == {
             (y, w, *shape): naive[tuple(shape)](y, w) for y, w, *shape in cells if y
         }
+        if not table:
+            return
         # 700 + 301 lies past the table: refused before anything is forked
         def no_fork():
             raise AssertionError("a refused pass forked")
@@ -985,6 +989,31 @@ class TestStreamedPairSums:
         monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(dc.RangeError, match="divisor table limit 1000 < 1001"):
             dc.stream_pair_sums([(700, 1), (700, 301, True)], dtab)
+
+    @given(
+        segment_size=st.integers(min_value=16, max_value=100),
+        window=st.integers(min_value=0, max_value=3),
+        offsets=st.lists(st.integers(min_value=0, max_value=99), min_size=2, max_size=4),
+        rows=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=300), st.booleans()),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_several_ys_in_one_window_match_oracles(
+        self, segment_size, window, offsets, rows
+    ):
+        # a sieving pass with several cells in one window, of pair and
+        # product form, near and far shifts, against brute force
+        ys = {window * segment_size + 1 + i % segment_size for i in offsets}
+        cells = [(y, w, True) if product else (y, w) for y in ys for w, product in rows]
+        with mock.patch.object(dc.sieve, "SEGMENT_SIZE", segment_size):
+            sums = dc.stream_pair_sums(cells)
+        naive = {False: sum_dd_naive, True: sum_dpoly_naive}
+        assert sums == {
+            cell: naive[len(cell) == 3](*cell[:2]) for cell in cells
+        }
 
     def test_keeps_no_d_table(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
