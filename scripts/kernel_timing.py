@@ -4,8 +4,11 @@
 For each x, the best of --repeat wall times, in ns per element, of
 build_divisor_table(x + 60) and of shifted_product_values over that table
 for one shift of each factorisation shape: 1, p, p2, pq, p2q and p2qr
-(v = 1, 2, 4, 6, 12, 60).  The table build runs on all usable CPUs;
-shifted_product_values runs in this process.
+(v = 1, 2, 4, 6, 12, 60).  Then two sieving passes of stream_pair_sums
+with no table: stream_pair_sums.one_cell, the one cell (x, 1), in ns per
+n <= x; and stream_pair_sums.per_cell, a cell (y, 1) at every 16th y down
+from x, in ns per cell.  The table build and the passes run on all usable
+CPUs; shifted_product_values runs in this process.
 
     python scripts/kernel_timing.py --x 1000000,10000000 --repeat 25
 """
@@ -45,8 +48,16 @@ def main(argv=None) -> int:
             row[f"shifted_product_values.{shape}"] = best_ns(
                 lambda: dc.shifted_product_values(dtab, x, v), x, args.repeat
             )
+        row["stream_pair_sums.one_cell"] = best_ns(
+            lambda: dc.stream_pair_sums([(x, 1)]), x, args.repeat
+        )
+        cells = [(y, 1) for y in range(x, 0, -16)]
+        row["stream_pair_sums.per_cell"] = best_ns(
+            lambda: dc.stream_pair_sums(cells), len(cells), args.repeat
+        )
         report[str(x)] = row
-    print(json.dumps({"unit": "ns per element", "repeat": args.repeat, "x": report}))
+    unit = "ns per element, per cell for stream_pair_sums.per_cell"
+    print(json.dumps({"unit": unit, "repeat": args.repeat, "x": report}))
     return 0
 
 

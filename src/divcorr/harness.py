@@ -273,24 +273,30 @@ def _within(v: int, lhs: float, rhs: float, tol: float) -> _Outcome:
 def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
     # both transform directions, checked for every x <= xmax and v <= vmax.
     # The pair and product prefix sums of shift v, one int64 row each, are
-    # formed at v and kept, cut to the entries idx // e (e >= 2) reads,
-    # only while a multiple of v is left.  Charged: 8 B per entry of the
-    # table's length for ten rows (idx, the two of shift v, the table and
-    # its int64 copy, the temporaries of lattice_sum and _compare) and for
+    # formed at v and kept, cut to the entries n // e (e >= 2) reads, only
+    # while a multiple of v is left.  Charged: 8 B per entry of the table's
+    # length for six rows (the two of shift v, the uint32 table, the
+    # temporaries of lattice_sum and _compare; 44 B traced in all) and for
     # each shift w with 2w <= vmax, whose two rows are cut to half
-    charge(8 * (10 + vmax // 2) * (xmax + vmax + 1))
+    charge(8 * (6 + vmax // 2) * (xmax + vmax + 1))
     dtab = build_divisor_table(xmax + vmax)
-    d = dtab.values.astype(np.int64)
-    idx = np.arange(0, xmax + 1)
+    d = dtab.values
     rows: dict[int, np.ndarray] = {}  # shift -> its pair and product rows
     g = divisor_count_spec().companion_g
 
+    def at(e: int, form: int) -> np.ndarray:
+        # the row of shift v / e at n // e for every n <= xmax: its first
+        # xmax // e + 1 entries, each repeated e times
+        return np.repeat(rows[v // e][form][: xmax // e + 1], e)[: xmax + 1]
+
     def rhs(form: int, inverse: bool) -> np.ndarray:
-        return lattice_sum(v, g, inverse, lambda e: rows[v // e][form][idx // e])[1:]
+        return lattice_sum(v, g, inverse, lambda e: at(e, form))[1:]
 
     for v in range(1, vmax + 1):
         rows[v] = np.zeros((2, xmax + 1), dtype=np.int64)
-        np.cumsum(d[1 : xmax + 1] * d[1 + v : xmax + v + 1], out=rows[v][0, 1:])
+        pair = rows[v][0, 1:]
+        np.multiply(d[1 : xmax + 1], d[1 + v : xmax + v + 1], pair, dtype=np.int64)
+        np.cumsum(pair, out=pair)
         rows[v][1] = np.cumsum(shifted_product_values(dtab, xmax, v), dtype=np.int64)
         yield _compare(rows[v][0, 1:], rhs(1, False), f"pair form v={v}, x=")
         yield _compare(rows[v][1, 1:], rhs(0, True), f"product form v={v}, x=")
@@ -312,19 +318,19 @@ def _suite_lemma2(nmax: int, vmax: int) -> Iterator[_Outcome]:
     # pointwise d(n) d(n+v) == sum_{e | gcd(n,v)} d(n(n+v)/e^2); the inner
     # term at n = e m equals the shifted-product value at (m, v/e).  The
     # uint32 row of shift v is formed at v and kept as lemma1 keeps its
-    # rows.  Charged: 44 B per entry of the table's length for the table,
-    # its int64 copy, the int64 lhs and rhs, the row of shift v, the mask
-    # of _compare and the window work of shifted_product_values (33 B
-    # traced from n = 1e5 on), and 2 B for each shift w with 2w <= vmax,
-    # whose row is cut to half
-    charge((44 + 2 * (vmax // 2)) * (nmax + vmax + 1))
+    # rows.  Charged: 34 B per entry of the table's length for the uint32
+    # table, the int64 lhs and rhs, the row of shift v, the mask of _compare
+    # and the window work of shifted_product_values (31 B traced at
+    # n = 2e4), and 2 B for each shift w with 2w <= vmax, whose row is cut
+    # to half
+    charge((34 + 2 * (vmax // 2)) * (nmax + vmax + 1))
     dtab = build_divisor_table(nmax + vmax)
-    d = dtab.values.astype(np.int64)
+    d = dtab.values
     spt: dict[int, np.ndarray] = {}
     lhs, rhs = np.empty((2, nmax + 1), dtype=np.int64)
     for v in range(1, vmax + 1):
         spt[v] = shifted_product_values(dtab, nmax, v)
-        np.multiply(d[1 : nmax + 1], d[1 + v : nmax + v + 1], out=lhs[1:])
+        np.multiply(d[1 : nmax + 1], d[1 + v : nmax + v + 1], lhs[1:], dtype=np.int64)
         rhs[:] = 0
         for e in divisors(trial_factorize(v)):
             rhs[e :: e] += spt[v // e][1 : nmax // e + 1]

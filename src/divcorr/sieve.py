@@ -82,17 +82,18 @@ _OMEGA = 1 << 16  # one prime in the divisor fill's packed word
 _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 _PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
 _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
-# bytes charged by stream_pair_sums besides 16 B per slot: per window, for
-# the Python cut set and prefix sums of its longest row, which has a segment
-# per window; per cell, for its ys in the sets of its row and of the d row,
-# their cuts and its sum; per row, for the row's own objects.  tracemalloc
-# peaks of whole passes in windows of 64, one worker, grow by 229 B per
-# window for one cell and 406 B for twelve (six shifts in both forms),
-# against 291 and 467 B charged; by at most 353 B per cell of one row or of
-# twelve; and by at most 1135 B per row, one cell each over 20 windows,
-# against 1473 B charged
-_SEGMENT_BYTES = 224
-_CELL_BYTES = 512
+# bytes charged by stream_pair_sums besides 8 B per slot of its shared
+# array: per window, for its five d slots and the Python prefix sums of the
+# longest row, which has a slot per window (the list of its slots, its
+# prefix sums and, while they are built, the last row's); per cell, for its
+# y in the lists and the array of its row, its prefix sum and its sum; per
+# row, for the row's own objects.  tracemalloc peaks of whole passes in
+# windows of 64, one worker, grow by 124-126 B per window for one cell and
+# 246-255 B for twelve (six shifts in both forms), against 200 and 288 B
+# charged; by at most 230 B per cell of one row or of twelve; and by at most
+# 656 B per row, one cell each over 20 windows, against 1206 B charged
+_SEGMENT_BYTES = 192
+_CELL_BYTES = 384
 _ROW_BYTES = 640
 
 
@@ -595,35 +596,41 @@ def stream_pair_sums(
     or for a far shift the larger of that and the largest d of its piece.
 
     Each row forms its terms up to its largest y only, through
-    _pair_products in uint32, and sums them between the window's cuts: its
-    start and every y + 1 inside it.  A row's terms are below b^2, b its
-    bound, so per segment one np.add.reduceat in uint32 sums blocks of at
-    most 2^32 // (b^2 + 1) terms, with no uint64 copy of the segment, and
-    np.sum adds the blocks in uint64.  Each segment sum is one slot of a
-    shared array; window k, [1 + k S, (k + 1) S] for S = SEGMENT_SIZE, is
-    task k of fan_out, which computes its bounds and its rows from k, and
-    the parent adds each row's slots in window order as Python ints, so the
-    sums are exact and deterministic; a window that raises in a worker
-    raises here.
+    _pair_products in uint32, and keeps only its sorted ys and its first
+    slot in a shared array: in window k it has one slot per y in the window,
+    the sum of its terms from the last cut up to that y, then one for the
+    rest of the window, so the slot of ys[i] is first + i + k.  A row's
+    terms are below b^2, b its bound, so per slot one np.add.reduceat in
+    uint32 sums blocks of at most 2^32 // (b^2 + 1) terms, with no uint64
+    copy of the window, and np.sum adds the blocks in uint64.  Window k,
+    [1 + k S, (k + 1) S] for S = SEGMENT_SIZE, is task k of fan_out, which
+    computes its bounds and its rows from k, and the parent adds each row's
+    slots in window order as Python ints into one list of prefix sums and
+    reads each y's sum at its slot, so the sums are exact and
+    deterministic; a window that raises in a worker raises here.
 
-    A sieving pass also sums d(n) up to every y, and up to the top y + w of
-    any near cell, which the last window sieves to, and sums each far piece;
-    it checks against the hyperbola identity
+    A sieving window also writes five d slots: its first cell y (of any
+    row), the sum of d(n) up to it and over the rest of the window, the sum
+    over its overhang, and, from the second window on, the sum over the
+    last window's overhang as sieved again here.  A window but the last is
+    sieved past its end, to the last n + w a near row reads there, and the
+    last one to the top y + w of any near cell.  The parent keeps the
+    running sum of d(n) and checks it against the hyperbola identity
     sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y),
-    the sum up to the first y in each window and up to the top, which
-    spans every sieved d(n) of the d row, and each far piece (a, y] as the
-    difference of two.  A window but the last is
-    sieved past its end, to the last n + w a near row reads there; the
-    next window sieves that overhang again, and the pass compares the two
-    sums of it, one slot each.  So no sieved d(n) goes unchecked, and a
-    mismatch raises RuntimeError naming y, or the overhang's last n.  It
-    charges 12 B per entry of a window plus the widest near shift and the
-    fill's prime powers up to the top n + w; a pass over dtab charges the
-    table and 4 B per window entry.  Both charge the product-form correction
-    of a window (_correction_bytes) when a cell is of product form, and
-    its bookkeeping, counted from the list of the cells before any of it is
-    built: 16 B per slot, _SEGMENT_BYTES per window, _CELL_BYTES per cell
-    and _ROW_BYTES per row.  RangeError for a cell with y < 0 or w < 1.
+    at the first cell y in each window and at that top, at most wins + 1
+    times for wins windows; it compares each window's overhang with its copy
+    in the next window, window by window before that window's first y; and
+    each far piece (a, y] is checked in its window, as the difference of two
+    hyperbola sums.  So no sieved d(n) goes unchecked, and a mismatch raises
+    RuntimeError naming y, or the overhang's last n.  It charges 12 B per
+    entry of a window plus the widest near shift and the fill's prime powers
+    up to the top n + w; a pass over dtab charges the table and 4 B per
+    window entry.  Both charge the product-form correction of a window
+    (_correction_bytes) when a cell is of product form, and its bookkeeping,
+    counted from the list of the cells before any of it is built: 8 B per
+    slot of the shared array, a slot per cell and one per window of each
+    row, _SEGMENT_BYTES per window, _CELL_BYTES per cell and _ROW_BYTES per
+    row.  RangeError for a cell with y < 0 or w < 1.
     """
     cells = list(cells)
     lasts: dict[tuple[int, bool], int] = {}  # (shift, product) -> its last y
@@ -637,26 +644,22 @@ def stream_pair_sums(
     top = max(lasts.values())
     size = min(SEGMENT_SIZE, top)
     reach = max(y + w for (w, _), y in lasts.items())
-    if dtab is None:
-        near = max((w for w, _ in lasts if w <= size), default=0)
-        # the d row, shift 0: the last window sieves on to the top n + w any
-        # near shift reads, and the d row sums that far too, so no sieved
-        # d(n) goes unchecked
-        lasts[0, False] = max(y + w if w <= size else top for (w, _), y in lasts.items())
-    elif dtab.limit < reach:
+    # the last window sieves on to the top n + w any near shift reads, and
+    # the d sums run that far too, so no sieved d(n) goes unchecked
+    dtop = max(y + w if w <= size else top for (w, _), y in lasts.items())
+    if dtab is not None and dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
-    # the bookkeeping, charged before it is built: per row a segment and a
-    # slot per window, two more slots per window when sieving, 8 B per slot
-    # in the shared array and again in the starts; the cells' sets and sums
-    # and the rows' own objects
+    # the bookkeeping, charged before it is built: per row a slot per y and
+    # per window, 8 B each in the shared array; the d slots and prefix sums
+    # per window, the cells' ys and sums and the rows' own objects
     wins = -(-top // SEGMENT_SIZE)
-    slots = sum(-(-min(y, top) // SEGMENT_SIZE) for y in lasts.values())
-    slots += 2 * wins if dtab is None else 0
-    rest = 16 * slots + _SEGMENT_BYTES * wins + _CELL_BYTES * len(cells)
+    slots = len(cells) + sum(-(-y // SEGMENT_SIZE) for y in lasts.values())
+    rest = 8 * slots + _SEGMENT_BYTES * wins + _CELL_BYTES * len(cells)
     rest += _ROW_BYTES * len(lasts)
     if any(product for _, product in lasts):
         rest += _correction_bytes(size)
     if dtab is None:
+        near = max((w for w, _ in lasts if w <= size), default=0)
         # dbuf and far, 4 B per entry each; the plan
         charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
         dbuf = np.empty(size + near, dtype=np.uint32)
@@ -666,35 +669,30 @@ def stream_pair_sums(
     else:
         charge(dtab.values.nbytes + 4 * size + rest)
         pbuf = np.empty(size, dtype=np.uint32)
-    marks = {row: set() for row in lasts}  # (shift, product) -> its ys
+    marks: dict[tuple[int, bool], list] = {row: [] for row in lasts}
     for y, w, *shape in cells:
         if y:
-            marks[w, any(shape)].add(y)
-    if dtab is None:
-        marks[0, False] = set().union(*marks.values(), [lasts[0, False]])
-    # per row: its shift, the factorisation it corrects at, its last y, the
-    # starts of its segments and its first slot
-    rows = []
-    slot = 0
-    for (w, product), s in sorted(marks.items()):
-        last = max(s)
-        cuts = {lo for lo, _ in windows(1, min(last, top))} | {y + 1 for y in s}
-        starts = np.array(sorted(cuts - {last + 1}), dtype=np.int64)
+            marks[w, any(shape)].append(y)
+    # per row: its shift, its key's tail, the factorisation it corrects at,
+    # its ys and its first slot; in window k the row has a slot per y there,
+    # then one for the rest of the window, so ys[i] ends slot first + i + k
+    rows, slot = [], 0
+    for (w, product), ys in sorted(marks.items()):
+        ys = np.unique(np.array(ys, dtype=np.int64))
         factors = trial_factorize(w) if product else ()
-        rows.append((w, factors, last, starts, slot))
-        slot += len(starts)
-    guard = slot  # a sieving pass's two overhang slots per window
-    slot += 2 * wins if dtab is None else 0
+        rows.append((w, (True,) * product, factors, ys, slot))
+        slot += len(ys) + -(-int(ys[-1]) // SEGMENT_SIZE)
+    guard = slot  # five slots per window for a sieving pass's d sums
 
     def live(k: int) -> list:
-        # each row still summing in window k, with the last n it sums there:
-        # in the last window the d row's last, which may pass top
-        hi = (k + 1) * SEGMENT_SIZE if k < wins - 1 else reach
-        return [(row, min(hi, row[2])) for row in rows if row[2] > k * SEGMENT_SIZE]
+        # each row still summing in window k, with the last n it sums there
+        lo, hi = k * SEGMENT_SIZE, (k + 1) * SEGMENT_SIZE
+        return [(row, min(hi, int(row[3][-1]))) for row in rows if row[3][-1] > lo]
 
     def end(k: int) -> int:
         # the last n whose d(n) a sieving pass fills in window k
-        return max(n + row[0] for row, n in live(k) if row[0] <= size)
+        reads = [n + row[0] for row, n in live(k) if row[0] <= size]
+        return dtop if k == wins - 1 else max([(k + 1) * SEGMENT_SIZE] + reads)
 
     def fill(slots: np.ndarray, k: int) -> None:
         lo = 1 + k * SEGMENT_SIZE
@@ -702,50 +700,56 @@ def stream_pair_sums(
             dwin = dbuf[: end(k) - lo + 1]
             _divisor_fill(dwin, lo, lo + len(dwin) - 1, plan)
             bound = int(dwin.max())
-            # the overhang past the window that near rows read, and the last
-            # window's overhang as sieved again here; the parent compares
-            # the two (the last window's own overhang is compared with none)
-            slots[guard + 2 * k] = np.sum(dwin[SEGMENT_SIZE:], dtype=np.uint64)
-            if k:
-                head = dwin[: end(k - 1) - lo + 1]
-                slots[guard + 2 * k - 1] = np.sum(head, dtype=np.uint64)
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
-        for (w, factors, _, starts, first), n in live(k):
+        firsts = []  # per row with a y in the window, the entries up to it
+        for (w, _, factors, ys, first), n in live(k):
             m = n - lo + 1
-            terms, b = dwin[:m], bound
-            if dtab is None and w > size:
+            right, b = dwin[w : w + m], bound
+            piece = dtab is None and w > size  # a far shift's own piece
+            if piece:
                 right = far[:m]
                 _divisor_fill(right, lo + w, n + w, plan)
                 b = max(bound, int(right.max()))
-                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, factors)
+            terms = _pair_products(dwin[:m], right, pbuf[:m], b, lo, w, factors)
+            if piece:  # checked once the guard has read its products
                 _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, lo + w - 1)
-            elif w:
-                right = dwin[w : w + m]
-                terms = _pair_products(terms, right, pbuf[:m], b, lo, w, factors)
             step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
-            i, j = np.searchsorted(starts, (lo, n + 1))
-            cuts = (starts[i:j] - lo).tolist() + [m]
-            for at, (a, z) in enumerate(zip(cuts, cuts[1:]), first + i):
+            i, j = np.searchsorted(ys, (lo, n + 1))
+            cuts = (ys[i:j] - (lo - 1)).tolist()
+            firsts += cuts[:1]
+            for at, (a, z) in enumerate(zip([0] + cuts, cuts + [m]), first + i + k):
                 edges = np.arange(0, z - a, step)
                 blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
                 slots[at] = np.sum(blocks, dtype=np.uint64)
+        if dtab is None:
+            # the window's first y, the sums of d(n) up to it and over the
+            # rest of the window, the overhang past the window, and the last
+            # window's overhang as sieved again here
+            cut, again = min(firsts, default=0), dwin[: k and end(k - 1) - lo + 1]
+            parts = dwin[:cut], dwin[cut:SEGMENT_SIZE], dwin[SEGMENT_SIZE:], again
+            sums = [np.sum(part, dtype=np.uint64) for part in parts]
+            slots[guard:].reshape(wins, 5)[k] = [cut and lo - 1 + cut, *sums]
 
-    slots = fan_out(slot, np.uint64, wins, fill)
-    for k in range(wins - 1 if dtab is None else 0):
-        over, again = slots[guard + 2 * k : guard + 2 * k + 2].tolist()
-        _check_d_sum(over, end(k), (k + 1) * SEGMENT_SIZE, again)
+    slots = fan_out(guard + 5 * wins, np.uint64, wins, fill)
+    if dtab is None:
+        # the overhang of each window but the last against its copy in the
+        # next, and the sum of d(n) up to each first y and to the top
+        total = over = 0  # the sum of d(n) so far; the last window's overhang
+        for k, row in enumerate(slots[guard:].reshape(wins, 5)):
+            y, head, rest, overhang, again = row.tolist()
+            if k:
+                _check_d_sum(over, end(k - 1), k * SEGMENT_SIZE, again)
+            if y:
+                _check_d_sum(total + head, y)
+            total, over = total + head + rest, overhang
+        _check_d_sum(total + over, dtop)
     sums = {}
-    checked = -1  # the window of the d row's last check
-    for ((w, product), s), (_, _, _, starts, first) in zip(sorted(marks.items()), rows):
-        prefix = list(accumulate(slots[first : first + len(starts)].tolist()))
-        for y in sorted(s):
-            value = prefix[int(np.searchsorted(starts, y, "right")) - 1]
-            if w:
-                sums[(y, w, True) if product else (y, w)] = value
-            elif (y - 1) // SEGMENT_SIZE > checked or y == lasts[0, False]:
-                checked = (y - 1) // SEGMENT_SIZE
-                _check_d_sum(value, y)
+    for w, tail, _, ys, first in rows:
+        count = len(ys) + -(-int(ys[-1]) // SEGMENT_SIZE)
+        prefix = list(accumulate(slots[first : first + count].tolist()))
+        for i, y in enumerate(ys.tolist()):
+            sums[(y, w, *tail)] = prefix[i + (y - 1) // SEGMENT_SIZE]
     return sums
 
 

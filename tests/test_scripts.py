@@ -67,6 +67,7 @@ def test_kernel_timing_prints_every_shape():
     for row in report["x"].values():
         shapes = ("1", "p", "p2", "pq", "p2q", "p2qr")
         want = ["build_divisor_table"] + [f"shifted_product_values.{s}" for s in shapes]
+        want += ["stream_pair_sums.one_cell", "stream_pair_sums.per_cell"]
         assert list(row) == want
         assert all(ns > 0 for ns in row.values())
 

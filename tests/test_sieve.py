@@ -841,7 +841,7 @@ class TestStreamedPairSums:
     @pytest.mark.parametrize("y, w", [(1000, 1), (20_000, 30_030)])
     def test_dropped_divisor_past_the_last_y_raises(self, monkeypatch, y, w):
         # d(n + w) for n <= y reaches past y.  For w = 1 the last window
-        # sieves it, and the d row is checked at its top, y + w.  w = 30030
+        # sieves it, and the d sums are checked at their top, y + w.  w = 30030
         # is wider than a window, so the last window's piece [lo + w, y + w]
         # is sieved and checked on its own; that window is a child's, and
         # y + w = 50030 lies in no other piece
@@ -860,9 +860,10 @@ class TestStreamedPairSums:
         _assert_no_child_left()
 
     def test_d_row_checked_once_per_window(self, monkeypatch):
-        # a cell every 16 n over 64 windows of 1009: the d row is checked by
-        # the hyperbola at its first y in each window and at its top, not
-        # at each of its 4037 ys, and the sums still match the table's
+        # a cell every 16 n over 64 windows of 1009: the running sum of d(n)
+        # is checked by the hyperbola at the first y in each window and at
+        # its top, not at each of the 4036 ys, and the sums still match the
+        # table's
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls = []
@@ -889,8 +890,8 @@ class TestStreamedPairSums:
         self, monkeypatch, cpus, cells, fill_lo, n, y
     ):
         # near rows read d(n) past the window's end from its overhang; the
-        # next window sieves those n again, and only that copy is summed by
-        # the d row, so a fault in the overhang alone must still raise
+        # next window sieves those n again, and only that copy is in the
+        # sums of d(n), so a fault in the overhang alone must still raise
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         fill = dc.sieve._divisor_fill
@@ -993,7 +994,9 @@ class TestStreamedPairSums:
     @given(
         segment_size=st.integers(min_value=16, max_value=100),
         window=st.integers(min_value=0, max_value=3),
-        offsets=st.lists(st.integers(min_value=0, max_value=99), min_size=2, max_size=4),
+        offsets=st.lists(
+            st.integers(min_value=0, max_value=99), min_size=2, max_size=4
+        ),
         rows=st.lists(
             st.tuples(st.integers(min_value=1, max_value=300), st.booleans()),
             min_size=1,
@@ -1227,8 +1230,8 @@ class TestMemoryCap:
         dc.build_spf(1000)
 
     def test_stream_charges_its_bookkeeping_before_building_it(self, monkeypatch):
-        # 190,735 windows to 1e11: their bounds and cut sets would take about
-        # 40 MB of Python objects, charged before any is made
+        # 190,735 windows to 1e11: their slots and prefix sums would take
+        # about 40 MB, charged before any is made
         monkeypatch.setenv("DIVCORR_MEMCAP", str(4 << 20))
         tracemalloc.start()
         try:
