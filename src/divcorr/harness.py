@@ -275,10 +275,10 @@ def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
     # The pair and product prefix sums of shift v, one int64 row each, are
     # formed at v and kept, cut to the entries n // e (e >= 2) reads, only
     # while a multiple of v is left.  Charged: 8 B per entry of the table's
-    # length for six rows (the two of shift v, the uint32 table, the
-    # temporaries of lattice_sum and _compare; 44 B traced in all) and for
+    # length for seven rows (the two of shift v, the uint32 table, the
+    # temporaries of lattice_sum and _compare; 52 B traced in all) and for
     # each shift w with 2w <= vmax, whose two rows are cut to half
-    charge(8 * (6 + vmax // 2) * (xmax + vmax + 1))
+    charge(8 * (7 + vmax // 2) * (xmax + vmax + 1))
     dtab = build_divisor_table(xmax + vmax)
     d = dtab.values
     rows: dict[int, np.ndarray] = {}  # shift -> its pair and product rows
@@ -294,9 +294,8 @@ def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
 
     for v in range(1, vmax + 1):
         rows[v] = np.zeros((2, xmax + 1), dtype=np.int64)
-        pair = rows[v][0, 1:]
-        np.multiply(d[1 : xmax + 1], d[1 + v : xmax + v + 1], pair, dtype=np.int64)
-        np.cumsum(pair, out=pair)
+        pair = np.multiply(d[1 : xmax + 1], d[1 + v : xmax + v + 1], dtype=np.int64)
+        np.cumsum(pair, out=rows[v][0, 1:])
         rows[v][1] = np.cumsum(shifted_product_values(dtab, xmax, v), dtype=np.int64)
         yield _compare(rows[v][0, 1:], rhs(1, False), f"pair form v={v}, x=")
         yield _compare(rows[v][1, 1:], rhs(0, True), f"product form v={v}, x=")
