@@ -93,7 +93,7 @@ _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
 # y in the lists and the array of its row, its prefix sum and its sum; per
 # row, for the row's own objects.  tracemalloc peaks of whole passes in
 # windows of 64, one worker, grow by 124-126 B per window for one cell and
-# 246-255 B for twelve (six shifts in both forms), against 200 and 288 B
+# 248-255 B for twelve (six shifts in both forms), against 200 and 288 B
 # charged; by at most 230 B per cell of one row or of twelve; and by at most
 # 656 B per row, one cell each over 20 windows, against 1206 B charged
 _SEGMENT_BYTES = 192
