@@ -30,9 +30,9 @@ the slices of a d-table (sum_dd, sum_dpoly and the Lemma 1 transforms), or
 windows sieved by the divisor fill of the table build, a shift wider than
 a window in a piece of its own (the CLI's sums, with no d-table).  A row
 keeps only its sorted ys, and the slot of each y in the shared array
-follows from the y itself; a sieved window also writes its own sums of
-d(n), whose running total the parent checks by the hyperbola identity at
-the window's first y, with no row of its own.  Every
+follows from the y itself; a sieved window also writes its sums of d(n)
+over its own entries and its overhang and the hyperbola's sum up to its
+last n, which the parent checks window by window.  Every
 d(n) d(n+w) and every d(n(n+w)), those of shifted_product_values too, is
 formed by _pair_products, the one overflow guard: it reads the largest
 product only when a bound on the d(n), one per table or per streamed
@@ -86,18 +86,19 @@ _OMEGA = 1 << 16  # one prime in the divisor fill's packed word
 _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 _PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
 _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
+_HYPERBOLA_CHUNK = 1 << 14  # quotients per chunk of _divisor_summatory
 # bytes charged by stream_pair_sums besides 8 B per slot of its shared
-# array: per window, for its five d slots and the Python prefix sums of the
+# array: per window, for its three d slots and the Python prefix sums of the
 # longest row, which has a slot per window (the list of its slots, its
 # prefix sums and, while they are built, the last row's); per cell, for its
 # y in the lists and the array of its row, its prefix sum and its sum; per
 # row, for the row's own objects.  tracemalloc peaks of whole passes in
-# windows of 64, one worker, grow by 124-126 B per window for one cell and
-# 248-255 B for twelve (six shifts in both forms), against 200 and 288 B
-# charged; by at most 230 B per cell of one row or of twelve; and by at most
-# 656 B per row, one cell each over 20 windows, against 1206 B charged
-_SEGMENT_BYTES = 192
-_CELL_BYTES = 384
+# windows of 64, one worker, grow by 109 B per window for one cell and
+# 237-239 B for twelve (six shifts in both forms), against 184 and 272 B
+# charged; by at most 228 B per cell of one row or of twelve; and by at most
+# 702 B per row, one cell each over 20 windows, against 1064 B charged
+_SEGMENT_BYTES = 176
+_CELL_BYTES = 256
 _ROW_BYTES = 640
 
 
@@ -556,26 +557,26 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
 
 def _divisor_summatory(y: int) -> int:
     """sum_{n<=y} d(n) by the hyperbola identity, in O(sqrt y), exact for
-    0 <= y < 2^64: the quotients y // i are uint64, and their low and high
-    32-bit halves are summed apart, so neither sum wraps."""
-    r = isqrt(y)
-    q = np.uint64(y) // np.arange(1, r + 1, dtype=np.uint64)
-    low = int(np.sum(q & 0xFFFFFFFF, dtype=np.uint64))
-    high = int(np.sum(q >> 32, dtype=np.uint64))
-    return 2 * (low + (high << 32)) - r * r
+    0 <= y < 2^64: the quotients y // i are uint64, taken _HYPERBOLA_CHUNK
+    at a time, and the low and high 32-bit halves of a chunk are summed
+    apart, so neither sum wraps."""
+    r, total = isqrt(y), 0
+    for a in range(1, r + 1, _HYPERBOLA_CHUNK):
+        i = np.arange(a, min(a + _HYPERBOLA_CHUNK, r + 1), dtype=np.uint64)
+        q = np.uint64(y) // i
+        total += int(np.sum(q & 0xFFFFFFFF, dtype=np.uint64))
+        total += int(np.sum(q >> 32, dtype=np.uint64)) << 32
+    return 2 * total - r * r
 
 
-def _check_d_sum(value: int, y: int, after: int = 0, want: int | None = None) -> None:
+def _check_d_sum(value: int, y: int, want: int, after: int = 0) -> None:
     """The self-test of the streamed pass: raise RuntimeError naming y unless
-    value is the sum of d(n) over after < n <= y: want, as the next window
-    sieved those d(n), or else by the hyperbola identity."""
-    how = "by the hyperbola identity" if want is None else "as sieved again"
-    if want is None:
-        want = _divisor_summatory(y) - (after and _divisor_summatory(after))
+    value, the sum of d(n) over after < n <= y as sieved, is want, the same
+    sum by the hyperbola identity."""
     if value != want:
         raise RuntimeError(
             f"divisor sieve self-test failed at y={y}: sum of d(n) over "
-            f"({after}, {y}] {value} != {want} {how}"
+            f"({after}, {y}] {value} != {want} by the hyperbola identity"
         )
 
 
@@ -613,81 +614,75 @@ def stream_pair_sums(
     reads each y's sum at its slot, so the sums are exact and
     deterministic; a window that raises in a worker raises here.
 
-    A sieving window also writes five d slots: its first cell y (of any
-    row), the sum of d(n) up to it and over the rest of the window, the sum
-    over its overhang, and, from the second window on, the sum over the
-    last window's overhang as sieved again here.  A window but the last is
-    sieved past its end, to the last n + w a near row reads there, and the
-    last one to the top y + w of any near cell.  The parent keeps the
-    running sum of d(n) and checks it against the hyperbola identity
-    sum_{n<=y} d(n) = 2 sum_{i<=r} floor(y/i) - r^2, r = floor(sqrt y),
-    at the first cell y in each window and at that top, at most wins + 1
-    times for wins windows; it compares each window's overhang with its copy
-    in the next window, window by window before that window's first y; and
-    each far piece (a, y] is checked in its window, as the difference of two
-    hyperbola sums.  So no sieved d(n) goes unchecked, and a mismatch raises
-    RuntimeError naming y, or the overhang's last n.  It charges 12 B per
-    entry of a window plus the widest near shift and the fill's prime powers
-    up to the top n + w; a pass over dtab charges the table and 4 B per
-    window entry.  Both charge the product-form correction of a window
-    (_correction_bytes) when a cell is of product form, and its bookkeeping,
-    counted from the list of the cells before any of it is built: 8 B per
-    slot of the shared array, a slot per cell and one per window of each
-    row, _SEGMENT_BYTES per window, _CELL_BYTES per cell and _ROW_BYTES per
-    row.  RangeError for a cell with y < 0 or w < 1.
+    A sieving window is sieved past its own S entries, or in the last window
+    past the top y, as far as a near row reads there, to its largest n + w.
+    It writes three d slots: the sums of d(n) over its own entries and over
+    that overhang, and the hyperbola identity's sum up to its last n, e,
+    sum_{n<=e} d(n) = 2 sum_{i<=r} floor(e/i) - r^2 for r = floor(sqrt e),
+    one hyperbola sum per window, computed in its worker.  The parent keeps
+    the running sum of the windows' own entries and checks, window by
+    window, that it plus the window's two sums is the hyperbola's, then adds
+    the own sum; each far piece (a, y] is checked in its window, as the
+    difference of two hyperbola sums.  So every sieved d(n) is in a check,
+    and a single fault raises RuntimeError naming the last n of the window
+    or piece that holds it.  It charges 12 B per entry of a window plus the
+    widest near shift and the fill's prime powers up to the top n + w; a
+    pass over dtab charges the table and 4 B per window entry.  Both charge
+    the product-form correction of a window (_correction_bytes) when a cell
+    is of product form, and its bookkeeping, counted from the cells' ys
+    before any of it is built: 8 B per slot of the shared array, a slot per
+    cell and one per window of each row, _SEGMENT_BYTES per window,
+    _CELL_BYTES per cell and _ROW_BYTES per row.  RangeError for a cell with
+    y < 0 or w < 1.
     """
-    cells = list(cells)
-    lasts: dict[tuple[int, bool], int] = {}  # (shift, product) -> its last y
+    marks: dict[tuple[int, bool], list] = {}  # (shift, product) -> its ys
     for y, w, *shape in cells:
         if y < 0 or w < 1:
             raise RangeError(f"cell x={y}, v={w} needs x >= 0 and v >= 1")
         if y:
-            lasts[w, any(shape)] = max(y, lasts.get((w, any(shape)), 0))
-    if not lasts:
+            marks.setdefault((w, any(shape)), []).append(y)
+    if not marks:
         return {}
+    lasts = {row: max(ys) for row, ys in marks.items()}
     top = max(lasts.values())
     size = min(SEGMENT_SIZE, top)
     reach = max(y + w for (w, _), y in lasts.items())
-    # the last window sieves on to the top n + w any near shift reads, and
-    # the d sums run that far too, so no sieved d(n) goes unchecked
-    dtop = max(y + w if w <= size else top for (w, _), y in lasts.items())
     if dtab is not None and dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
     # the bookkeeping, charged before it is built: per row a slot per y and
     # per window, 8 B each in the shared array; the d slots and prefix sums
     # per window, the cells' ys and sums and the rows' own objects
     wins = -(-top // SEGMENT_SIZE)
-    slots = len(cells) + sum(-(-y // SEGMENT_SIZE) for y in lasts.values())
-    rest = 8 * slots + _SEGMENT_BYTES * wins + _CELL_BYTES * len(cells)
-    rest += _ROW_BYTES * len(lasts)
-    if any(product for _, product in lasts):
+    marked = sum(map(len, marks.values()))  # the cells' ys, repeats included
+    slots = marked + sum(-(-y // SEGMENT_SIZE) for y in lasts.values())
+    rest = 8 * slots + _SEGMENT_BYTES * wins + _CELL_BYTES * marked
+    rest += _ROW_BYTES * len(marks)
+    if any(product for _, product in marks):
         rest += _correction_bytes(size)
     if dtab is None:
-        near = max((w for w, _ in lasts if w <= size), default=0)
+        near = max((w for w, _ in marks if w <= size), default=0)
         # dbuf and far, 4 B per entry each; the plan
         charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
         dbuf = np.empty(size + near, dtype=np.uint32)
-        far = np.empty(size if max(lasts)[0] > size else 0, dtype=np.uint32)
+        far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
         plan = _fill_plan(reach, size + near)
         pbuf = plan.words  # idle while the fill runs; then the products
     else:
         charge(dtab.values.nbytes + 4 * size + rest)
         pbuf = np.empty(size, dtype=np.uint32)
-    marks: dict[tuple[int, bool], list] = {row: [] for row in lasts}
-    for y, w, *shape in cells:
-        if y:
-            marks[w, any(shape)].append(y)
     # per row: its shift, its key's tail, the factorisation it corrects at,
-    # its ys and its first slot; in window k the row has a slot per y there,
-    # then one for the rest of the window, so ys[i] ends slot first + i + k
+    # its ys, its first slot and its count of slots; in window k the row has
+    # a slot per y there, then one for the rest of the window, so ys[i] ends
+    # slot first + i + k
     rows, slot = [], 0
     for (w, product), ys in sorted(marks.items()):
         # not np.unique, whose first call adds about 0.6 MiB of RSS
         ys = np.array(sorted(set(ys)), dtype=np.int64)
         factors = trial_factorize(w) if product else ()
-        rows.append((w, (True,) * product, factors, ys, slot))
-        slot += len(ys) + -(-int(ys[-1]) // SEGMENT_SIZE)
-    guard = slot  # five slots per window for a sieving pass's d sums
+        count = len(ys) + -(-int(ys[-1]) // SEGMENT_SIZE)
+        rows.append((w, (True,) * product, factors, ys, slot, count))
+        slot += count
+    guard = slot  # three slots per window for a sieving pass's d sums
 
     def live(k: int) -> list:
         # each row still summing in window k, with the last n it sums there
@@ -695,9 +690,9 @@ def stream_pair_sums(
         return [(row, min(hi, int(row[3][-1]))) for row in rows if row[3][-1] > lo]
 
     def end(k: int) -> int:
-        # the last n whose d(n) a sieving pass fills in window k
-        reads = [n + row[0] for row, n in live(k) if row[0] <= size]
-        return dtop if k == wins - 1 else max([(k + 1) * SEGMENT_SIZE] + reads)
+        # the last n whose d(n) a sieving pass fills in window k: the last n
+        # of a row there, plus its shift for a near row
+        return max(n + (w if w <= size else 0) for (w, *_), n in live(k))
 
     def fill(slots: np.ndarray, k: int) -> None:
         lo = 1 + k * SEGMENT_SIZE
@@ -707,8 +702,7 @@ def stream_pair_sums(
             bound = int(dwin.max())
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
-        firsts = []  # per row with a y in the window, the entries up to it
-        for (w, _, factors, ys, first), n in live(k):
+        for (w, _, factors, ys, first, _), n in live(k):
             m = n - lo + 1
             right, b = dwin[w : w + m], bound
             piece = dtab is None and w > size  # a far shift's own piece
@@ -718,40 +712,33 @@ def stream_pair_sums(
                 b = max(bound, int(right.max()))
             terms = _pair_products(dwin[:m], right, pbuf[:m], b, lo, w, factors)
             if piece:  # checked once the guard has read its products
-                _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, lo + w - 1)
+                after = lo + w - 1
+                want = _divisor_summatory(n + w) - _divisor_summatory(after)
+                _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, want, after)
             step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
             i, j = np.searchsorted(ys, (lo, n + 1))
             cuts = (ys[i:j] - (lo - 1)).tolist()
-            firsts += cuts[:1]
             for at, (a, z) in enumerate(zip([0] + cuts, cuts + [m]), first + i + k):
                 edges = np.arange(0, z - a, step)
                 blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
                 slots[at] = np.sum(blocks, dtype=np.uint64)
         if dtab is None:
-            # the window's first y, the sums of d(n) up to it and over the
-            # rest of the window, the overhang past the window, and the last
-            # window's overhang as sieved again here
-            cut, again = min(firsts, default=0), dwin[: k and end(k - 1) - lo + 1]
-            parts = dwin[:cut], dwin[cut:SEGMENT_SIZE], dwin[SEGMENT_SIZE:], again
+            # the sums of d(n) over the window's own entries and over its
+            # overhang, and the hyperbola's sum of d(n) up to the overhang's end
+            parts = dwin[:SEGMENT_SIZE], dwin[SEGMENT_SIZE:]
             sums = [np.sum(part, dtype=np.uint64) for part in parts]
-            slots[guard:].reshape(wins, 5)[k] = [cut and lo - 1 + cut, *sums]
+            want = _divisor_summatory(lo + len(dwin) - 1)
+            slots[guard:].reshape(wins, 3)[k] = [*sums, want]
 
-    slots = fan_out(guard + 5 * wins, np.uint64, wins, fill)
+    slots = fan_out(guard + 3 * wins, np.uint64, wins, fill)
     if dtab is None:
-        # the overhang of each window but the last against its copy in the
-        # next, and the sum of d(n) up to each first y and to the top
-        total = over = 0  # the sum of d(n) so far; the last window's overhang
-        for k, row in enumerate(slots[guard:].reshape(wins, 5)):
-            y, upto, after, overhang, again = row.tolist()
-            if k:
-                _check_d_sum(over, end(k - 1), k * SEGMENT_SIZE, again)
-            if y:
-                _check_d_sum(total + upto, y)
-            total, over = total + upto + after, overhang
-        _check_d_sum(total + over, dtop)
+        total = 0  # the sum of d(n) over the windows so far
+        for k, row in enumerate(slots[guard:].reshape(wins, 3)):
+            own, over, want = row.tolist()
+            _check_d_sum(total + own + over, end(k), want)
+            total += own
     sums = {}
-    for w, tail, _, ys, first in rows:
-        count = len(ys) + -(-int(ys[-1]) // SEGMENT_SIZE)
+    for w, tail, _, ys, first, count in rows:
         prefix = list(accumulate(slots[first : first + count].tolist()))
         for i, y in enumerate(ys.tolist()):
             sums[(y, w, *tail)] = prefix[i + (y - 1) // SEGMENT_SIZE]

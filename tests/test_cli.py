@@ -120,10 +120,10 @@ def test_compare_needs_no_divisor_table_memory(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 4000])
 def test_compare_dropped_divisor_raises(capsys, monkeypatch, n):
-    # the streamed pass checks sum d(n) against the hyperbola identity at
-    # the first x in each window and at its top; n = 4000 lies in the fourth
-    # window of 1009, which a child fills, and the first x past it, 10000,
-    # is the first in the tenth window
+    # the streamed pass checks sum d(n) against the hyperbola identity once
+    # per window, up to the last n that window sieves: windows of 1009 are
+    # sieved 6 past their end for the shift 6, so n = 5 fails at 1015, and
+    # n = 4000, in the fourth window, which a child fills, at 4042
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fill = sieve._divisor_fill
@@ -134,7 +134,7 @@ def test_compare_dropped_divisor_raises(capsys, monkeypatch, n):
             seg[n - lo] -= 1
 
     monkeypatch.setattr(sieve, "_divisor_fill", dropping)
-    first_bad = 10_000 if n == 4000 else 100
+    first_bad = 4042 if n == 4000 else 1015
     argv = ["compare", "--kind", "dd", "--x", "100,3999,10000", "--v", "1,6"]
     with pytest.raises(RuntimeError, match=f"self-test failed at y={first_bad}:"):
         main(argv)

@@ -220,6 +220,33 @@ def test_divisor_summatory_matches_python_form(y):
     assert dc.sieve._divisor_summatory(y) == want
 
 
+_CHUNK = dc.sieve._HYPERBOLA_CHUNK
+
+
+@pytest.mark.parametrize(
+    "y", [k * k + dk for k in (_CHUNK, _CHUNK + 1, 2 * _CHUNK + 1) for dk in (-1, 0)]
+)
+def test_divisor_summatory_across_chunk_edges(y):
+    # isqrt(y) just below, on and just past the end of a chunk of quotients
+    r = isqrt(y)
+    want = 2 * sum(y // i for i in range(1, r + 1)) - r * r
+    assert dc.sieve._divisor_summatory(y) == want
+
+
+def test_divisor_summatory_memory_at_height():
+    # 10^6 quotients at y = 10^12 are taken a chunk at a time: two uint64
+    # rows of all of them would trace 16 MB
+    y = 10**12
+    tracemalloc.start()
+    try:
+        got = dc.sieve._divisor_summatory(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert got == 2 * sum(y // i for i in range(1, 10**6 + 1)) - 10**12
+
+
 class _NaiveTable:
     """An f-table that computes f(n) by a naive oracle at the entries read,
     for windows whose table would be too long to build."""
@@ -841,7 +868,7 @@ class TestStreamedPairSums:
     @pytest.mark.parametrize("y, w", [(1000, 1), (20_000, 30_030)])
     def test_dropped_divisor_past_the_last_y_raises(self, monkeypatch, y, w):
         # d(n + w) for n <= y reaches past y.  For w = 1 the last window
-        # sieves it, and the d sums are checked at their top, y + w.  w = 30030
+        # sieves it, and its sum of d(n) is checked up to y + w.  w = 30030
         # is wider than a window, so the last window's piece [lo + w, y + w]
         # is sieved and checked on its own; that window is a child's, and
         # y + w = 50030 lies in no other piece
@@ -861,8 +888,8 @@ class TestStreamedPairSums:
 
     def test_d_row_checked_once_per_window(self, monkeypatch):
         # a cell every 16 n over 64 windows of 1009: the running sum of d(n)
-        # is checked by the hyperbola at the first y in each window and at
-        # its top, not at each of the 4036 ys, and the sums still match the
+        # is checked by the hyperbola once per window, up to the last n it
+        # sieves, not at each of the 4036 ys, and the sums still match the
         # table's
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -884,14 +911,17 @@ class TestStreamedPairSums:
             ({0}, [(1000, 1)], 1, 257, 257),
             # the third, a child's, on to 780 for the shift 12
             ({0, 1, 2}, [(1000, 1), (1000, 12)], 513, 770, 780),
+            # a fault in that window's own part, not its overhang
+            ({0, 1, 2}, [(1000, 1), (1000, 12)], 513, 600, 780),
         ],
     )
     def test_fault_in_a_window_overhang_raises(
         self, monkeypatch, cpus, cells, fill_lo, n, y
     ):
-        # near rows read d(n) past the window's end from its overhang; the
-        # next window sieves those n again, and only that copy is in the
-        # sums of d(n), so a fault in the overhang alone must still raise
+        # near rows read d(n) past the window's end from its overhang, and
+        # the next window sieves those n again; each window's own sum of
+        # d(n) and its overhang's are checked together up to its last n, so
+        # a fault in either raises there, before any later window is checked
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         fill = dc.sieve._divisor_fill
@@ -1249,11 +1279,12 @@ class TestMemoryCap:
         assert peak < 2 << 20, peak
 
     def test_stream_charges_its_cells_before_building_their_sets(self, monkeypatch):
-        # 100,000 cells of one row: their sets and sums would take about
-        # 30 MB of Python objects; the charge comes first, and before it the
-        # pass holds the list of the cells, 8 B each
+        # 100,000 cells of one row, under a cap of half what the pass charges
+        # for them: the charge comes before their sets and sums are built,
+        # and before it the pass holds the ys of the cells, 8 B each
         cells = [(y, 1) for y in range(1, 100_001)]
-        monkeypatch.setenv("DIVCORR_MEMCAP", str(32 << 20))
+        cap = len(cells) * dc.sieve._CELL_BYTES // 2
+        monkeypatch.setenv("DIVCORR_MEMCAP", str(cap))
         tracemalloc.start()
         try:
             with pytest.raises(dc.ResourceError):
