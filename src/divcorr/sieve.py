@@ -697,8 +697,10 @@ def stream_pair_sums(
     def fill(slots: np.ndarray, k: int) -> None:
         lo = 1 + k * SEGMENT_SIZE
         if dtab is None:
-            dwin = dbuf[: end(k) - lo + 1]
-            _divisor_fill(dwin, lo, lo + len(dwin) - 1, plan)
+            e = end(k)
+            hyperbola = _divisor_summatory(e)  # before the window's temporaries
+            dwin = dbuf[: e - lo + 1]
+            _divisor_fill(dwin, lo, e, plan)
             bound = int(dwin.max())
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
@@ -724,11 +726,10 @@ def stream_pair_sums(
                 slots[at] = np.sum(blocks, dtype=np.uint64)
         if dtab is None:
             # the sums of d(n) over the window's own entries and over its
-            # overhang, and the hyperbola's sum of d(n) up to the overhang's end
+            # overhang, and the hyperbola's sum of d(n) up to e
             parts = dwin[:SEGMENT_SIZE], dwin[SEGMENT_SIZE:]
             sums = [np.sum(part, dtype=np.uint64) for part in parts]
-            want = _divisor_summatory(lo + len(dwin) - 1)
-            slots[guard:].reshape(wins, 3)[k] = [*sums, want]
+            slots[guard:].reshape(wins, 3)[k] = [*sums, hyperbola]
 
     slots = fan_out(guard + 3 * wins, np.uint64, wins, fill)
     if dtab is None:
