@@ -95,7 +95,7 @@ _HYPERBOLA_CHUNK = 1 << 14  # quotients per chunk of _divisor_summatory
 # row, for the row's own objects.  tracemalloc peaks of whole passes in
 # windows of 64, one worker, grow by 109 B per window for one cell and
 # 237-239 B for twelve (six shifts in both forms), against 184 and 272 B
-# charged; by at most 228 B per cell of one row or of twelve; and by at most
+# charged; by at most 232 B per cell of one row or of twelve; and by at most
 # 702 B per row, one cell each over 20 windows, against 1064 B charged
 _SEGMENT_BYTES = 176
 _CELL_BYTES = 256

@@ -207,27 +207,22 @@ def test_hyperbola_identity(x):
     assert int(_d_prefix_sums()[x]) == want
 
 
-@pytest.mark.parametrize(
-    "y",
-    [0, 1, 10**10]
-    + [k * k + dk for k in (2, 3, 1000, 65535, 65536, 10**5) for dk in (-1, 0, 1)],
-)
-def test_divisor_summatory_matches_python_form(y):
-    # the numpy form sums the low and high 32-bit halves of its uint64
-    # quotients apart; 65536^2 +- 1 is 2^32 +- 1
-    r = isqrt(y)
-    want = 2 * sum(y // i for i in range(1, r + 1)) - r * r
-    assert dc.sieve._divisor_summatory(y) == want
-
-
 _CHUNK = dc.sieve._HYPERBOLA_CHUNK
 
 
 @pytest.mark.parametrize(
-    "y", [k * k + dk for k in (_CHUNK, _CHUNK + 1, 2 * _CHUNK + 1) for dk in (-1, 0)]
+    "y",
+    [0, 1, 10**10]
+    + [
+        k * k + dk
+        for k in (2, 3, 1000, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 65535, 65536, 10**5)
+        for dk in (-1, 0, 1)
+    ],
 )
-def test_divisor_summatory_across_chunk_edges(y):
-    # isqrt(y) just below, on and just past the end of a chunk of quotients
+def test_divisor_summatory_matches_python_form(y):
+    # the numpy form sums the low and high 32-bit halves of its uint64
+    # quotients apart, _CHUNK quotients at a time; 65536^2 +- 1 is
+    # 2^32 +- 1, and isqrt(y) falls just below, on and past chunk edges
     r = isqrt(y)
     want = 2 * sum(y // i for i in range(1, r + 1)) - r * r
     assert dc.sieve._divisor_summatory(y) == want
