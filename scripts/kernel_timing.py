@@ -8,7 +8,10 @@ for one shift of each factorisation shape: 1, p, p2, pq, p2q and p2qr
 with no table: stream_pair_sums.one_cell, the one cell (x, 1), in ns per
 n <= x; and stream_pair_sums.per_cell, a cell (y, 1) at every 16th y down
 from x, in ns per cell.  The table build and the passes run on all usable
-CPUs; shifted_product_values runs in this process.
+CPUs; shifted_product_values runs in this process.  Last, "verify" gives
+the best of --repeat wall times of run_verify([name]) for each identity
+suite at its default bounds, in ms: one suite is one task, so it runs in
+this process.
 
     python scripts/kernel_timing.py --x 1000000,10000000 --repeat 25
 """
@@ -56,8 +59,13 @@ def main(argv=None) -> int:
             lambda: dc.stream_pair_sums(cells), len(cells), args.repeat
         )
         report[str(x)] = row
-    unit = "ns per element, per cell for stream_pair_sums.per_cell"
-    print(json.dumps({"unit": unit, "repeat": args.repeat, "x": report}))
+    verify = {  # 10^6 ns to the ms
+        name: best_ns(lambda: dc.run_verify([name]), 10**6, args.repeat)
+        for name in dc.harness.SUITES
+    }
+    unit = "ns per element, per cell for stream_pair_sums.per_cell, ms for verify"
+    out = {"unit": unit, "repeat": args.repeat, "x": report, "verify": verify}
+    print(json.dumps(out))
     return 0
 
 

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Sequence, get_type_hints
 import numpy as np
 
 from divcorr.arith import (
+    MultiplicativeSpec,
     chebyshev_extend,
     completely_mult_value,
     divisor_count_spec,
@@ -57,6 +58,10 @@ KINDS = ("dd", "dpoly", "sigma_corr")
 # bytes per entry at the peak of ramanujan_tau_table (measured 133-161 for
 # limits 1e2-1e5; the finished table holds 40-46)
 _TAU_ENTRY_BYTES = 200
+# bytes per cell of a genrec phase's 2-D arrays: tracemalloc peaks above
+# the f-table, amax 20-300, are 8-34 B per cell in int64 and 48-66 B in
+# tau's object arrays
+_GENREC_CELL_BYTES = 96
 _CONSISTENCY_TOLERANCE = 1e-9  # largest coefficient_consistency deviation that passes
 SUITES = (
     "lemma1",
@@ -180,12 +185,14 @@ def run_verify(
     check reads, and charges what it holds against the memory cap before
     building anything (ResourceError).
 
-    The suites run on every usable CPU, round-robin in the order given, as
-    the tasks of fan_out, suite i as task i: each worker writes the checks
-    and failures of its suites into two shared slots each.  A suite that
-    failed in a child is rerun here for its first counterexample, and a
-    rerun that counts otherwise than the child raises RuntimeError naming
-    the suite; one that raised in a child raises here with its own class.
+    The suites run on every usable CPU as the tasks of fan_out, suite i as
+    task i, each worker taking the next suite in the order given when it
+    has finished one, so the call ends close to the end of its longest
+    suite: each worker writes the checks and failures of its suites into
+    two shared slots each.  A suite that failed in a child is rerun here
+    for its first counterexample, and a rerun that counts otherwise than
+    the child raises RuntimeError naming the suite; one that raised in a
+    child raises here with its own class.
     """
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
@@ -368,40 +375,77 @@ def _suite_induction(pmax: int, alpha_max: int) -> Iterator[_Outcome]:
 def _suite_genrec(amax: int) -> Iterator[_Outcome]:
     # gcd-weighted convolution identity f(a) f(b) == sum g(e) f(ab/e^2) for
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
-    # on pairs with ab inside the tau table.  One f-table is alive at a
-    # time, and the tau table is built for its own spec, after the sigma
-    # tables are gone, so the larger phase is charged before anything is
-    # built: an f-table over amax^2, or the tau table and its f-table
+    # on pairs with ab inside the tau table, one _genrec_phase each.  One
+    # f-table and its arrays are alive at a time, and the tau table is built
+    # for its own spec, after the sigma tables are gone, so the larger phase
+    # is charged before anything is built: an f-table over amax^2, or the
+    # tau table and its f-table, and _GENREC_CELL_BYTES per cell of the
+    # phase's 2-D arrays
     tau_limit = min(10_000, amax * amax)
-    tau_phase = (MULT_ENTRY_BYTES + _TAU_ENTRY_BYTES) * (tau_limit + 1)
-    charge(max(MULT_ENTRY_BYTES * (amax * amax + 1), tau_phase))
-    gcd_divisors = {g: divisors(trial_factorize(g)) for g in range(1, amax + 1)}
-    specs = [
-        (divisor_count_spec, amax * amax),
-        (lambda: sigma_spec(1), amax * amax),
-        (lambda: sigma_spec(2), amax * amax),
-        (lambda: tau_spec(ramanujan_tau_table(tau_limit)), tau_limit),
+    tables = [
+        (MULT_ENTRY_BYTES, amax * amax),
+        (MULT_ENTRY_BYTES + _TAU_ENTRY_BYTES, tau_limit),
     ]
-    for make, prod_limit in specs:
-        spec = make()
-        fval = build_mult_table(spec, prod_limit).tolist()
-        gval = {
-            e: completely_mult_value(spec.companion_g, e)
-            for e in range(1, amax + 1)
-        }
-        for a in range(1, amax + 1):
-            bs = range(a, min(amax, prod_limit // a) + 1)
-            bad = []
-            for b in bs:
-                lhs = fval[a] * fval[b]
-                rhs = 0
-                ab = a * b
-                for e in gcd_divisors[math.gcd(a, b)]:
-                    rhs += gval[e] * fval[ab // (e * e)]
-                if lhs != rhs:
-                    bad.append(f"{spec.name} a={a} b={b}: {lhs} != {rhs}")
-            yield len(bs), len(bad), bad[0] if bad else None
-        del fval
+    charge(
+        max(
+            entry * (limit + 1)
+            + _GENREC_CELL_BYTES * math.prod(n + 1 for n in _genrec_grid(amax, limit))
+            for entry, limit in tables
+        )
+    )
+    yield _genrec_phase(divisor_count_spec(), amax * amax, amax)
+    yield _genrec_phase(sigma_spec(1), amax * amax, amax)
+    yield _genrec_phase(sigma_spec(2), amax * amax, amax)
+    yield _genrec_phase(tau_spec(ramanujan_tau_table(tau_limit)), tau_limit, amax)
+
+
+def _genrec_grid(amax: int, limit: int) -> tuple[int, int]:
+    """The last row a and column b of genrec's 2-D arrays over an f-table
+    to limit, each indexed from 0: the pairs a <= b <= amax with ab <= limit
+    have a <= isqrt(limit) and b <= limit."""
+    return min(amax, math.isqrt(limit)), min(amax, limit)
+
+
+def _genrec_phase(spec: MultiplicativeSpec, limit: int, amax: int) -> _Outcome:
+    """The identity for one spec over its f-table to limit, as 2-D arrays
+    over a <= rows, b <= cols (_genrec_grid): lhs the outer product
+    f(a) f(b), F[a, b] = f(ab) where ab <= limit (else f(0) = 0), and rhs
+    F plus g(e) F[a', b'] added at (e a', e b') for each e >= 2, since the
+    cells with e | a and e | b are exactly those and ab/e^2 = a'b' there.
+    Only the cells 1 <= a <= b with ab <= limit are checked, and the first
+    counterexample is the first such cell in the order of a, then b.  The
+    arrays are int64 when the table's largest |f| shows that every product
+    and partial sum fits, object arrays otherwise (tau), and the object
+    table is dropped once copied to int64."""
+    f = build_mult_table(spec, limit)
+    rows, cols = _genrec_grid(amax, limit)
+    g = [completely_mult_value(spec.companion_g, e) for e in range(1, rows + 1)]
+    try:
+        wide = f.astype(np.int64)  # OverflowError past int64
+        top = max(int(wide.max()), -int(wide.min()))
+        if top * max(top, sum(map(abs, g))) < 1 << 63:
+            f = wide
+        del wide
+    except OverflowError:
+        pass
+    a, b = np.arange(rows + 1)[:, None], np.arange(cols + 1)
+    ab = a * b
+    ab[ab > limit] = 0  # F is f(0) = 0 there
+    checked = (ab > 0) & (a <= b)
+    big = f[ab]  # F
+    del ab, f
+    rhs = big.copy()
+    for e in range(2, rows + 1):
+        rhs[e::e, e::e] += g[e - 1] * big[1 : rows // e + 1, 1 : cols // e + 1]
+    head = big[1].copy()  # f(0..cols), F's row a = 1
+    del big
+    lhs = np.multiply.outer(head[: rows + 1], head)
+    bad = np.argwhere(checked & (lhs != rhs))
+    if not len(bad):
+        return int(checked.sum()), 0, None
+    i, j = bad[0]
+    msg = f"{spec.name} a={i} b={j}: {lhs[i, j]} != {rhs[i, j]}"
+    return int(checked.sum()), len(bad), msg
 
 
 @_tally

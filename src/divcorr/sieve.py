@@ -8,9 +8,10 @@ windows() is the one walk in windows of SEGMENT_SIZE entries.  The d
 builder fills its table window by window, byte-identical to a monolithic
 build; tables are immutable and safe to share.  A table of more
 than one window is filled on all usable CPUs: window k is task k of
-fanout.fan_out, the one fork site, whose forked workers take the tasks
-round-robin and write one shared anonymous mapping, and the tasks of a
-worker that raised are rerun in the caller, so the error keeps its class.
+fanout.fan_out, the one fork site, whose workers each take the next task
+when they finish one and write one shared anonymous mapping, and the tasks
+a worker took before it raised are rerun in the caller, so the error keeps
+its class.
 No knob selects this; inside a worker of another fan_out (a verify
 suite's) the tasks run in that worker.  time.process_time() of the caller
 leaves out the children's CPU time.
@@ -605,14 +606,16 @@ def stream_pair_sums(
     slot in a shared array: in window k it has one slot per y in the window,
     the sum of its terms from the last cut up to that y, then one for the
     rest of the window, so the slot of ys[i] is first + i + k.  A row's
-    terms are below b^2, b its bound, so per slot one np.add.reduceat in
-    uint32 sums blocks of at most 2^32 // (b^2 + 1) terms, with no uint64
-    copy of the window, and np.sum adds the blocks in uint64.  Window k,
-    [1 + k S, (k + 1) S] for S = SEGMENT_SIZE, is task k of fan_out, which
-    computes its bounds and its rows from k, and the parent adds each row's
-    slots in window order as Python ints into one list of prefix sums and
-    reads each y's sum at its slot, so the sums are exact and
-    deterministic; a window that raises in a worker raises here.
+    terms are below b^2, b its bound, so per row and window one
+    np.add.reduceat in uint32 sums blocks of at most 2^32 // (b^2 + 1)
+    terms, cut at every slot's end and every such step within a slot, with
+    no uint64 copy of the window, and one np.add.reduceat in uint64 adds
+    each slot's blocks, written to the row's slots in one assignment.
+    Window k, [1 + k S, (k + 1) S] for S = SEGMENT_SIZE, is task k of
+    fan_out, which computes its bounds and its rows from k, and the parent
+    adds each row's slots in window order as Python ints into one list of
+    prefix sums and reads each y's sum at its slot, so the sums are exact
+    and deterministic; a window that raises in a worker raises here.
 
     A sieving window is sieved past its own S entries, or in the last window
     past the top y, as far as a near row reads there, to its largest n + w.
@@ -719,11 +722,18 @@ def stream_pair_sums(
                 _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, want, after)
             step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
             i, j = np.searchsorted(ys, (lo, n + 1))
-            cuts = (ys[i:j] - (lo - 1)).tolist()
-            for at, (a, z) in enumerate(zip([0] + cuts, cuts + [m]), first + i + k):
-                edges = np.arange(0, z - a, step)
-                blocks = np.add.reduceat(terms[a:z], edges, dtype=np.uint32)
-                slots[at] = np.sum(blocks, dtype=np.uint64)
+            ends = np.append(ys[i:j] - (lo - 1), m)  # of the row's slots here
+            starts = np.append(0, ends[:-1])
+            counts = (ends - starts + step - 1) // step  # blocks per slot
+            firsts = np.cumsum(counts) - counts  # each slot's first block
+            edges = np.repeat(starts - step * firsts, counts)
+            edges += step * np.arange(len(edges))  # every step terms in a slot
+            blocks = np.add.reduceat(terms, edges, dtype=np.uint32)
+            # only the last slot can be empty, when a y ends the row's terms;
+            # it keeps its zero
+            at = firsts[firsts < len(blocks)]
+            sums = np.add.reduceat(blocks, at, dtype=np.uint64)
+            slots[first + i + k : first + i + k + len(sums)] = sums
         if dtab is None:
             # the sums of d(n) over the window's own entries and over its
             # overhang, and the hyperbola's sum of d(n) up to e

@@ -194,3 +194,32 @@ def zeta_heads_fsum(m: int) -> tuple[float, float, float, float]:
         np.log(n) * np.log(n) * ((1.0 / n) * (1.0 / n)),
     )
     return tuple(math.fsum(t.tolist()) for t in terms)
+
+
+def genrec_pairs_naive(amax: int, phases) -> tuple[int, int, "str | None"]:
+    """(checks, failures, first counterexample) of the gcd-weighted
+    convolution identity f(a) f(b) == sum_{e | gcd(a, b)} g(e) f(ab/e^2), one
+    pair at a time, over the pairs a <= b <= amax with ab <= limit: phases
+    holds (spec, f) per phase, f the values f(0..limit), and g(e) is the
+    product of spec.companion_g(p)^k over the p^k exactly dividing e."""
+    checks = failures = 0
+    first = None
+    for spec, f in phases:
+        limit = len(f) - 1
+        g = {}
+        for a in range(1, amax + 1):
+            for b in range(a, min(amax, limit // a) + 1):
+                rhs = 0
+                for e in divisors_naive(math.gcd(a, b)):
+                    if e not in g:
+                        g[e] = math.prod(
+                            spec.companion_g(p) ** k
+                            for p, k in prime_exponents_naive(e).items()
+                        )
+                    rhs += g[e] * f[a * b // (e * e)]
+                lhs = f[a] * f[b]
+                checks += 1
+                if lhs != rhs:
+                    failures += 1
+                    first = first or f"{spec.name} a={a} b={b}: {lhs} != {rhs}"
+    return checks, failures, first

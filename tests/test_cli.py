@@ -123,7 +123,7 @@ def test_compare_dropped_divisor_raises(capsys, monkeypatch, n):
     # the streamed pass checks sum d(n) against the hyperbola identity once
     # per window, up to the last n that window sieves: windows of 1009 are
     # sieved 6 past their end for the shift 6, so n = 5 fails at 1015, and
-    # n = 4000, in the fourth window, which a child fills, at 4042
+    # n = 4000, in the fourth window, whichever worker fills it, at 4042
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fill = sieve._divisor_fill

@@ -14,7 +14,7 @@ import numpy as np
 import divcorr as dc
 from divcorr.cli import main
 from divcorr.harness import CSV_HEADER
-from oracles import sum_dd_naive, sum_dpoly_naive
+from oracles import genrec_pairs_naive, sum_dd_naive, sum_dpoly_naive
 
 
 class TestRunConfig:
@@ -389,6 +389,38 @@ class TestFailureReports:
         )
 
 
+class TestGenrecArrays:
+    # the planted faults at amax = 20: d(19^2) + 1 in the d phase, met only
+    # at the diagonal cell (19, 19); sigma_2(24) + 1, read at (2, 12), (3, 8)
+    # and (4, 6) and, as e >= 2 terms, at (6, 16), (8, 12) and (12, 18);
+    # tau(30) + 1 in the tau phase, whose table to 400 fits int64 but whose
+    # bound does not; and sigma_1(2) + 2^62, which the bound sends to object
+    # arrays, where f(2) f(b) does not wrap.  At amax = 101 the tau table,
+    # to 10^4, leaves int64, and its rows stop at 100
+    @pytest.mark.parametrize(
+        "amax, name, n, add",
+        [(1, None, 0, 0), (20, None, 0, 0), (101, None, 0, 0),
+         (20, "d", 361, 1), (20, "sigma_2", 24, 1), (20, "tau", 30, 1),
+         (20, "sigma_1", 2, 1 << 62)],
+    )
+    def test_matches_the_pair_loop(self, monkeypatch, amax, name, n, add):
+        phases = []
+        table = dc.harness.build_mult_table
+
+        def planted(spec, limit):
+            f = table(spec, limit)
+            if spec.name == name:
+                f[n] += add
+            phases.append((spec, f.copy()))
+            return f
+
+        monkeypatch.setattr(dc.harness, "build_mult_table", planted)
+        (got,) = dc.run_verify(["genrec"], vmax=amax)
+        want = genrec_pairs_naive(amax, phases)
+        assert (got.checks, got.failures, got.first_counterexample) == want
+        assert got.passed == (name is None)
+
+
 def _shared_fork_counts(monkeypatch):
     """Forks made from here on by this process (slot 0) and by every other
     (slot 1), counted in a mapping that forked children share."""
@@ -409,8 +441,9 @@ def _assert_no_child_left():
 
 
 class TestFannedOutReport:
-    # with three usable CPUs and n suites, min(3, n) workers take the suites
-    # round-robin: the caller runs the first, a child the second
+    # with three usable CPUs and n suites, min(3, n) workers pull the
+    # suites; where a test needs the caller to run the first suite and a
+    # child the second, deal forces that by handshakes
     def test_report_independent_of_cpus(self, monkeypatch):
         counts = _shared_fork_counts(monkeypatch)
         reports = []
@@ -423,12 +456,13 @@ class TestFannedOutReport:
 
     @pytest.mark.parametrize("suite,checks,failures,first", _PLANTED_REPORTS)
     def test_planted_fault_in_a_child(
-        self, monkeypatch, suite, checks, failures, first
+        self, monkeypatch, deal, suite, checks, failures, first
     ):
         # the child's slots give the counts, the caller's rerun the first
         # counterexample; the report equals the one-suite report
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(dc.harness, *_plant(suite))
+        deal(dc.harness, task=1)
         before = "binomial" if suite == "induction" else "induction"
         counts = _shared_fork_counts(monkeypatch)
         ran, got = dc.run_verify([before, suite], xmax=20, vmax=12)
@@ -443,10 +477,11 @@ class TestFannedOutReport:
         "suites", [["induction", "sigma_lambda"], ["sigma_lambda", "induction"]]
     )
     def test_suite_raising_everywhere_keeps_its_class(
-        self, monkeypatch, capsys, suites
+        self, monkeypatch, capsys, deal, suites
     ):
         # raised in the child, then in the caller's rerun; or in the caller
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        deal(dc.harness, task=1)
 
         def refuse(v, k):
             raise dc.ContractError("planted refusal")
@@ -459,10 +494,11 @@ class TestFannedOutReport:
         assert capsys.readouterr() == ("", "error: planted refusal\n")
         _assert_no_child_left()
 
-    def test_fault_seen_only_in_a_child_raises(self, monkeypatch):
+    def test_fault_seen_only_in_a_child_raises(self, monkeypatch, deal):
         # binomial fails in the child alone: its rerun in the caller passes,
         # and the report is not built from the rerun
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        deal(dc.harness, task=1)
         parent = os.getpid()
         rep = dc.harness.binomial_log_identity
         monkeypatch.setattr(

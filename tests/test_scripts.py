@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from divcorr.harness import CSV_HEADER
+from divcorr.harness import CSV_HEADER, SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 # SHA-256 of the whole stdout of a run
@@ -70,6 +70,8 @@ def test_kernel_timing_prints_every_shape():
         want += ["stream_pair_sums.one_cell", "stream_pair_sums.per_cell"]
         assert list(row) == want
         assert all(ns > 0 for ns in row.values())
+    assert list(report["verify"]) == list(SUITES)  # the seven suites
+    assert all(ms > 0 for ms in report["verify"].values())
 
 
 def test_residual_scaling_block_maxima():

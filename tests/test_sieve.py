@@ -2,6 +2,7 @@ import math
 import mmap
 import os
 import signal
+import struct
 import tracemalloc
 from collections import Counter
 from math import isqrt
@@ -559,20 +560,23 @@ class TestShiftedProductValues:
             assert got == int(pair.sum())
 
     @pytest.mark.parametrize("fn", [dc.sum_dd, dc.sum_dpoly])
-    def test_overflow_guard_in_a_child_window(self, monkeypatch, fn):
-        # two workers over windows of 256: the child takes [257, 512], which
-        # holds the planted pair, and [769, 1000]; its OverflowError comes
-        # back when the parent reruns those windows after its own two
+    def test_overflow_guard_in_a_child_window(self, monkeypatch, deal, fn):
+        # two workers over windows of 256, dealt by handshakes: the child
+        # takes [257, 512], which holds the planted pair, while the parent
+        # holds [1, 256]; its OverflowError comes back when the parent reruns
+        # that one window after [513, 768] and [769, 1000], which it pulls
+        # once the child has left
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         values = dc.build_divisor_table(1001).values.copy()
         values[500:502] = 1 << 16
+        deal(dc.sieve, task=1)
         forks = _count_forks(monkeypatch)
         checked = _spy_guard(monkeypatch)
         with pytest.raises(OverflowError, match="exceeds uint32"):
             fn(1000, 1, dc.DivisorTable(1001, values))
         assert len(forks) == 1
-        assert checked == [256, 256, 256]
+        assert checked == [256, 256, 232, 256]
         _assert_no_child_left()
 
     def test_no_full_length_temporaries(self, monkeypatch):
@@ -817,8 +821,9 @@ class TestStreamedPairSums:
 
     @pytest.mark.parametrize("segment_size", [777, 1009, 4096])
     def test_matches_table_path(self, monkeypatch, segment_size):
-        # three CPUs split the windows unevenly between the parent and two
-        # children; the cells mix checkpoints on and beside window edges
+        # three CPUs split the windows between the parent and two children,
+        # each pulling the next; the cells mix checkpoints on and beside
+        # window edges
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", segment_size)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         cells = [(y, w) for y in self.YS for w in self.SHIFTS]
@@ -865,8 +870,8 @@ class TestStreamedPairSums:
         # d(n + w) for n <= y reaches past y.  For w = 1 the last window
         # sieves it, and its sum of d(n) is checked up to y + w.  w = 30030
         # is wider than a window, so the last window's piece [lo + w, y + w]
-        # is sieved and checked on its own; that window is a child's, and
-        # y + w = 50030 lies in no other piece
+        # is sieved and checked on its own, by whichever worker pulls that
+        # window, and y + w = 50030 lies in no other piece
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         fill = dc.sieve._divisor_fill
@@ -1126,8 +1131,8 @@ class TestWorkerFailure:
 
     @pytest.mark.parametrize("n", [3000, 4000])
     def test_window_fault_keeps_its_class(self, monkeypatch, capsys, n):
-        # windows of 1009 on two workers: n = 3000 lies in a window that the
-        # parent fills and n = 4000 in one that the child fills, for the
+        # windows of 1009 on two workers: n = 3000 and n = 4000 lie in the
+        # third and fourth windows, which either worker may pull, for the
         # table build and the streamed pass alike; both raise the same error
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1165,38 +1170,18 @@ class TestWorkerFailure:
 
 
 class TestFanOutTasks:
-    def test_three_workers(self, monkeypatch):
-        # three mocked CPUs: the caller runs the tasks 0, 3, 6 and 9, and two
-        # forked children the others; every task counts its own run and
-        # notes whether the caller ran it
+    def test_three_workers(self, monkeypatch, deal):
+        # three mocked CPUs: the caller and two forked children run the ten
+        # tasks between them, each task once; every task counts its own run
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         forks = _count_forks(monkeypatch)
-        caller = os.getpid()
 
         def count(out, k):
-            out[2 * k] += 1
-            out[2 * k + 1] = os.getpid() == caller
+            out[k] += 1
 
-        out = dc.fanout.fan_out(20, np.int64, 10, count)
-        assert out[::2].tolist() == [1] * 10
-        assert out[1::2].tolist() == [k % 3 == 0 for k in range(10)]
+        out = dc.fanout.fan_out(10, np.int64, 10, count)
+        assert out.tolist() == [1] * 10
         assert len(forks) == 2
-        _assert_no_child_left()
-
-        # the child of rank 1 runs 1, 4 and 7 and raises at 4; the caller
-        # runs its own share, then reruns the child's tasks, and the fault
-        # raises there with its own class
-        ran = []  # the tasks run in the caller
-
-        def faulty(out, k):
-            ran.append(k)
-            if k == 4:
-                raise ZeroDivisionError("task 4")
-
-        with pytest.raises(ZeroDivisionError, match="^task 4$"):
-            dc.fanout.fan_out(10, np.int64, 10, faulty)
-        assert ran == [0, 3, 6, 9, 1, 4]
-        assert len(forks) == 4
         _assert_no_child_left()
 
         # a fan_out called inside a task runs in that task's worker
@@ -1210,8 +1195,79 @@ class TestFanOutTasks:
 
         out = dc.fanout.fan_out(6, np.int64, 3, nested)
         assert out.tolist() == [0, 6, 0, 10, 0, 14]
+        assert len(forks) == 4
+        _assert_no_child_left()
+
+        # dealt by handshakes, a child runs task 4 and raises there while
+        # the caller holds task 0; the caller then reruns that child's
+        # tasks in order, and the fault raises there with its own class
+        deal(dc.fanout, task=4)
+        ran = []  # the tasks run in the caller
+
+        def faulty(out, k):
+            ran.append(k)
+            if k == 4:
+                raise ZeroDivisionError("task 4")
+
+        with pytest.raises(ZeroDivisionError, match="^task 4$"):
+            dc.fanout.fan_out(10, np.int64, 10, faulty)
+        assert ran[0] == 0 and ran[-1] == 4 and ran.count(4) == 1
         assert len(forks) == 6
         _assert_no_child_left()
+
+    def test_a_free_worker_pulls_the_next_task(self, monkeypatch, deal):
+        # two workers: the caller's task 0 blocks until the child has
+        # started the last task, so the child must run all five others; a
+        # fixed split would give the caller 2 and 4 and time out instead
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        deal(dc.fanout, task=5)
+        caller = os.getpid()
+
+        def where(out, k):
+            out[k] = 1 + (os.getpid() != caller)
+
+        out = dc.fanout.fan_out(6, np.int64, 6, where)
+        assert out.tolist() == [1, 2, 2, 2, 2, 2]
+        _assert_no_child_left()
+
+    def test_every_task_runs_once_under_contention(self, monkeypatch):
+        # eight workers on the two CPUs pull 4000 empty tasks: a number
+        # handed out twice or skipped leaves a count other than 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+        def count(out, k):
+            out[k] += 1
+
+        out = dc.fanout.fan_out(4000, np.int64, 4000, count)
+        assert out.tolist() == [1] * 4000
+        _assert_no_child_left()
+
+    def test_a_raising_child_has_exactly_its_tasks_rerun(self, monkeypatch, deal):
+        # while the caller holds task 0 the child takes 1, 2 and 3, and
+        # raises in 3; the caller pulls 4 to 7, then reruns 1, 2 and 3, which
+        # pass there, so the call raises ResourceError.  Every run writes
+        # (pid, k) to one pipe, whose writes of 16 B are atomic
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        deal(dc.fanout, task=3)
+        caller = os.getpid()
+        log_r, log_w = os.pipe()
+
+        def logged(out, k):
+            os.write(log_w, struct.pack("qq", os.getpid(), k))
+            if k == 3 and os.getpid() != caller:
+                raise ZeroDivisionError("task 3 in the child")
+
+        try:
+            with pytest.raises(dc.ResourceError, match="exited with status 1"):
+                dc.fanout.fan_out(8, np.int64, 8, logged)
+            log = list(struct.iter_unpack("qq", os.read(log_r, 1 << 16)))
+        finally:
+            os.close(log_r)
+            os.close(log_w)
+        _assert_no_child_left()
+        child = [k for pid, k in log if pid != caller]
+        assert child == [1, 2, 3]
+        assert [k for pid, k in log if pid == caller] == [0, 4, 5, 6, 7, *child]
 
 
 class TestNestedFanOut:
