@@ -11,19 +11,32 @@ from x, in ns per cell.  The table build and the passes run on all usable
 CPUs; shifted_product_values runs in this process.  Last, "verify" gives
 the best of --repeat wall times of run_verify([name]) for each identity
 suite at its default bounds, in ms: one suite is one task, so it runs in
-this process.
+this process, warm after its first call.  "verify_first" gives each
+suite's first call, the cost that verify's schedule meets: the wall time
+of run_verify([name]) in a fresh interpreter of its own, once divcorr is
+imported, in ms.
 
     python scripts/kernel_timing.py --x 1000000,10000000 --repeat 25
 """
 
 import argparse
 import json
+import subprocess
+import sys
 import time
 
 import divcorr as dc
 from divcorr.cli import int_list
 
 SHAPES = {"1": 1, "p": 2, "p2": 4, "pq": 6, "p2q": 12, "p2qr": 60}
+# prints the seconds of the first run_verify call of the suite argv[1]
+FIRST_CALL = """
+import sys, time
+import divcorr as dc
+start = time.perf_counter()
+dc.run_verify([sys.argv[1]])
+print(time.perf_counter() - start)
+"""
 
 
 def best_ns(call, elems: int, repeat: int) -> float:
@@ -34,6 +47,13 @@ def best_ns(call, elems: int, repeat: int) -> float:
         call()
         best = min(best, time.perf_counter() - start)
     return round(best * 1e9 / elems, 3)
+
+
+def first_call_ms(suite: str) -> float:
+    """The wall time of run_verify([suite]) in a fresh interpreter, in ms."""
+    run = [sys.executable, "-c", FIRST_CALL, suite]
+    proc = subprocess.run(run, capture_output=True, text=True, check=True)
+    return round(float(proc.stdout) * 1e3, 3)
 
 
 def main(argv=None) -> int:
@@ -63,8 +83,15 @@ def main(argv=None) -> int:
         name: best_ns(lambda: dc.run_verify([name]), 10**6, args.repeat)
         for name in dc.harness.SUITES
     }
-    unit = "ns per element, per cell for stream_pair_sums.per_cell, ms for verify"
-    out = {"unit": unit, "repeat": args.repeat, "x": report, "verify": verify}
+    first = {name: first_call_ms(name) for name in dc.harness.SUITES}
+    unit = (
+        "ns per element, per cell for stream_pair_sums.per_cell, "
+        "ms for verify and verify_first"
+    )
+    out = {
+        "unit": unit, "repeat": args.repeat, "x": report, "verify": verify,
+        "verify_first": first,
+    }
     print(json.dumps(out))
     return 0
 

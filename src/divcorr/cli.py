@@ -2,7 +2,13 @@
 take their exact d sums from correlate.streamed_d_sums, with no d-table.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-error.  The DIVCORR_MEMCAP environment variable overrides the memory cap.
+error.  The memory cap, DIVCORR_MEMCAP bytes or else 2 GiB, holds twice:
+the library refuses a structure sized by the input before building it
+(sieve.charge), and on Linux main has the kernel hold the private memory
+of its process, and of each worker it forks, to the VmData that main
+began with plus the cap (sieve.memory_limit), so an allocation past it
+raises MemoryError, exit 3.  main restores the previous limit on every
+exit, so callers that run it in process stay uncapped.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from divcorr.constants import (
 from divcorr.correlate import streamed_d_sums
 from divcorr.errors import ContractError, RangeError, ResourceError
 from divcorr.harness import KINDS, SUITES, RunConfig, emit, run_compare, run_verify
+from divcorr.sieve import MEMCAP_ENV, memory_limit
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -121,7 +128,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with memory_limit():
+            return args.func(args)
+    except MemoryError:  # reported once the limit is restored
+        print(f"error: out of memory under the cap ({MEMCAP_ENV})", file=sys.stderr)
+        return EXIT_RESOURCE
     except ResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -35,15 +35,10 @@ from divcorr.arith import (
     von_mangoldt_k,
 )
 from divcorr.errors import ContractError
-from divcorr.sieve import charge
 
 DEFAULT_TRUNCATION = 1_000_000
 _PRECISION_TARGET = 1e-12  # absolute error every zeta constant must certify
-# terms per chunk of the head sums of compute_zeta_constants, and the bytes
-# charged for one: n, log n and the four terms with their integer parts,
-# float64 each (tracemalloc: 88.3 B per term for truncations 2^13-2e6)
-_ZETA_CHUNK = 1 << 13
-_ZETA_CHUNK_BYTES = 96 * _ZETA_CHUNK
+_ZETA_CHUNK = 1 << 13  # terms per chunk of the head sums of compute_zeta_constants
 # the head sums are exact on the grid 2^-123: three levels of 2^41 each
 _GRID_STEP = 41
 _GRID_LEVELS = 3
@@ -103,15 +98,13 @@ def compute_zeta_constants(truncation: int = DEFAULT_TRUNCATION) -> ZetaConstant
     gamma comes from the harmonic sum minus log; zeta'(2) = -sum log n / n^2
     and zeta''(2) = sum log^2 n / n^2 are summed to the truncation point with
     tail corrections through the third derivative.  Raises ContractError when
-    the truncation cannot certify every constant to 1e-12, and ResourceError
-    when one chunk of the head sums would exceed the memory cap.
+    the truncation cannot certify every constant to 1e-12.
 
     Each head sum is the exactly rounded sum of its float64 terms, the
     float math.fsum gives for them: the terms are added exactly on a
     2^-123 fixed-point grid and the total is rounded once (_head_sums).
     """
     m = truncation
-    charge(_ZETA_CHUNK_BYTES)
     harmonic, s2, s2l, s2ll = _head_sums(m)
 
     lm = math.log(m)

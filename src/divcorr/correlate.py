@@ -41,7 +41,7 @@ from divcorr.arith import (
     trial_factorize,
 )
 from divcorr.errors import ContractError, RangeError
-from divcorr.sieve import MULT_ENTRY_BYTES, DivisorTable, build_mult_table
+from divcorr.sieve import DivisorTable, build_mult_table
 
 
 @dataclass(frozen=True)
@@ -169,26 +169,12 @@ def streamed_d_sums(kind: str, cells: Sequence[tuple[int, int]]) -> list[int]:
     return [sum_fn(x, v, sums).value for x, v in cells]
 
 
-# bytes per term of one window of the f-sum walk: the term ints and their
-# array, and when n and n+v are stripped, int64 L and R, the gathered f and
-# f(p^(a+b)) at the multiples of p; tracemalloc peaks per entry of 2^19-entry
-# windows: 40, 56, 64 unstripped and 84, 95, 107 stripped (sigma_1, sigma_3,
-# tau-sized ints)
-_TERM_BYTES = 128
-
-
-def _mult_table(spec: MultiplicativeSpec, x: int, v: int) -> np.ndarray:
-    """f(0..x+v), charged together with one window of the sum over it."""
-    sieve.charge(MULT_ENTRY_BYTES * (x + v + 1) + _TERM_BYTES * min(x, sieve.SEGMENT_SIZE))
-    return build_mult_table(spec, x + v)
-
-
 def _f_sums(
     spec: MultiplicativeSpec, product: bool, cells: Sequence[tuple[int, int]]
 ) -> list[int | float]:
     """Exact f-sums at the cells (x, v), in order: sum_{n<=x} f(n(n+v)) when
     product, else sum_{n<=x} f(n) f(n+v); RangeError for a bad cell before
-    anything is built.  One _mult_table to max x + max v serves every cell,
+    anything is built.  One f-table to max x + max v serves every cell,
     none when every x is 0.  Each distinct v is walked once, window by
     window, over [1, max x of v], and its running sum is read at each x."""
     ends: dict[int, set[int]] = {}  # v -> its x > 0
@@ -198,7 +184,8 @@ def _f_sums(
             ends.setdefault(v, set()).add(x)
     sums = dict.fromkeys(cells, 0)
     if ends:
-        f = _mult_table(spec, max(map(max, ends.values())), max(v for _, v in cells))
+        top = max(map(max, ends.values())) + max(v for _, v in cells)
+        f = build_mult_table(spec, top)
     for v, xs in ends.items():
         value: int | float = 0
         for lo, hi in sieve.windows(1, max(xs)):

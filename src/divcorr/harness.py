@@ -46,22 +46,9 @@ from divcorr.constants import (
 from divcorr.correlate import lattice_sum, product_sums, streamed_d_sums
 from divcorr.errors import ContractError
 from divcorr.fanout import fan_out
-from divcorr.sieve import (
-    MULT_ENTRY_BYTES,
-    build_divisor_table,
-    build_mult_table,
-    charge,
-    shifted_product_values,
-)
+from divcorr.sieve import build_divisor_table, build_mult_table, shifted_product_values
 
 KINDS = ("dd", "dpoly", "sigma_corr")
-# bytes per entry at the peak of ramanujan_tau_table (measured 133-161 for
-# limits 1e2-1e5; the finished table holds 40-46)
-_TAU_ENTRY_BYTES = 200
-# bytes per cell of a genrec phase's 2-D arrays: tracemalloc peaks above
-# the f-table, amax 20-300, are 8-34 B per cell in int64 and 48-66 B in
-# tau's object arrays
-_GENREC_CELL_BYTES = 96
 _CONSISTENCY_TOLERANCE = 1e-9  # largest coefficient_consistency deviation that passes
 SUITES = (
     "lemma1",
@@ -182,8 +169,7 @@ def run_verify(
     a, b <= 200; sigma_lambda and binomial: v <= 200; coeff_consistency:
     v <= 100); a given bound below 1 raises ContractError.  A suite keeps
     a row only while a later check reads it, and only the prefix that
-    check reads, and charges what it holds against the memory cap before
-    building anything (ResourceError).
+    check reads.
 
     The suites run on every usable CPU as the tasks of fan_out, suite i as
     task i, each worker taking the next suite in the order given when it
@@ -281,11 +267,7 @@ def _suite_lemma1(xmax: int, vmax: int) -> Iterator[_Outcome]:
     # both transform directions, checked for every x <= xmax and v <= vmax.
     # The pair and product prefix sums of shift v, one int64 row each, are
     # formed at v and kept, cut to the entries n // e (e >= 2) reads, only
-    # while a multiple of v is left.  Charged: 8 B per entry of the table's
-    # length for seven rows (the two of shift v, the uint32 table, the
-    # temporaries of lattice_sum and _compare; 52 B traced in all) and for
-    # each shift w with 2w <= vmax, whose two rows are cut to half
-    charge(8 * (7 + vmax // 2) * (xmax + vmax + 1))
+    # while a multiple of v is left
     dtab = build_divisor_table(xmax + vmax)
     d = dtab.values
     rows: dict[int, np.ndarray] = {}  # shift -> its pair and product rows
@@ -324,12 +306,7 @@ def _suite_lemma2(nmax: int, vmax: int) -> Iterator[_Outcome]:
     # pointwise d(n) d(n+v) == sum_{e | gcd(n,v)} d(n(n+v)/e^2); the inner
     # term at n = e m equals the shifted-product value at (m, v/e).  The
     # uint32 row of shift v is formed at v and kept as lemma1 keeps its
-    # rows.  Charged: 34 B per entry of the table's length for the uint32
-    # table, the int64 lhs and rhs, the row of shift v, the mask of _compare
-    # and the window work of shifted_product_values (31 B traced at
-    # n = 2e4), and 2 B for each shift w with 2w <= vmax, whose row is cut
-    # to half
-    charge((34 + 2 * (vmax // 2)) * (nmax + vmax + 1))
+    # rows
     dtab = build_divisor_table(nmax + vmax)
     d = dtab.values
     spt: dict[int, np.ndarray] = {}
@@ -377,38 +354,19 @@ def _suite_genrec(amax: int) -> Iterator[_Outcome]:
     # d, sigma_1, sigma_2 on all unordered pairs a <= b <= amax, and for tau
     # on pairs with ab inside the tau table, one _genrec_phase each.  One
     # f-table and its arrays are alive at a time, and the tau table is built
-    # for its own spec, after the sigma tables are gone, so the larger phase
-    # is charged before anything is built: an f-table over amax^2, or the
-    # tau table and its f-table, and _GENREC_CELL_BYTES per cell of the
-    # phase's 2-D arrays
+    # for its own spec, after the sigma tables are gone
     tau_limit = min(10_000, amax * amax)
-    tables = [
-        (MULT_ENTRY_BYTES, amax * amax),
-        (MULT_ENTRY_BYTES + _TAU_ENTRY_BYTES, tau_limit),
-    ]
-    charge(
-        max(
-            entry * (limit + 1)
-            + _GENREC_CELL_BYTES * math.prod(n + 1 for n in _genrec_grid(amax, limit))
-            for entry, limit in tables
-        )
-    )
     yield _genrec_phase(divisor_count_spec(), amax * amax, amax)
     yield _genrec_phase(sigma_spec(1), amax * amax, amax)
     yield _genrec_phase(sigma_spec(2), amax * amax, amax)
     yield _genrec_phase(tau_spec(ramanujan_tau_table(tau_limit)), tau_limit, amax)
 
 
-def _genrec_grid(amax: int, limit: int) -> tuple[int, int]:
-    """The last row a and column b of genrec's 2-D arrays over an f-table
-    to limit, each indexed from 0: the pairs a <= b <= amax with ab <= limit
-    have a <= isqrt(limit) and b <= limit."""
-    return min(amax, math.isqrt(limit)), min(amax, limit)
-
-
 def _genrec_phase(spec: MultiplicativeSpec, limit: int, amax: int) -> _Outcome:
     """The identity for one spec over its f-table to limit, as 2-D arrays
-    over a <= rows, b <= cols (_genrec_grid): lhs the outer product
+    over a <= rows, b <= cols, where rows = min(amax, isqrt(limit)) and
+    cols = min(amax, limit), since the pairs a <= b <= amax with ab <= limit
+    have a <= isqrt(limit) and b <= limit: lhs the outer product
     f(a) f(b), F[a, b] = f(ab) where ab <= limit (else f(0) = 0), and rhs
     F plus g(e) F[a', b'] added at (e a', e b') for each e >= 2, since the
     cells with e | a and e | b are exactly those and ab/e^2 = a'b' there.
@@ -418,7 +376,7 @@ def _genrec_phase(spec: MultiplicativeSpec, limit: int, amax: int) -> _Outcome:
     and partial sum fits, object arrays otherwise (tau), and the object
     table is dropped once copied to int64."""
     f = build_mult_table(spec, limit)
-    rows, cols = _genrec_grid(amax, limit)
+    rows, cols = min(amax, math.isqrt(limit)), min(amax, limit)
     g = [completely_mult_value(spec.companion_g, e) for e in range(1, rows + 1)]
     try:
         wide = f.astype(np.int64)  # OverflowError past int64

@@ -49,8 +49,13 @@ f(n(n+v)) of a window from such a table.  The product forms split n(n+w)
 at the primes of w, and the f-table needs each n's exponents: all three
 read v_p(n) from _valuations, the one valuation walk, at the multiples of
 p or of a power of p in a window, and so do the correction's patterns.
-charge() is the one memory-cap check: callers charge their allocations
-before making them.
+The memory cap, DIVCORR_MEMCAP bytes or else 2 GiB, is held two ways.
+memory_limit() has the kernel enforce it on the CLI's process: the soft
+RLIMIT_DATA becomes the process's private memory plus the cap, and
+fan_out's children inherit it.  charge() refuses, before any work, a
+structure whose size the input sets: a d-table, an SPF table, an f-table,
+and the streamed pass's buffers, fill plan and shared slot array, the
+last of which RLIMIT_DATA does not count.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -61,6 +66,8 @@ product form) mostly hit cache instead of streaming the window from RAM.
 from __future__ import annotations
 
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -88,32 +95,53 @@ _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 _PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
 _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
 _HYPERBOLA_CHUNK = 1 << 14  # quotients per chunk of _divisor_summatory
-# bytes charged by stream_pair_sums besides 8 B per slot of its shared
-# array: per window, for its three d slots and the Python prefix sums of the
-# longest row, which has a slot per window (the list of its slots, its
-# prefix sums and, while they are built, the last row's); per cell, for its
-# y in the lists and the array of its row, its prefix sum and its sum; per
-# row, for the row's own objects.  tracemalloc peaks of whole passes in
-# windows of 64, one worker, grow by 109 B per window for one cell and
-# 237-239 B for twelve (six shifts in both forms), against 184 and 272 B
-# charged; by at most 232 B per cell of one row or of twelve; and by at most
-# 702 B per row, one cell each over 20 windows, against 1064 B charged
-_SEGMENT_BYTES = 176
-_CELL_BYTES = 256
-_ROW_BYTES = 640
 
 
 def charge(nbytes: int) -> None:
-    """Raise ResourceError if an allocation of ~nbytes exceeds the memory cap,
-    DIVCORR_MEMCAP bytes or else 2 GiB; call it before allocating.  A cap
-    that is not an integer >= 1 raises ContractError."""
+    """Raise ResourceError if an allocation of ~nbytes exceeds the memory
+    cap; call it before allocating."""
+    cap = memory_cap()
+    if nbytes > cap:
+        raise ResourceError(f"allocation of ~{nbytes} bytes exceeds memory cap {cap}")
+
+
+def memory_cap() -> int:
+    """The memory cap in bytes, DIVCORR_MEMCAP or else 2 GiB: the one parser
+    of DIVCORR_MEMCAP.  A cap that is not an integer >= 1 raises
+    ContractError."""
     env = os.environ.get(MEMCAP_ENV) or str(DEFAULT_MEMORY_CAP)
     if not env.isdecimal() or int(env) < 1:
         raise ContractError(f"{MEMCAP_ENV}={env!r} is not an integer byte count >= 1")
-    if nbytes > int(env):
-        raise ResourceError(
-            f"allocation of ~{nbytes} bytes exceeds memory cap {int(env)}"
-        )
+    return int(env)
+
+
+@contextmanager
+def memory_limit() -> Iterator[None]:
+    """While the block runs, let this process and the children it forks grow
+    their private memory by at most the memory cap, and raise MemoryError
+    past it: on Linux the soft RLIMIT_DATA is set to VmData, the private
+    memory already mapped, plus the cap, never above a limit in force, and
+    restored on leaving.  The kernel counts neither RSS nor shared mappings
+    such as fan_out's.  Enter it after every import, so that what an import
+    maps (OpenBLAS maps its threads' buffers) is in VmData.  Elsewhere only
+    charge() holds the cap."""
+    cap = memory_cap()
+    if sys.platform != "linux":
+        yield
+        return
+    import resource
+
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmData:"))
+    old = resource.getrlimit(resource.RLIMIT_DATA)
+    finite = [n for n in old if n != resource.RLIM_INFINITY]
+    # setrlimit takes no limit above sys.maxsize
+    soft = min(int(line.split()[1]) * 1024 + cap, sys.maxsize, *finite)
+    resource.setrlimit(resource.RLIMIT_DATA, (soft, old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_DATA, old)
 
 
 @dataclass(frozen=True)
@@ -420,18 +448,6 @@ def _period_valuations(p: int, k: int) -> np.ndarray:
     return row
 
 
-def _correction_bytes(size: int) -> int:
-    """The bytes that callers charge for the product-form correction of a
-    window of size entries by _pair_products: 16 per entry of the longest
-    pattern period, for the valuation rows, codes, shifts and multipliers
-    of one period, and 1/4 per window entry, for the rows of a prime above
-    the square root of _PATTERN_CAP, walked at its every multiple.
-    tracemalloc peaks of one call for the shifts 60 and 30030: 5.8 KB at
-    255 entries, 38 KB at 4096, 53 KB at 2^16 and 2^19; and 94 to 105 KB
-    at 2^19 for 67, 134 and 2010, the rows of 67."""
-    return 16 * _PATTERN_CAP + size // 4
-
-
 def _pair_products(
     left: np.ndarray,
     right: np.ndarray,
@@ -538,15 +554,13 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
     formed window by window by _pair_products straight into the output.
 
     Returns a uint32 array of limit+1 entries with slot 0 = 0.  Raises
-    RangeError if the d-table is too short; charges the table, the output
-    and the product-form correction of a window (_correction_bytes), then
-    raises OverflowError as _pair_products does, with the table's bound.
-    Memory beyond the output is O(window).
+    RangeError if the d-table is too short; charges the table and the
+    output, then raises OverflowError as _pair_products does, with the
+    table's bound.  Memory beyond the output is O(window).
     """
     if dtab.limit < limit + shift:
         raise RangeError(f"divisor table limit {dtab.limit} < {limit + shift}")
-    size = min(SEGMENT_SIZE, limit)
-    charge(dtab.values.nbytes + (limit + 1) * 4 + _correction_bytes(size))
+    charge(dtab.values.nbytes + (limit + 1) * 4)
     out = np.zeros(limit + 1, dtype=np.uint32)
     d = dtab.values
     factors = trial_factorize(shift)
@@ -631,12 +645,9 @@ def stream_pair_sums(
     or piece that holds it.  It charges 12 B per entry of a window plus the
     widest near shift and the fill's prime powers up to the top n + w; a
     pass over dtab charges the table and 4 B per window entry.  Both charge
-    the product-form correction of a window (_correction_bytes) when a cell
-    is of product form, and its bookkeeping, counted from the cells' ys
-    before any of it is built: 8 B per slot of the shared array, a slot per
-    cell and one per window of each row, _SEGMENT_BYTES per window,
-    _CELL_BYTES per cell and _ROW_BYTES per row.  RangeError for a cell with
-    y < 0 or w < 1.
+    the shared array, 8 B per slot, counted from the cells' ys before
+    anything is built: a slot per cell, one per window of each row and
+    three per window.  RangeError for a cell with y < 0 or w < 1.
     """
     marks: dict[tuple[int, bool], list] = {}  # (shift, product) -> its ys
     for y, w, *shape in cells:
@@ -652,26 +663,22 @@ def stream_pair_sums(
     reach = max(y + w for (w, _), y in lasts.items())
     if dtab is not None and dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
-    # the bookkeeping, charged before it is built: per row a slot per y and
-    # per window, 8 B each in the shared array; the d slots and prefix sums
-    # per window, the cells' ys and sums and the rows' own objects
+    # the slots, charged before anything is built, since RLIMIT_DATA does
+    # not count fan_out's shared mapping: per row one per y, repeats
+    # included, and one per window; three d slots per window
     wins = -(-top // SEGMENT_SIZE)
-    marked = sum(map(len, marks.values()))  # the cells' ys, repeats included
-    slots = marked + sum(-(-y // SEGMENT_SIZE) for y in lasts.values())
-    rest = 8 * slots + _SEGMENT_BYTES * wins + _CELL_BYTES * marked
-    rest += _ROW_BYTES * len(marks)
-    if any(product for _, product in marks):
-        rest += _correction_bytes(size)
+    slots = sum(len(ys) + -(-lasts[row] // SEGMENT_SIZE) for row, ys in marks.items())
+    slot_bytes = 8 * (slots + 3 * wins)
     if dtab is None:
         near = max((w for w, _ in marks if w <= size), default=0)
         # dbuf and far, 4 B per entry each; the plan
-        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + rest)
+        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + slot_bytes)
         dbuf = np.empty(size + near, dtype=np.uint32)
         far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
         plan = _fill_plan(reach, size + near)
         pbuf = plan.words  # idle while the fill runs; then the products
     else:
-        charge(dtab.values.nbytes + 4 * size + rest)
+        charge(dtab.values.nbytes + 4 * size + slot_bytes)
         pbuf = np.empty(size, dtype=np.uint32)
     # per row: its shift, its key's tail, the factorisation it corrects at,
     # its ys, its first slot and its count of slots; in window k the row has

@@ -1,16 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from divcorr import constants, harness, sieve
+from divcorr import cli, harness, sieve
 from divcorr.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,13 +159,6 @@ def test_verify_bad_bound_usage_error(capsys, bound):
     assert "must be >= 1" in capsys.readouterr().err
 
 
-def test_verify_memory_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("DIVCORR_MEMCAP", str(200 << 20))
-    assert main(["verify", "--suite", "lemma1", "--xmax", "1000000"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
 def test_verify_genrec_memory_cap_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
     assert main(["verify", "--suite", "genrec", "--vmax", "2000"]) == 3
@@ -183,15 +180,6 @@ def test_sum_dpoly_needs_no_output_array(capsys, monkeypatch):
     monkeypatch.setenv("DIVCORR_MEMCAP", "50000000")
     assert main(["sum", "--kind", "dpoly", "--x", "8000000", "--v", "30"]) == 0
     assert capsys.readouterr().out == "1272072482\n"
-
-
-def test_constants_memory_cap_exit_code(capsys, monkeypatch):
-    # a cap one byte below the charge of one chunk of head terms
-    monkeypatch.setenv("DIVCORR_MEMCAP", str(constants._ZETA_CHUNK_BYTES - 1))
-    constants.compute_zeta_constants.cache_clear()  # a cached call allocates nothing
-    assert main(["constants"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # a process keeps across exec the peak RSS of the one it replaced (a fork
@@ -227,19 +215,183 @@ def test_measured_peak_rss(argv):
     # a fresh process, so no earlier test's memory or children count; its
     # forked sieve workers do.  The ~30 MiB floor of the interpreter and
     # numpy is inside the 64 MiB bound, not subtracted from it
+    proc = _fresh(_PEAK_RSS, argv)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0 and proc.stdout
+    assert peak_kib < 64 << 10, f"peak RSS {peak_kib >> 10} MiB"
+
+
+def _fresh(script, argv, memcap=None):
+    """The completed run of script with argv in a fresh interpreter that
+    imports divcorr from this checkout, under DIVCORR_MEMCAP=memcap, or the
+    default cap when memcap is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     env.pop("DIVCORR_MEMCAP", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS, *argv],
+    if memcap is not None:
+        env["DIVCORR_MEMCAP"] = str(memcap)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    code, peak_kib = map(int, proc.stderr.split())
-    assert code == 0 and proc.stdout
-    assert peak_kib < 64 << 10, f"peak RSS {peak_kib >> 10} MiB"
+
+
+# main in a fresh process, forked after the exec as in _PEAK_RSS, so the
+# VmData that the cap adds to is the command's own.  The f-table's charge
+# is 0, so the kernel alone holds the cap; two workers, and verify's suites
+# dealt as the deal fixture deals them, so the second suite runs in the
+# child.  stdout gets main's own seconds
+_KERNEL_CAP = f"""
+import os, sys, time
+if os.fork():
+    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+sys.path.insert(0, {str(ROOT / "tests")!r})
+from conftest import dealt
+from divcorr import harness, sieve
+from divcorr.cli import main
+sieve.MULT_ENTRY_BYTES = 0
+os.sched_getaffinity = lambda pid: {{0, 1}}
+harness.fan_out = dealt(harness.fan_out)
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, flush=True)
+os._exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, memcap",
+    [
+        (["compare", "--kind", "sigma_corr", "--alpha", "1", "--v", "1,6"]
+         + ["--x", "1000000"], 16 << 20),
+        (["verify", "--suite", "induction", "genrec", "--vmax", "2000"], 16 << 20),
+        (["verify", "--suite", "lemma2", "--xmax", "10000000"], 128 << 20),
+        (["sum", "--kind", "dd", "--x", "10000000000000000", "--v", "1"], None),
+    ],
+    ids=["caller", "fan_out child", "lemma2", "sum 1e16"],
+)
+def test_kernel_cap_exit_code(argv, memcap):
+    # an f-table in the caller or in a verify worker, whose MemoryError the
+    # caller meets again when it reruns the suite, and lemma2's 160 MB of
+    # rows over 1e7, whose 80 MB charges of shifted_product_values pass:
+    # each passes the cap with no charge to refuse it.  A pass to 1e16 is
+    # refused at once by its charges
+    _assert_exit_3(argv, memcap)
+
+
+def test_verify_memory_cap_exit_code():
+    # lemma1's prefix rows grow with xmax
+    _assert_exit_3(["verify", "--suite", "lemma1", "--xmax", "1000000"], 64 << 20)
+
+
+def _assert_exit_3(argv, memcap):
+    """argv, run as _KERNEL_CAP runs it, exits 3 with one line, with no
+    traceback and no kill, and main returns within a second."""
+    proc = _fresh(_KERNEL_CAP, argv, memcap)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert float(proc.stdout) < 1.0, proc.stdout
+
+
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_memory_error_exit_code(monkeypatch, deal, where):
+    # a window fill that maps 1 GiB, past the 64 MiB cap, in the caller or
+    # only in a forked worker, whose tasks the caller reruns and passes; one
+    # line either way, written once main has restored the limit
+    monkeypatch.setenv("DIVCORR_MEMCAP", str(64 << 20))
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1009)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    deal(sieve)
+    caller, fill = os.getpid(), sieve._divisor_fill
+
+    def greedy(seg, lo, hi, plan):
+        if (os.getpid() == caller) == (where == "caller"):
+            np.empty(1 << 30, dtype=np.uint8)
+        fill(seg, lo, hi, plan)
+
+    monkeypatch.setattr(sieve, "_divisor_fill", greedy)
+    found, limits = resource.getrlimit(resource.RLIMIT_DATA), []
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            limits.append(resource.getrlimit(resource.RLIMIT_DATA))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["sum", "--kind", "dd", "--x", "5000", "--v", "2"]) == 3
+    err = sys.stderr.getvalue()
+    want = {"caller": "error: out of memory", "child": "error: sieve worker"}[where]
+    assert err.startswith(want) and err.count("\n") == 1, err
+    assert limits and set(limits) == {found}
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _spy_limit(monkeypatch):
+    """The soft and hard RLIMIT_DATA that each main call holds while its
+    command runs, appended to the returned list."""
+    held = []
+    memory_limit = cli.memory_limit
+
+    @contextlib.contextmanager
+    def spy():
+        with memory_limit():
+            held.append(resource.getrlimit(resource.RLIMIT_DATA))
+            yield
+
+    monkeypatch.setattr(cli, "memory_limit", spy)
+    return held
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["sum", "--kind", "dd", "--x", "6", "--v", "2"], 0),
+        (["verify", "--suite", "induction"], 1),
+        (["sum", "--kind", "dd", "--x", "6", "--v", "0"], 2),
+        (["sum", "--kind", "dd", "--x", "10000000000000000", "--v", "1"], 3),
+    ],
+)
+def test_main_restores_the_data_limit(capsys, monkeypatch, argv, code):
+    # pytest and perfbench's worker call main in process, and stay uncapped;
+    # the soft limit starts at the hard one, so a limit left set shows
+    failing = (harness.SuiteResult("induction", 1, 1, "planted"),)
+    monkeypatch.setattr(cli, "run_verify", lambda *args, **bounds: failing)
+    held = _spy_limit(monkeypatch)
+    found = resource.getrlimit(resource.RLIMIT_DATA)
+    top = (found[1], found[1])
+    resource.setrlimit(resource.RLIMIT_DATA, top)
+    try:
+        assert main(argv) == code
+        assert resource.getrlimit(resource.RLIMIT_DATA) == top
+    finally:
+        resource.setrlimit(resource.RLIMIT_DATA, found)
+    ((soft, hard),) = held
+    assert hard == found[1] and soft != resource.RLIM_INFINITY
+
+
+def test_hard_limit_below_the_cap_is_clamped(monkeypatch):
+    # a hard limit cannot be raised again, so only a forked child lowers it,
+    # to 256 MiB past its VmData, below VmData plus the 2 GiB default cap
+    monkeypatch.delenv("DIVCORR_MEMCAP", raising=False)
+    held = _spy_limit(monkeypatch)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with open("/proc/self/status") as status:
+                line = next(line for line in status if line.startswith("VmData:"))
+            hard = int(line.split()[1]) * 1024 + (256 << 20)
+            resource.setrlimit(resource.RLIMIT_DATA, (hard, hard))
+            with contextlib.redirect_stdout(io.StringIO()):
+                ran = main(["sum", "--kind", "dd", "--x", "6", "--v", "2"])
+            code = 0 if ran == 0 and held == [(hard, hard)] else 2
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def test_verify_unknown_suite_usage_error():
@@ -383,6 +535,13 @@ def test_resource_error_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("DIVCORR_MEMCAP", "1000")
     code = main(["sum", "--kind", "dd", "--x", "1000000", "--v", "1"])
     assert code == 3
+
+
+def test_memcap_past_the_largest_limit(capsys, monkeypatch):
+    # the kernel's limit stops at sys.maxsize bytes
+    monkeypatch.setenv("DIVCORR_MEMCAP", str(10**30))
+    assert main(["sum", "--kind", "dd", "--x", "6", "--v", "2"]) == 0
+    assert capsys.readouterr().out == "44\n"
 
 
 @pytest.mark.parametrize("cap", ["abc", "-5"])

