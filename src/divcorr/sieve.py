@@ -31,9 +31,9 @@ the slices of a d-table (sum_dd, sum_dpoly and the Lemma 1 transforms), or
 windows sieved by the divisor fill of the table build, a shift wider than
 a window in a piece of its own (the CLI's sums, with no d-table).  A row
 keeps only its sorted ys, and the slot of each y in the shared array
-follows from the y itself; a sieved window also writes its sums of d(n)
-over its own entries and its overhang and the hyperbola's sum up to its
-last n, which the parent checks window by window.  Every
+follows from the y itself.  Every window the divisor fill sieves, a
+table's, the pass's or a far piece, checks its sum of d(n) against the
+hyperbola identity by _check_d_sum in the worker that sieved it.  Every
 d(n) d(n+w) and every d(n(n+w)), those of shifted_product_values too, is
 formed by _pair_products, the one overflow guard: it reads the largest
 product only when a bound on the d(n), one per table or per streamed
@@ -54,8 +54,8 @@ memory_limit() has the kernel enforce it on the CLI's process: the soft
 RLIMIT_DATA becomes the process's private memory plus the cap, and
 fan_out's children inherit it.  charge() refuses, before any work, a
 structure whose size the input sets: a d-table, an SPF table, an f-table,
-and the streamed pass's buffers, fill plan and shared slot array, the
-last of which RLIMIT_DATA does not count.
+and the streamed pass's buffers, fill plan and fan_out's shared slot
+array and task table, which RLIMIT_DATA does not count.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -70,7 +70,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate
 from math import isqrt, log2
 from typing import Iterable, Iterator, NamedTuple
 
@@ -95,6 +94,9 @@ _MULT_CHUNK = 1 << 16  # entries per chunk of build_mult_table
 _PATTERN_CAP = 1 << 12  # the longest period of a product-form correction pattern
 _PATTERN_EXP = _PATTERN_CAP.bit_length() - 1  # its largest exponent, at p = 2
 _HYPERBOLA_CHUNK = 1 << 14  # quotients per chunk of _divisor_summatory
+# slots per uint64 prefix sum of stream_pair_sums: a row's slots in one
+# window sum 2^19 terms below 2^32 at most, so 2^10 slots stay below 2^61
+_TOTAL_CHUNK = 1 << 10
 
 
 def charge(nbytes: int) -> None:
@@ -367,13 +369,15 @@ def _divisor_fill(seg: np.ndarray, lo: int, hi: int, plan: _FillPlan) -> None:
 
 
 def build_divisor_table(limit: int) -> DivisorTable:
-    """Divisor-count table d(1..limit), filled window by window.
+    """Divisor-count table d(1..limit), filled window by window, each
+    window checked by _check_d_sum in the worker that filled it.
 
     Args:
         limit: inclusive upper bound.
 
     Returns:
-        DivisorTable of uint32 counts.
+        DivisorTable of uint32 counts.  RuntimeError if a window fails its
+        self-test.
     """
     if limit < 1:
         raise RangeError("limit must be >= 1")
@@ -385,6 +389,7 @@ def build_divisor_table(limit: int) -> DivisorTable:
         lo = 1 + k * SEGMENT_SIZE  # slot 0 stays 0
         hi = min(lo + SEGMENT_SIZE - 1, limit)
         _divisor_fill(d[lo : hi + 1], lo, hi, plan)
+        _check_d_sum(d[lo : hi + 1], lo)
 
     d = fan_out(limit + 1, np.uint32, -(-limit // SEGMENT_SIZE), fill)
     d.flags.writeable = False
@@ -570,28 +575,36 @@ def shifted_product_values(dtab: DivisorTable, limit: int, shift: int) -> np.nda
     return out
 
 
-def _divisor_summatory(y: int) -> int:
-    """sum_{n<=y} d(n) by the hyperbola identity, in O(sqrt y), exact for
-    0 <= y < 2^64: the quotients y // i are uint64, taken _HYPERBOLA_CHUNK
-    at a time, and the low and high 32-bit halves of a chunk are summed
-    apart, so neither sum wraps."""
-    r, total = isqrt(y), 0
-    for a in range(1, r + 1, _HYPERBOLA_CHUNK):
-        i = np.arange(a, min(a + _HYPERBOLA_CHUNK, r + 1), dtype=np.uint64)
-        q = np.uint64(y) // i
-        total += int(np.sum(q & 0xFFFFFFFF, dtype=np.uint64))
-        total += int(np.sum(q >> 32, dtype=np.uint64)) << 32
-    return 2 * total - r * r
+def _divisor_summatory(y: int, after: int = 0) -> int:
+    """sum_{after<n<=y} d(n), as the difference of the hyperbola identity's
+    sums up to y and up to after, sum_{n<=z} d(n) = 2 sum_{i<=r} floor(z/i)
+    - r^2 for r = isqrt(z), in O(sqrt y), exact for 0 <= after <= y < 2^64:
+    the quotients z // i are uint64, taken _HYPERBOLA_CHUNK at a time, and
+    the low and high 32-bit halves of a chunk are summed apart, so neither
+    sum wraps."""
+    total = 0
+    for z, sign in ((y, 1), (after, -1)):
+        r, part = isqrt(z), 0
+        for a in range(1, r + 1, _HYPERBOLA_CHUNK):
+            i = np.arange(a, min(a + _HYPERBOLA_CHUNK, r + 1), dtype=np.uint64)
+            q = np.uint64(z) // i
+            part += int(np.sum(q & 0xFFFFFFFF, dtype=np.uint64))
+            part += int(np.sum(q >> 32, dtype=np.uint64)) << 32
+        total += sign * (2 * part - r * r)
+    return total
 
 
-def _check_d_sum(value: int, y: int, want: int, after: int = 0) -> None:
-    """The self-test of the streamed pass: raise RuntimeError naming y unless
-    value, the sum of d(n) over after < n <= y as sieved, is want, the same
-    sum by the hyperbola identity."""
+def _check_d_sum(d: np.ndarray, lo: int) -> None:
+    """The one self-test of sieved d(n), run where they were sieved: raise
+    RuntimeError naming hi = lo + len(d) - 1 unless the sum of d, the d(n)
+    for lo <= n <= hi as sieved, is the hyperbola identity's sum over
+    (lo - 1, hi]."""
+    hi, value = lo + len(d) - 1, int(np.sum(d, dtype=np.uint64))
+    want = _divisor_summatory(hi, lo - 1)
     if value != want:
         raise RuntimeError(
-            f"divisor sieve self-test failed at y={y}: sum of d(n) over "
-            f"({after}, {y}] {value} != {want} by the hyperbola identity"
+            f"divisor sieve self-test failed at y={hi}: sum of d(n) over "
+            f"({lo - 1}, {hi}] {value} != {want} by the hyperbola identity"
         )
 
 
@@ -626,28 +639,25 @@ def stream_pair_sums(
     no uint64 copy of the window, and one np.add.reduceat in uint64 adds
     each slot's blocks, written to the row's slots in one assignment.
     Window k, [1 + k S, (k + 1) S] for S = SEGMENT_SIZE, is task k of
-    fan_out, which computes its bounds and its rows from k, and the parent
-    adds each row's slots in window order as Python ints into one list of
-    prefix sums and reads each y's sum at its slot, so the sums are exact
-    and deterministic; a window that raises in a worker raises here.
+    fan_out, which computes its bounds and its rows from k; a window that
+    raises in a worker raises here.  The parent reads each row's sums as one
+    running total of its slots in window order, as Python ints carried over
+    uint64 prefix sums of _TOTAL_CHUNK slots at a time, so the sums are
+    exact and deterministic and it holds O(cells) beyond the shared array.
 
     A sieving window is sieved past its own S entries, or in the last window
-    past the top y, as far as a near row reads there, to its largest n + w.
-    It writes three d slots: the sums of d(n) over its own entries and over
-    that overhang, and the hyperbola identity's sum up to its last n, e,
-    sum_{n<=e} d(n) = 2 sum_{i<=r} floor(e/i) - r^2 for r = floor(sqrt e),
-    one hyperbola sum per window, computed in its worker.  The parent keeps
-    the running sum of the windows' own entries and checks, window by
-    window, that it plus the window's two sums is the hyperbola's, then adds
-    the own sum; each far piece (a, y] is checked in its window, as the
-    difference of two hyperbola sums.  So every sieved d(n) is in a check,
-    and a single fault raises RuntimeError naming the last n of the window
-    or piece that holds it.  It charges 12 B per entry of a window plus the
-    widest near shift and the fill's prime powers up to the top n + w; a
-    pass over dtab charges the table and 4 B per window entry.  Both charge
-    the shared array, 8 B per slot, counted from the cells' ys before
-    anything is built: a slot per cell, one per window of each row and
-    three per window.  RangeError for a cell with y < 0 or w < 1.
+    past the top y, as far as a near row reads there, to its largest n + w,
+    e.  After the products of its rows, so that the overflow guard raises
+    first where it can, it checks the d(n) it sieved over (lo - 1, e] by
+    _check_d_sum, and so does each far piece over (lo + w - 1, n + w].  So
+    every sieved d(n) is checked in the worker that sieved it, and a single
+    fault raises RuntimeError naming the last n of the window or piece that
+    holds it.  It charges 12 B per entry of a window plus the widest near
+    shift and the fill's prime powers up to the top n + w; a pass over dtab
+    charges the table and 4 B per window entry.  Both charge fan_out's
+    shared mappings, 8 B per slot and 8 B per window, counted from the
+    cells' ys before anything is built.  RangeError for a cell with y < 0 or
+    w < 1.
     """
     marks: dict[tuple[int, bool], list] = {}  # (shift, product) -> its ys
     for y, w, *shape in cells:
@@ -663,22 +673,23 @@ def stream_pair_sums(
     reach = max(y + w for (w, _), y in lasts.items())
     if dtab is not None and dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
-    # the slots, charged before anything is built, since RLIMIT_DATA does
-    # not count fan_out's shared mapping: per row one per y, repeats
-    # included, and one per window; three d slots per window
+    # fan_out's shared mappings, charged before anything is built, since
+    # RLIMIT_DATA does not count them: per row a slot per y, repeats
+    # included, and one per window; the task table's owner slot per window
+    # and its counter
     wins = -(-top // SEGMENT_SIZE)
     slots = sum(len(ys) + -(-lasts[row] // SEGMENT_SIZE) for row, ys in marks.items())
-    slot_bytes = 8 * (slots + 3 * wins)
+    shared = 8 * (slots + wins + 1)
     if dtab is None:
         near = max((w for w, _ in marks if w <= size), default=0)
         # dbuf and far, 4 B per entry each; the plan
-        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + slot_bytes)
+        charge(8 * (size + near) + _fill_plan_bytes(reach, size + near) + shared)
         dbuf = np.empty(size + near, dtype=np.uint32)
         far = np.empty(size if max(marks)[0] > size else 0, dtype=np.uint32)
         plan = _fill_plan(reach, size + near)
         pbuf = plan.words  # idle while the fill runs; then the products
     else:
-        charge(dtab.values.nbytes + 4 * size + slot_bytes)
+        charge(dtab.values.nbytes + 4 * size + shared)
         pbuf = np.empty(size, dtype=np.uint32)
     # per row: its shift, its key's tail, the factorisation it corrects at,
     # its ys, its first slot and its count of slots; in window k the row has
@@ -692,29 +703,21 @@ def stream_pair_sums(
         count = len(ys) + -(-int(ys[-1]) // SEGMENT_SIZE)
         rows.append((w, (True,) * product, factors, ys, slot, count))
         slot += count
-    guard = slot  # three slots per window for a sieving pass's d sums
-
-    def live(k: int) -> list:
-        # each row still summing in window k, with the last n it sums there
-        lo, hi = k * SEGMENT_SIZE, (k + 1) * SEGMENT_SIZE
-        return [(row, min(hi, int(row[3][-1]))) for row in rows if row[3][-1] > lo]
-
-    def end(k: int) -> int:
-        # the last n whose d(n) a sieving pass fills in window k: the last n
-        # of a row there, plus its shift for a near row
-        return max(n + (w if w <= size else 0) for (w, *_), n in live(k))
 
     def fill(slots: np.ndarray, k: int) -> None:
-        lo = 1 + k * SEGMENT_SIZE
+        lo, hi = 1 + k * SEGMENT_SIZE, (k + 1) * SEGMENT_SIZE
+        # each row still summing in window k, with the last n it sums there
+        live = [(row, min(hi, int(row[3][-1]))) for row in rows if row[3][-1] >= lo]
         if dtab is None:
-            e = end(k)
-            hyperbola = _divisor_summatory(e)  # before the window's temporaries
+            # the last n whose d(n) the window fills: the last n of a row
+            # there, plus its shift for a near row
+            e = max(n + (w if w <= size else 0) for (w, *_), n in live)
             dwin = dbuf[: e - lo + 1]
             _divisor_fill(dwin, lo, e, plan)
             bound = int(dwin.max())
         else:
             dwin, bound = dtab.values[lo:], dtab.bound
-        for (w, _, factors, ys, first, _), n in live(k):
+        for (w, _, factors, ys, first, _), n in live:
             m = n - lo + 1
             right, b = dwin[w : w + m], bound
             piece = dtab is None and w > size  # a far shift's own piece
@@ -724,9 +727,7 @@ def stream_pair_sums(
                 b = max(bound, int(right.max()))
             terms = _pair_products(dwin[:m], right, pbuf[:m], b, lo, w, factors)
             if piece:  # checked once the guard has read its products
-                after = lo + w - 1
-                want = _divisor_summatory(n + w) - _divisor_summatory(after)
-                _check_d_sum(int(np.sum(right, dtype=np.uint64)), n + w, want, after)
+                _check_d_sum(right, lo + w)
             step = max(1, (1 << 32) // (b * b + 1))  # terms per uint32 block
             i, j = np.searchsorted(ys, (lo, n + 1))
             ends = np.append(ys[i:j] - (lo - 1), m)  # of the row's slots here
@@ -741,25 +742,21 @@ def stream_pair_sums(
             at = firsts[firsts < len(blocks)]
             sums = np.add.reduceat(blocks, at, dtype=np.uint64)
             slots[first + i + k : first + i + k + len(sums)] = sums
-        if dtab is None:
-            # the sums of d(n) over the window's own entries and over its
-            # overhang, and the hyperbola's sum of d(n) up to e
-            parts = dwin[:SEGMENT_SIZE], dwin[SEGMENT_SIZE:]
-            sums = [np.sum(part, dtype=np.uint64) for part in parts]
-            slots[guard:].reshape(wins, 3)[k] = [*sums, hyperbola]
+        if dtab is None:  # checked once the guard has read every row's products
+            _check_d_sum(dwin, lo)
 
-    slots = fan_out(guard + 3 * wins, np.uint64, wins, fill)
-    if dtab is None:
-        total = 0  # the sum of d(n) over the windows so far
-        for k, row in enumerate(slots[guard:].reshape(wins, 3)):
-            own, over, want = row.tolist()
-            _check_d_sum(total + own + over, end(k), want)
-            total += own
+    slots = fan_out(slot, np.uint64, wins, fill)
     sums = {}
     for w, tail, _, ys, first, count in rows:
-        prefix = list(accumulate(slots[first : first + count].tolist()))
-        for i, y in enumerate(ys.tolist()):
-            sums[(y, w, *tail)] = prefix[i + (y - 1) // SEGMENT_SIZE]
+        row = slots[first : first + count]
+        at = np.arange(len(ys)) + (ys - 1) // SEGMENT_SIZE  # ys' slots in row
+        total, i = 0, 0  # the sum of row before the chunk, and its first y
+        for a in range(0, count, _TOTAL_CHUNK):
+            prefix = np.cumsum(row[a : a + _TOTAL_CHUNK], dtype=np.uint64)
+            j = int(np.searchsorted(at, a + len(prefix)))
+            for y, s in zip(ys[i:j].tolist(), prefix[at[i:j] - a].tolist()):
+                sums[(y, w, *tail)] = total + s
+            total, i = total + int(prefix[-1]), j
     return sums
 
 

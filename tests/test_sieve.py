@@ -223,10 +223,19 @@ _CHUNK = dc.sieve._HYPERBOLA_CHUNK
 def test_divisor_summatory_matches_python_form(y):
     # the numpy form sums the low and high 32-bit halves of its uint64
     # quotients apart, _CHUNK quotients at a time; 65536^2 +- 1 is
-    # 2^32 +- 1, and isqrt(y) falls just below, on and past chunk edges
-    r = isqrt(y)
-    want = 2 * sum(y // i for i in range(1, r + 1)) - r * r
+    # 2^32 +- 1, and isqrt(y) falls just below, on and past chunk edges.
+    # The sum over (after, y] is the difference of two Python forms, for
+    # after = 0, y - 1 and y, and afters whose isqrt does the same
+    def python_form(z):
+        r = isqrt(z)
+        return 2 * sum(z // i for i in range(1, r + 1)) - r * r
+
+    want = python_form(y)
     assert dc.sieve._divisor_summatory(y) == want
+    edges = (_CHUNK * _CHUNK - 1, _CHUNK * _CHUNK, (_CHUNK + 1) ** 2)
+    for after in {0, max(y - 1, 0), y, *(a for a in edges if a <= y)}:
+        got = dc.sieve._divisor_summatory(y, after)
+        assert got == want - python_form(after), after
 
 
 def test_divisor_summatory_memory_at_height():
@@ -787,6 +796,20 @@ class TestSegmentedConstruction:
         assert dc.build_divisor_table(10_100).values[10_080] == d_naive(10_080)
         assert dc.build_spf(40_000).spf[39_999] == smallest_prime_factor_naive(39_999)
 
+    @pytest.mark.parametrize("n, last", [(5, 1009), (1500, 2018)])
+    def test_fault_in_a_table_window_raises(self, monkeypatch, deal, n, last):
+        # windows of 1009 on two workers, dealt so that the caller fills the
+        # first and a child the second: a d(n) planted in either fails the
+        # self-test of its window where it was filled, named by the window's
+        # last n; the child's window is rerun in the caller and raises there
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        deal(dc.sieve)
+        _plant_d(monkeypatch, {n: d_naive(n) + 1})
+        with pytest.raises(RuntimeError, match=f"self-test failed at y={last}:"):
+            dc.build_divisor_table(20_000)
+        _assert_no_child_left()
+
 
 class TestStreamedPairSums:
     # 30030 is wider than every window below; y = 0 is the empty sum
@@ -861,8 +884,8 @@ class TestStreamedPairSums:
         _assert_no_child_left()
 
     def test_d_row_checked_once_per_window(self, monkeypatch):
-        # a cell every 16 n over 64 windows of 1009: the running sum of d(n)
-        # is checked by the hyperbola once per window, up to the last n it
+        # a cell every 16 n over 64 windows of 1009: the d(n) a window sieves
+        # are checked by the hyperbola once per window, up to the last n it
         # sieves, not at each of the 4036 ys, and the sums still match the
         # table's
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1009)
@@ -870,7 +893,9 @@ class TestStreamedPairSums:
         calls = []
         hyperbola = dc.sieve._divisor_summatory
         monkeypatch.setattr(
-            dc.sieve, "_divisor_summatory", lambda y: calls.append(y) or hyperbola(y)
+            dc.sieve,
+            "_divisor_summatory",
+            lambda y, after: calls.append(y) or hyperbola(y, after),
         )
         cells = [(y, 1) for y in range(16, 64_577, 16)]
         sums = dc.stream_pair_sums(cells)
@@ -1027,6 +1052,45 @@ class TestStreamedPairSums:
         assert sums == {
             cell: naive[len(cell) == 3](*cell[:2]) for cell in cells
         }
+
+    def test_running_total_across_chunks_matches_oracle(self, monkeypatch):
+        # windows of 64 with a cell at every 16th y to 38,400: the row's
+        # 3000 slots span three of the parent's chunks, and each y's sum is
+        # read from its running total
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert dc.sieve._TOTAL_CHUNK < 3000 <= 3 * dc.sieve._TOTAL_CHUNK
+        ys = range(16, 38_401, 16)
+        d = divisor_window_strided(1, 38_401).astype(np.int64)
+        prefix = np.cumsum(d[:-1] * d[1:])  # prefix[y - 1] = S_dd(y, 1)
+        sums = dc.stream_pair_sums([(y, 1) for y in ys])
+        assert sums == {(y, 1): int(prefix[y - 1]) for y in ys}
+
+    def test_parent_holds_no_entry_per_window(self, monkeypatch):
+        # a one-cell pass on two workers over 2,000 and then 8,000 windows of
+        # 64: the parent's traced peak grows by under 8 B per window (77 B
+        # when it kept a list of every window's prefix sum).  The children
+        # stop tracing, so they run at full speed
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fork = os.fork
+
+        def untraced_fork():
+            pid = fork()
+            if pid == 0:
+                tracemalloc.stop()
+            return pid
+
+        monkeypatch.setattr(os, "fork", untraced_fork)
+        peaks = []
+        for wins in (2000, 8000):
+            tracemalloc.start()
+            try:
+                dc.stream_pair_sums([(64 * wins, 1)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * 6000, peaks
 
     def test_keeps_no_d_table(self, monkeypatch):
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 1 << 16)
@@ -1302,6 +1366,31 @@ class TestMemoryCap:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20, peak
+
+    def test_stream_charges_fan_outs_shared_mappings(self, monkeypatch):
+        # RLIMIT_DATA counts no shared mapping, so the pass charges both that
+        # fan_out maps, its slot array and its task table (a counter and an
+        # owner slot per window), on top of its buffers and its plan: a
+        # one-cell pass over 1000 windows of 64 on two workers
+        monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        charged, mapped = [], []
+        charge, anonymous = dc.sieve.charge, mmap.mmap
+
+        def counted(nbytes):
+            charged.append(nbytes)
+            charge(nbytes)
+
+        def mapping(fd, nbytes):
+            mapped.append(nbytes)
+            return anonymous(fd, nbytes)
+
+        monkeypatch.setattr(dc.sieve, "charge", counted)
+        monkeypatch.setattr(mmap, "mmap", mapping)
+        x = 64 * 1000
+        dc.stream_pair_sums([(x, 1)])
+        private = 8 * (64 + 1) + dc.sieve._fill_plan_bytes(x + 1, 64 + 1)
+        assert len(mapped) == 2 and charged == [private + sum(mapped)]
 
     def test_stream_charges_its_cells_before_building_their_sets(self, monkeypatch):
         # 100,000 cells of one row, under a cap that the buffers and the plan
