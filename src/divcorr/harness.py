@@ -14,6 +14,7 @@ integers), so output is byte-identical.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -50,6 +51,14 @@ from divcorr.sieve import build_divisor_table, build_mult_table, shifted_product
 
 KINDS = ("dd", "dpoly", "sigma_corr")
 _CONSISTENCY_TOLERANCE = 1e-9  # largest coefficient_consistency deviation that passes
+# bytes of a suite's report, the JSON [checks, failures, first counterexample]:
+# two counts of at most 20 digits, 8 B of punctuation and a message of at most
+# 120 characters (lemma1's "product form v=V, x=X: L != R" with four int64s
+# and _within's "v=V: |A - B| > T" with three float reprs are the longest,
+# 103; induction's sides, at its fixed bounds, and genrec's, at any f-table
+# the default cap admits, stay below 10^30); numpy cuts a longer one, which
+# then does not parse
+_REPORT_BYTES = 192
 SUITES = (
     "lemma1",
     "lemma2",
@@ -174,11 +183,11 @@ def run_verify(
     The suites run on every usable CPU as the tasks of fan_out, suite i as
     task i, each worker taking the next suite in the order given when it
     has finished one, so the call ends close to the end of its longest
-    suite: each worker writes the checks and failures of its suites into
-    two shared slots each.  A suite that failed in a child is rerun here
-    for its first counterexample, and a rerun that counts otherwise than
-    the child raises RuntimeError naming the suite; one that raised in a
-    child raises here with its own class.
+    suite.  Each worker writes the whole report of each suite it ran, its
+    checks, failures and first counterexample as JSON of at most
+    _REPORT_BYTES, into fan_out's array, and every SuiteResult is read
+    from there, in the caller as in a child; a suite that raised in a child
+    raises here with its own class.
     """
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
@@ -199,29 +208,13 @@ def run_verify(
         "binomial": lambda: _suite_binomial(bound(vmax, 200), 3),
         "coeff_consistency": lambda: _suite_coeff_consistency(bound(vmax, 100)),
     }
-    own: dict[int, SuiteResult] = {}  # the suites this process ran
 
-    def fill(slots: np.ndarray, i: int) -> None:
-        own[i] = runners[suites[i]]()
-        slots[2 * i : 2 * i + 2] = own[i].checks, own[i].failures
+    def fill(reports: np.ndarray, i: int) -> None:
+        r = runners[suites[i]]()
+        reports[i] = json.dumps([r.checks, r.failures, r.first_counterexample])
 
-    slots = fan_out(2 * len(suites), np.uint64, len(suites), fill)
-
-    def result(i: int, name: str) -> SuiteResult:
-        if i in own:
-            return own[i]
-        checks, failures = map(int, slots[2 * i : 2 * i + 2])
-        if not failures:
-            return SuiteResult(name, checks, 0)
-        rerun = runners[name]()
-        if (rerun.checks, rerun.failures) != (checks, failures):
-            raise RuntimeError(
-                f"suite {name}: a worker counted {checks} checks, {failures} "
-                f"failures, its rerun {rerun.checks} and {rerun.failures}"
-            )
-        return rerun
-
-    return tuple(result(i, name) for i, name in enumerate(suites))
+    reports = fan_out(len(suites), f"S{_REPORT_BYTES}", len(suites), fill)
+    return tuple(SuiteResult(name, *json.loads(r)) for name, r in zip(suites, reports))
 
 
 # (checks, failures, first counterexample or None) of one row, array or
@@ -232,7 +225,7 @@ _Outcome = tuple[int, int, "str | None"]
 
 def _tally(suite: Callable[..., Iterator[_Outcome]]) -> Callable[..., SuiteResult]:
     """Run a suite's outcome generator into its SuiteResult, named after the
-    function (_suite_<name>); the one place a suite's result is formed."""
+    function (_suite_<name>); the one place a suite's outcomes are tallied."""
     name = suite.__name__.removeprefix("_suite_")
 
     @functools.wraps(suite)

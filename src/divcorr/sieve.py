@@ -9,10 +9,10 @@ builder fills its table window by window, byte-identical to a monolithic
 build; tables are immutable and safe to share.  A table of more
 than one window is filled on all usable CPUs: window k is task k of
 fanout.fan_out, the one fork site, whose workers each take the next task
-when they finish one and write one shared anonymous mapping, and the tasks
-a worker took before it raised are rerun in the caller, so the error keeps
-its class.
-No knob selects this; inside a worker of another fan_out (a verify
+when they finish one and write one shared anonymous mapping; a window
+that raises leaves the other workers no window to take, and if it raised
+in a child it is rerun in the caller, so the error keeps its class.  No
+knob selects this; inside a worker of another fan_out (a verify
 suite's) the tasks run in that worker.  time.process_time() of the caller
 leaves out the children's CPU time.
 _divisor_fill, the one fill of d, works in the log domain behind a 75600
@@ -54,8 +54,8 @@ memory_limit() has the kernel enforce it on the CLI's process: the soft
 RLIMIT_DATA becomes the process's private memory plus the cap, and
 fan_out's children inherit it.  charge() refuses, before any work, a
 structure whose size the input sets: a d-table, an SPF table, an f-table,
-and the streamed pass's buffers, fill plan and fan_out's shared slot
-array and task table, which RLIMIT_DATA does not count.
+and the streamed pass's buffers, fill plan and shared slot array, which
+RLIMIT_DATA does not count.
 
 SEGMENT_SIZE is sized to the L2 cache rather than to memory: a window of
 2^19 uint32 entries is 2 MiB, so the many strided passes over one window
@@ -654,10 +654,9 @@ def stream_pair_sums(
     fault raises RuntimeError naming the last n of the window or piece that
     holds it.  It charges 12 B per entry of a window plus the widest near
     shift and the fill's prime powers up to the top n + w; a pass over dtab
-    charges the table and 4 B per window entry.  Both charge fan_out's
-    shared mappings, 8 B per slot and 8 B per window, counted from the
-    cells' ys before anything is built.  RangeError for a cell with y < 0 or
-    w < 1.
+    charges the table and 4 B per window entry.  Both charge the shared
+    slot array, 8 B per slot, counted from the cells' ys before anything
+    is built.  RangeError for a cell with y < 0 or w < 1.
     """
     marks: dict[tuple[int, bool], list] = {}  # (shift, product) -> its ys
     for y, w, *shape in cells:
@@ -673,13 +672,11 @@ def stream_pair_sums(
     reach = max(y + w for (w, _), y in lasts.items())
     if dtab is not None and dtab.limit < reach:
         raise RangeError(f"divisor table limit {dtab.limit} < {reach}")
-    # fan_out's shared mappings, charged before anything is built, since
-    # RLIMIT_DATA does not count them: per row a slot per y, repeats
-    # included, and one per window; the task table's owner slot per window
-    # and its counter
-    wins = -(-top // SEGMENT_SIZE)
+    # the shared slot array, charged before anything is built, since
+    # RLIMIT_DATA does not count it: per row a slot per y, repeats
+    # included, and one per window
     slots = sum(len(ys) + -(-lasts[row] // SEGMENT_SIZE) for row, ys in marks.items())
-    shared = 8 * (slots + wins + 1)
+    shared = 8 * slots
     if dtab is None:
         near = max((w for w, _ in marks if w <= size), default=0)
         # dbuf and far, 4 B per entry each; the plan
@@ -745,7 +742,7 @@ def stream_pair_sums(
         if dtab is None:  # checked once the guard has read every row's products
             _check_d_sum(dwin, lo)
 
-    slots = fan_out(slot, np.uint64, wins, fill)
+    slots = fan_out(slot, np.uint64, -(-top // SEGMENT_SIZE), fill)
     sums = {}
     for w, tail, _, ys, first, count in rows:
         row = slots[first : first + count]

@@ -310,6 +310,13 @@ class TestFailureReports:
             suite, checks, failures, first,
         )
 
+    def test_a_report_too_long_to_keep_raises(self, monkeypatch):
+        # a first counterexample of 200 digits does not fit the report's
+        # bytes, and the report numpy cuts does not parse
+        monkeypatch.setattr(dc.harness, "binomial_log_identity", lambda v, n: 10**200)
+        with pytest.raises(json.JSONDecodeError):
+            dc.run_verify(["binomial"], vmax=1)
+
 
 class TestGenrecArrays:
     # the planted faults at amax = 20: d(19^2) + 1 in the d phase, met only
@@ -416,9 +423,10 @@ class TestFannedOutReport:
         assert capsys.readouterr() == ("", "error: planted refusal\n")
         _assert_no_child_left()
 
-    def test_fault_seen_only_in_a_child_raises(self, monkeypatch, deal):
-        # binomial fails in the child alone: its rerun in the caller passes,
-        # and the report is not built from the rerun
+    def test_a_childs_report_is_returned_as_is(self, monkeypatch, capsys, deal):
+        # binomial fails in the child alone: its report, first
+        # counterexample included, comes back through fan_out's array and
+        # nothing is rerun in the caller, where it would pass
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         deal(dc.harness, task=1)
         parent = os.getpid()
@@ -428,8 +436,14 @@ class TestFannedOutReport:
             "binomial_log_identity",
             lambda v, n: 1.0 if os.getpid() != parent and n == 1 else rep(v, n),
         )
-        with pytest.raises(RuntimeError, match="^suite binomial: .* 12 failures"):
-            dc.run_verify(["induction", "binomial"], vmax=12)
+        first = "v=1: |1.0 - 0.0| > 1e-10"
+        ran, got = dc.run_verify(["induction", "binomial"], vmax=12)
+        assert ran.passed
+        assert got == dc.SuiteResult("binomial", 48, 12, first)
+        _assert_no_child_left()
+        assert main(["verify", "--vmax", "12", "--suite", "induction", "binomial"]) == 1
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line == f"suite binomial: 48 checks, 12 failures (first: {first}) [FAIL]"
         _assert_no_child_left()
 
     def test_suites_at_raised_bounds_fork_once(self, monkeypatch):

@@ -3,6 +3,7 @@ import mmap
 import os
 import signal
 import struct
+import time
 import tracemalloc
 from collections import Counter
 from math import isqrt
@@ -572,9 +573,11 @@ class TestShiftedProductValues:
     def test_overflow_guard_in_a_child_window(self, monkeypatch, deal, fn):
         # two workers over windows of 256, dealt by handshakes: the child
         # takes [257, 512], which holds the planted pair, while the parent
-        # holds [1, 256]; its OverflowError comes back when the parent reruns
-        # that one window after [513, 768] and [769, 1000], which it pulls
-        # once the child has left
+        # holds [1, 256]; the child's raise leaves no window to pull, and its
+        # OverflowError comes back when the parent reruns that one window.
+        # The parent's [1, 256] ends only once the child has left (WNOWAIT
+        # leaves it to fan_out to reap), so the parent pulls after the child
+        # raised, not by timing
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 256)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         values = dc.build_divisor_table(1001).values.copy()
@@ -582,10 +585,18 @@ class TestShiftedProductValues:
         deal(dc.sieve, task=1)
         forks = _count_forks(monkeypatch)
         checked = _spy_guard(monkeypatch)
+        guard, parent = dc.sieve._pair_products, os.getpid()
+
+        def after_the_child(left, right, out, bound, lo, *rest):
+            if lo == 1 and os.getpid() == parent:
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return guard(left, right, out, bound, lo, *rest)
+
+        monkeypatch.setattr(dc.sieve, "_pair_products", after_the_child)
         with pytest.raises(OverflowError, match="exceeds uint32"):
             fn(1000, 1, dc.DivisorTable(1001, values))
         assert len(forks) == 1
-        assert checked == [256, 256, 232, 256]
+        assert checked == [256, 256]
         _assert_no_child_left()
 
     def test_no_full_length_temporaries(self, monkeypatch):
@@ -1282,9 +1293,10 @@ class TestFanOutTasks:
 
     def test_a_raising_child_has_exactly_its_tasks_rerun(self, monkeypatch, deal):
         # while the caller holds task 0 the child takes 1, 2 and 3, and
-        # raises in 3; the caller pulls 4 to 7, then reruns 1, 2 and 3, which
-        # pass there, so the call raises ResourceError.  Every run writes
-        # (pid, k) to one pipe, whose writes of 16 B are atomic
+        # raises in 3, which leaves no task to pull; the caller reruns 3
+        # alone, once, which passes there, so the call raises ResourceError.
+        # Every run writes (pid, k) to one pipe, whose writes of 16 B are
+        # atomic
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         deal(dc.fanout, task=3)
         caller = os.getpid()
@@ -1303,9 +1315,53 @@ class TestFanOutTasks:
             os.close(log_r)
             os.close(log_w)
         _assert_no_child_left()
-        child = [k for pid, k in log if pid != caller]
-        assert child == [1, 2, 3]
-        assert [k for pid, k in log if pid == caller] == [0, 4, 5, 6, 7, *child]
+        assert [k for pid, k in log if pid != caller] == [1, 2, 3]
+        ran = [k for pid, k in log if pid == caller]
+        assert ran[0] == 0 and ran[-1] == 3 and ran.count(3) == 1
+        assert not {1, 2} & set(ran)
+
+    @pytest.mark.parametrize("fault", [0, 1])
+    def test_a_fault_stops_the_other_workers_pulling(self, monkeypatch, deal, fault):
+        # 400 tasks of 5 ms on two workers, dealt so that the child runs
+        # task 1 while the caller holds task 0; task 0 raises in the caller
+        # or task 1 in the child, and the other worker finishes the task it
+        # holds and at most one it pulled before the fault, where it used to
+        # pull all 400.  Every run writes its task number to one pipe
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        deal(dc.fanout, task=1)
+        log_r, log_w = os.pipe()
+
+        def slow(out, k):
+            os.write(log_w, struct.pack("q", k))
+            time.sleep(0.005)
+            if k == fault:
+                raise ZeroDivisionError(f"task {k}")
+
+        try:
+            with pytest.raises(ZeroDivisionError, match=f"^task {fault}$"):
+                dc.fanout.fan_out(400, np.int64, 400, slow)
+            ran = [k for (k,) in struct.iter_unpack("q", os.read(log_r, 1 << 16))]
+        finally:
+            os.close(log_r)
+            os.close(log_w)
+        _assert_no_child_left()
+        # 0 and 1, one task pulled at most, and the rerun of a child's fault
+        assert len(ran) <= 3 + fault, ran
+
+    def test_fan_outs_state_does_not_grow_with_the_tasks(self, monkeypatch):
+        # beyond the caller's array, 4000 tasks on eight workers map 8 B
+        # per worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        mapped, anonymous = [], mmap.mmap
+
+        def mapping(fd, nbytes):
+            mapped.append(nbytes)
+            return anonymous(fd, nbytes)
+
+        monkeypatch.setattr(mmap, "mmap", mapping)
+        dc.fanout.fan_out(4000, np.int64, 4000, lambda out, k: None)
+        assert mapped == [8 * 4000, 64]
+        _assert_no_child_left()
 
 
 class TestNestedFanOut:
@@ -1368,10 +1424,11 @@ class TestMemoryCap:
         assert peak < 2 << 20, peak
 
     def test_stream_charges_fan_outs_shared_mappings(self, monkeypatch):
-        # RLIMIT_DATA counts no shared mapping, so the pass charges both that
-        # fan_out maps, its slot array and its task table (a counter and an
-        # owner slot per window), on top of its buffers and its plan: a
-        # one-cell pass over 1000 windows of 64 on two workers
+        # RLIMIT_DATA counts no shared mapping, so the pass charges the slot
+        # array that fan_out maps for it, a slot per window, on top of its
+        # buffers and its plan; fan_out's only other mapping is 8 B per
+        # worker, which does not grow with the input: a one-cell pass over
+        # 1000 windows of 64 on two workers
         monkeypatch.setattr(dc.sieve, "SEGMENT_SIZE", 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         charged, mapped = [], []
@@ -1390,7 +1447,8 @@ class TestMemoryCap:
         x = 64 * 1000
         dc.stream_pair_sums([(x, 1)])
         private = 8 * (64 + 1) + dc.sieve._fill_plan_bytes(x + 1, 64 + 1)
-        assert len(mapped) == 2 and charged == [private + sum(mapped)]
+        assert mapped == [8 * (1 + 1000), 8 * 2]
+        assert charged == [private + mapped[0]]
 
     def test_stream_charges_its_cells_before_building_their_sets(self, monkeypatch):
         # 100,000 cells of one row, under a cap that the buffers and the plan
